@@ -204,7 +204,7 @@ func (c *client) post(path string, body []byte, wantStatus int, outp any) (ok, s
 			return false, false, true
 		}
 		switch e.Error.Code {
-		case "queue_full", "rate_limited", "sweep_limit":
+		case "queue_full", "rate_limited":
 		default:
 			return false, false, true
 		}

@@ -1,16 +1,17 @@
 // Command tpserve exposes the temporal-partitioning solver as a JSON
 // HTTP service: a bounded worker pool of branch-and-bound solvers with
-// cooperative cancellation, request deduplication and an LRU over
-// completed results.
+// cooperative cancellation, request deduplication and a cache of
+// completed results that also serves warm starts.
 //
-// Endpoints (see service.NewHandler; the pre-versioning paths remain
-// mounted as deprecated aliases):
+// Endpoints (see service.NewHandler):
 //
 //	POST   /v1/solve            synchronous solve (client disconnect cancels)
 //	POST   /v1/jobs             asynchronous submit
 //	POST   /v1/batch            submit up to -max-batch solves at once
 //	                            (neighboring instances warm-chain)
 //	GET    /v1/batch/{id}       batch status
+//	POST   /v1/sweep            (N, L, Ms, C, α) grid scan of at most
+//	                            -max-batch points, run as one batch
 //	GET    /v1/jobs/{id}        job status and result
 //	DELETE /v1/jobs/{id}        cancel a queued or running job
 //	GET    /v1/jobs/{id}/events live solver progress (Server-Sent Events)
@@ -59,7 +60,7 @@ func main() {
 		addr     = flag.String("addr", ":8080", "listen address")
 		workers  = flag.Int("workers", 0, "solver goroutines (0 = GOMAXPROCS)")
 		queue    = flag.Int("queue", 0, "queued-job limit (0 = default)")
-		cache    = flag.Int("cache", 0, "result-cache entries (0 = default, -1 disables)")
+		cache    = flag.Int("cache", 0, "result-cache entries (0 = default 256; negative disables exact hits and warm bases alike)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "default per-solve time limit")
 		parallel = flag.Int("parallel", 0, "branch-and-bound workers per solve (0 = serial)")
 		stall    = flag.Duration("stall-window", 0, "gap-stall watchdog window (0 disables)")
@@ -67,11 +68,10 @@ func main() {
 		blackbox = flag.String("blackbox", "", "write black-box anomaly dumps into this directory")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 
-		rate      = flag.Float64("rate", 0, "admitted submissions per second (token bucket; 0 disables)")
-		burst     = flag.Int("burst", 0, "admission token-bucket depth (0 = ceil(rate))")
-		maxBody   = flag.Int64("max-body", 0, "request-body byte cap (0 = 8 MiB default, -1 disables)")
-		maxSweeps = flag.Int("max-sweeps", 0, "concurrent synchronous sweeps (0 = default 4, -1 disables)")
-		maxBatch  = flag.Int("max-batch", 0, "items per POST /v1/batch (0 = default 64)")
+		rate     = flag.Float64("rate", 0, "admitted submissions per second (token bucket; 0 disables)")
+		burst    = flag.Int("burst", 0, "admission token-bucket depth (0 = ceil(rate))")
+		maxBody  = flag.Int64("max-body", 0, "request-body byte cap (0 = 8 MiB default, -1 disables)")
+		maxBatch = flag.Int("max-batch", 0, "items per POST /v1/batch and points per POST /v1/sweep (0 = default 64)")
 	)
 	flag.Parse()
 
@@ -84,7 +84,6 @@ func main() {
 		StallWindow:        *stall,
 		Admission:          service.Admission{Rate: *rate, Burst: *burst},
 		MaxBodyBytes:       *maxBody,
-		MaxSweeps:          *maxSweeps,
 		MaxBatch:           *maxBatch,
 	}
 	if *spans != "" {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -149,7 +150,7 @@ func TestFigure3Semantics(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := m.Solve()
+	res, err := m.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,17 +74,9 @@ type Result struct {
 	TimeToProof time.Duration
 }
 
-// Solve runs branch and bound on the generated model with the
+// SolveContext runs branch and bound on the generated model with the
 // configured branching rule, then extracts and verifies the solution.
-//
-// Deprecated: use SolveContext, which supports cancellation and is the
-// single solve entry point; Solve remains as a convenience delegate
-// with a background context.
-func (m *Model) Solve() (*Result, error) {
-	return m.SolveContext(context.Background())
-}
-
-// SolveContext runs the solve under a context: cancellation
+// It runs under a context: cancellation
 // cooperatively stops the exact sweep, the node probes and the
 // branch-and-bound pivot loops, returning a Result with Cancelled set
 // (and the best incumbent found so far, when one exists) rather than

@@ -4,8 +4,10 @@
 // re-solve path — reusing the cached presolve, the root LP basis (dual
 // warm start via solver clone + SetBound/SetRowBounds/SetObj edits)
 // and, when the edit provably cannot improve the cached optimum, the
-// cached conclusion itself. It is the engine behind the service's
-// POST /v1/jobs/{id}/amend and POST /v1/sweep endpoints.
+// cached conclusion itself. Every fresh service solve runs through it —
+// amends and batch warm chains (sweeps included) warm from a cached
+// neighbor — and its cache of completed results is also the service's
+// exact-hit result cache.
 //
 // Soundness contract (see DESIGN.md for the full lattice): every fast
 // path re-renders its verdict against the NEW problem — warm solves

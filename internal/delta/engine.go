@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,58 +40,59 @@ type Info struct {
 	Primed bool `json:"primed,omitempty"`
 }
 
-// Config bounds the engine's cache.
-type Config struct {
-	// MaxEntries caps the cached builds (LRU beyond it); <= 0 means 8.
-	MaxEntries int
-	// MaxSolverCells caps root-basis retention per entry: a root whose
-	// dense tableau exceeds this many cells (rows × (rows + vars +
-	// rows)) is not retained — the entry still serves conclusion reuse
-	// and incumbent priming, just not the basis warm start. <= 0 means
-	// 1<<23 (64 MiB of float64s).
-	MaxSolverCells int64
-}
-
 const (
-	defaultMaxEntries  = 8
-	defaultSolverCells = 1 << 23
+	// maxBuilds caps the entries that keep their build: only the entries
+	// most recently solved or used as a warm base do, so exact-hit reads
+	// never strip the base a running chain is about to warm from.
+	maxBuilds = 8
+	// maxSolverCells caps root-basis retention per build: a root whose
+	// dense tableau exceeds this many cells (rows × (rows + vars)) is not
+	// retained — the build still serves conclusion reuse and incumbent
+	// priming, just not the basis warm start. 1<<23 is 64 MiB of float64s.
+	maxSolverCells = 1 << 23
 )
 
-// entry is one cached build: the post-presolve model, its result, and
-// (when within the cell budget) a solver template anchored at a solved
-// root basis of the entry's problem. The template is never mutated
-// after insertion — every use clones it first — so concurrent amends
-// against one base are safe.
-type entry struct {
-	key    string
-	model  *core.Model
-	result *core.Result
-	root   *lp.Solver
+// build is the re-solve state of a cached solve: the post-presolve
+// model and (when within the cell budget) a solver template anchored at
+// a solved root basis of its problem. Immutable after insertion — every
+// use clones the template first — so concurrent amends against one base
+// are safe.
+type build struct {
+	model *core.Model
+	root  *lp.Solver
 }
 
-// Engine caches recent builds by canonical instance key and dispatches
-// amended solves down the cheapest sound path. Safe for concurrent
-// use; the solves themselves run outside the lock.
+// entry is one cached solve under its canonical key: the completed
+// result, which serves exact hits, and while the entry is among the
+// maxBuilds most recently solved or used as a warm base, its build.
+type entry struct {
+	key    string
+	result *core.Result
+	build  *build
+	el     *list.Element // position in Engine.order
+}
+
+// Engine caches completed solves by canonical instance key — one cache
+// serving both exact hits and warm bases — and dispatches amended
+// solves down the cheapest sound path. Safe for concurrent use; the
+// solves themselves run outside the lock.
 type Engine struct {
-	cfg Config
+	size int
 
 	mu      sync.Mutex
-	order   *list.List // front = most recent; values are *entry
-	entries map[string]*list.Element
+	entries map[string]*entry
+	order   *list.List // result recency, front = most recent; values are *entry
+	builds  []*entry   // entries holding a build, most recent first
 
 	// counters, read via Metrics
 	solves, warm, reuse, structural uint64
 }
 
-// NewEngine returns an engine with the given cache bounds.
-func NewEngine(cfg Config) *Engine {
-	if cfg.MaxEntries <= 0 {
-		cfg.MaxEntries = defaultMaxEntries
-	}
-	if cfg.MaxSolverCells <= 0 {
-		cfg.MaxSolverCells = defaultSolverCells
-	}
-	return &Engine{cfg: cfg, order: list.New(), entries: map[string]*list.Element{}}
+// NewEngine returns an engine caching up to size completed results;
+// size <= 0 caches nothing, which disables exact hits and warm bases
+// alike.
+func NewEngine(size int) *Engine {
+	return &Engine{size: size, entries: map[string]*entry{}, order: list.New()}
 }
 
 // Metrics is a snapshot of the engine's dispatch counters.
@@ -99,7 +101,8 @@ type Metrics struct {
 	Warm       uint64 `json:"warm"`
 	Reuse      uint64 `json:"reuse"`
 	Structural uint64 `json:"structural"`
-	Entries    int    `json:"entries"`
+	// Entries is the number of cached results.
+	Entries int `json:"entries"`
 }
 
 // Metrics returns the dispatch counters and current cache size.
@@ -110,42 +113,95 @@ func (e *Engine) Metrics() Metrics {
 		Structural: e.structural, Entries: e.order.Len()}
 }
 
-func (e *Engine) lookup(key string) *entry {
-	if key == "" {
-		return nil
-	}
+// Lookup returns the cached result of an exact hit on key. It refreshes
+// the result's recency but not its build's: reading a result is not a
+// reason to keep a model and root basis alive.
+func (e *Engine) Lookup(key string) (*core.Result, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	el, ok := e.entries[key]
+	en, ok := e.entries[key]
 	if !ok {
-		return nil
+		return nil, false
 	}
-	e.order.MoveToFront(el)
-	return el.Value.(*entry)
+	e.order.MoveToFront(en.el)
+	return en.result, true
 }
 
-func (e *Engine) store(en *entry) {
+// base returns the cached result and build under key for a warm start,
+// refreshing both recencies. The build is nil when the entry is missing
+// or has already dropped it.
+func (e *Engine) base(key string) (*core.Result, *build) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if el, ok := e.entries[en.key]; ok {
-		el.Value = en
-		e.order.MoveToFront(el)
+	en, ok := e.entries[key]
+	if !ok || en.build == nil {
+		return nil, nil
+	}
+	e.order.MoveToFront(en.el)
+	e.keepBuild(en)
+	return en.result, en.build
+}
+
+// store caches a completed solve under key, with its build when b is
+// non-nil. Cancelled solves are not cached.
+func (e *Engine) store(key string, res *core.Result, b *build) {
+	if e.size <= 0 || key == "" || res == nil || res.Cancelled {
 		return
 	}
-	e.entries[en.key] = e.order.PushFront(en)
-	for e.order.Len() > e.cfg.MaxEntries {
-		el := e.order.Back()
-		e.order.Remove(el)
-		delete(e.entries, el.Value.(*entry).key)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	en, ok := e.entries[key]
+	if ok {
+		e.order.MoveToFront(en.el)
+	} else {
+		en = &entry{key: key}
+		en.el = e.order.PushFront(en)
+		e.entries[key] = en
+		if e.order.Len() > e.size {
+			old := e.order.Remove(e.order.Back()).(*entry)
+			delete(e.entries, old.key)
+			e.dropBuild(old)
+		}
+	}
+	en.result = res
+	if b == nil {
+		e.dropBuild(en)
+		return
+	}
+	en.build = b
+	e.keepBuild(en)
+}
+
+// keepBuild moves en to the front of the build recency list; the entry
+// pushed past maxBuilds drops its build. Callers hold e.mu.
+func (e *Engine) keepBuild(en *entry) {
+	i := slices.Index(e.builds, en)
+	if i < 0 {
+		e.builds = append(e.builds, en)
+		i = len(e.builds) - 1
+	}
+	copy(e.builds[1:i+1], e.builds[:i])
+	e.builds[0] = en
+	if len(e.builds) > maxBuilds {
+		e.dropBuild(e.builds[maxBuilds])
+	}
+}
+
+// dropBuild releases en's build. Callers hold e.mu.
+func (e *Engine) dropBuild(en *entry) {
+	en.build = nil
+	if i := slices.Index(e.builds, en); i >= 0 {
+		e.builds = slices.Delete(e.builds, i, i+1)
 	}
 }
 
 // Solve builds the instance and solves it, warm-starting from the
 // cached build under baseKey when one exists and the edit class allows
-// it. The finished build is cached under key for future amends (so a
-// chain of amends, or a sweep walking neighboring points, stays warm).
-// key and baseKey are the service's canonical instance hashes; "" for
-// baseKey means a cold solve.
+// it. The completed result is cached under key — with its build, for
+// future amends (so a chain of amends, or a sweep walking neighboring
+// points, stays warm). key and baseKey are the service's canonical
+// instance hashes; "" for baseKey means a cold solve. Solve never
+// answers from the cache itself: exact hits are the caller's Lookup.
 func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Instance, opt core.Options) (*core.Result, Info, error) {
 	e.mu.Lock()
 	e.solves++
@@ -158,20 +214,26 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 	}
 	if m.ApplyPresolve() {
 		// proven infeasible before any LP existed; SolveContext returns
-		// the canonical early result (nothing worth caching)
-		res, serr := m.SolveContext(ctx)
-		return res, info, serr
+		// the canonical early result. Cached for exact hits, but with no
+		// build: there is no root basis, and a diff against the emptied
+		// problem would prove nothing.
+		res, err := m.SolveContext(ctx)
+		if err == nil {
+			e.store(key, res, nil)
+		}
+		return res, info, err
 	}
 
 	// Root-basis retention budget: a dense tableau beyond the cell cap
 	// is not worth keeping (or cloning) — such entries still serve
 	// conclusion reuse and incumbent priming.
 	nv, nr := m.P.NumVars(), m.P.NumRows()
-	withinBudget := int64(nr)*int64(nr+nv) <= e.cfg.MaxSolverCells
+	withinBudget := int64(nr)*int64(nr+nv) <= maxSolverCells
 
-	var base *entry
+	var baseRes *core.Result
+	var base *build
 	if baseKey != "" && baseKey != key {
-		base = e.lookup(baseKey)
+		baseRes, base = e.base(baseKey)
 	}
 	warm := &core.Warm{}
 	var template *lp.Solver // un-reoptimized root template for the reuse path
@@ -199,7 +261,7 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 			info.Path = PathWarm
 		}
 		if d.Class != ClassStructural {
-			warm.Prime = reusableSolution(base.result, m)
+			warm.Prime = reusableSolution(baseRes, m)
 			info.Primed = warm.Prime != nil
 			// Monotone-direction conclusion reuse: a pure tightening can
 			// only raise a minimization optimum, so a surviving optimal
@@ -208,19 +270,11 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 			// With certification on we run the (primed, warm) search
 			// instead so internal/exact re-certifies the verdict against
 			// the new problem.
-			if d.Tightens && base.result.Optimal && !opt.Certify {
-				if base.result.Feasible && warm.Prime != nil {
-					res := e.reuseResult(m, warm.Prime, start, opt)
-					e.finish(key, m, res, template)
-					info.Path = PathReuse
-					return res, info, nil
-				}
-				if !base.result.Feasible {
-					res := e.reuseResult(m, nil, start, opt)
-					e.finish(key, m, res, template)
-					info.Path = PathReuse
-					return res, info, nil
-				}
+			if d.Tightens && baseRes.Optimal && !opt.Certify && (!baseRes.Feasible || warm.Prime != nil) {
+				res := e.reuseResult(m, warm.Prime, start, opt)
+				e.store(key, res, &build{model: m, root: template})
+				info.Path = PathReuse
+				return res, info, nil
 			}
 		}
 	}
@@ -246,16 +300,8 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 		e.warm++
 		e.mu.Unlock()
 	}
-	e.finish(key, m, res, rootClone)
+	e.store(key, res, &build{model: m, root: rootClone})
 	return res, info, err
-}
-
-// finish caches the completed build under key.
-func (e *Engine) finish(key string, m *core.Model, res *core.Result, root *lp.Solver) {
-	if key == "" || res == nil {
-		return
-	}
-	e.store(&entry{key: key, model: m, result: res, root: root})
 }
 
 // reuseResult assembles the conclusion-reuse result: the (copied,

@@ -67,7 +67,7 @@ func TestEngineDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		eng := NewEngine(Config{})
+		eng := NewEngine(64)
 		baseKey := fmt.Sprintf("base-%d", seed)
 		baseInst := core.Instance{Graph: g, Alloc: alloc, Device: baseDev}
 		baseRes, info, err := eng.Solve(ctx, baseKey, "", baseInst, opt)
@@ -124,7 +124,7 @@ func TestEngineReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{})
+	eng := NewEngine(64)
 	base := core.Instance{Graph: g, Alloc: alloc,
 		Device: library.Device{Name: "d", CapacityFG: 400, Alpha: 1.0, ScratchMem: 64}}
 	baseRes, _, err := eng.Solve(ctx, "base", "", base, opt)
@@ -172,7 +172,7 @@ func TestEngineSweepChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{})
+	eng := NewEngine(64)
 	alphas := []float64{0.7, 0.8, 0.9, 1.0}
 	prevKey := ""
 	fast := 0
@@ -204,31 +204,108 @@ func TestEngineSweepChain(t *testing.T) {
 	}
 }
 
-// TestEngineLRU checks the entry cap evicts the oldest base.
+// TestEngineLRU pins the one cache's two bounds: results beyond the
+// engine's size are evicted least recently used first, and only the
+// maxBuilds entries most recently solved or used as a warm base keep
+// their build — an exact hit refreshes the result, not the build.
 func TestEngineLRU(t *testing.T) {
+	res := &core.Result{}
+	key := func(i int) string { return fmt.Sprintf("k%d", i) }
+
+	small := NewEngine(2)
+	small.store("a", res, nil)
+	small.store("b", res, nil)
+	if _, ok := small.Lookup("a"); !ok {
+		t.Fatal("a evicted early")
+	}
+	small.store("c", res, nil) // evicts b: a was just read
+	if _, ok := small.Lookup("b"); ok {
+		t.Fatal("b survived eviction")
+	}
+	if _, ok := small.Lookup("a"); !ok {
+		t.Fatal("a evicted despite recent use")
+	}
+	if m := small.Metrics(); m.Entries != 2 {
+		t.Fatalf("entries %d, want 2", m.Entries)
+	}
+	off := NewEngine(0)
+	off.store("a", res, nil)
+	if _, ok := off.Lookup("a"); ok {
+		t.Fatal("disabled cache stored a result")
+	}
+
+	const size = maxBuilds + 4
+	eng := NewEngine(size)
+	hasBuild := func(i int) bool {
+		en, ok := eng.entries[key(i)]
+		return ok && en.build != nil
+	}
+	for i := 0; i < maxBuilds+2; i++ {
+		eng.store(key(i), res, &build{})
+	}
+	for i := 0; i < maxBuilds+2; i++ {
+		if _, ok := eng.Lookup(key(i)); !ok {
+			t.Fatalf("%s evicted below the size bound", key(i))
+		}
+		if hasBuild(i) != (i >= 2) {
+			t.Fatalf("%s build kept=%v, want only the newest %d builds", key(i), hasBuild(i), maxBuilds)
+		}
+	}
+	// a warm-base use refreshes the build, an exact hit does not: the
+	// next solve drops k3's build (oldest unused), not k2's
+	if _, b := eng.base(key(2)); b == nil {
+		t.Fatal("warm base k2 has no build")
+	}
+	if _, ok := eng.Lookup(key(3)); !ok {
+		t.Fatal("k3 missing")
+	}
+	eng.store(key(100), res, &build{})
+	if !hasBuild(2) || hasBuild(3) {
+		t.Fatalf("after a warm use of k2 and a hit on k3: k2 build=%v k3 build=%v", hasBuild(2), hasBuild(3))
+	}
+	// evicting a result past the size bound drops its build with it
+	for i := 200; i < 200+size; i++ {
+		eng.store(key(i), res, &build{})
+	}
+	if m := eng.Metrics(); m.Entries != size || len(eng.builds) != maxBuilds {
+		t.Fatalf("entries=%d builds=%d, want %d/%d", m.Entries, len(eng.builds), size, maxBuilds)
+	}
+}
+
+// TestExactHitsKeepChainBase lands exact hits on maxBuilds other keys
+// between two steps of a warm chain: the reads must not strip the
+// chain head's build, so the successor still leaves the cold path.
+func TestExactHitsKeepChainBase(t *testing.T) {
 	alloc := testAlloc(t)
 	opt := testOpt(false)
 	ctx := context.Background()
-	g, err := randgraph.Tiny(1)
+	g, err := randgraph.Tiny(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(Config{MaxEntries: 2})
-	for i := 0; i < 4; i++ {
-		inst := core.Instance{Graph: g, Alloc: alloc,
-			Device: library.Device{Name: "d", CapacityFG: 200 + 10*i, Alpha: 1.0, ScratchMem: 64}}
-		if _, _, err := eng.Solve(ctx, fmt.Sprintf("k%d", i), "", inst, opt); err != nil {
+	inst := func(capacity int, alpha float64) core.Instance {
+		return core.Instance{Graph: g, Alloc: alloc,
+			Device: library.Device{Name: "d", CapacityFG: capacity, Alpha: alpha, ScratchMem: 64}}
+	}
+	eng := NewEngine(64)
+	for i := 0; i < maxBuilds; i++ {
+		if _, _, err := eng.Solve(ctx, fmt.Sprintf("other-%d", i), "", inst(200+10*i, 1.0), opt); err != nil {
 			t.Fatal(err)
 		}
 	}
-	m := eng.Metrics()
-	if m.Entries != 2 {
-		t.Fatalf("entries %d, want 2", m.Entries)
+	if _, _, err := eng.Solve(ctx, "head", "", inst(400, 0.7), opt); err != nil {
+		t.Fatal(err)
 	}
-	if eng.lookup("k0") != nil || eng.lookup("k1") != nil {
-		t.Fatal("oldest entries not evicted")
+	for i := 0; i < maxBuilds; i++ {
+		if _, ok := eng.Lookup(fmt.Sprintf("other-%d", i)); !ok {
+			t.Fatalf("other-%d: no exact hit", i)
+		}
 	}
-	if eng.lookup("k3") == nil {
-		t.Fatal("newest entry missing")
+	_, info, err := eng.Solve(ctx, "next", "head", inst(400, 0.8), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Path == PathCold {
+		t.Fatalf("successor dispatched %+v after exact hits: the chain head lost its build", info)
 	}
 }

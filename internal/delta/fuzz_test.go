@@ -76,7 +76,7 @@ func FuzzDifferential(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		eng := NewEngine(Config{})
+		eng := NewEngine(2)
 		base, _, err := eng.Solve(ctx, "base", "", core.Instance{Graph: g, Alloc: alloc, Device: baseDev}, opt)
 		if err != nil {
 			t.Fatalf("base: %v", err)

@@ -74,7 +74,7 @@ func RunSweepBench() (SweepBenchReport, error) {
 		N: rep.N, L: rep.L, Tightened: true, DisableProbe: true,
 		TimeLimit: DefaultTimeLimit,
 	}
-	eng := delta.NewEngine(delta.Config{})
+	eng := delta.NewEngine(len(sweepBenchAlphas))
 	ctx := context.Background()
 	prevKey := ""
 	for i, a := range sweepBenchAlphas {

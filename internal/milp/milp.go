@@ -170,8 +170,8 @@ type Options struct {
 	Probe func(x []float64, bound func(col int) (lo, hi float64)) (xc []float64, exhausted bool)
 	// Parallelism sets the number of branch-and-bound workers. 0 or 1
 	// keeps today's serial depth-first search, pivot for pivot. Higher
-	// values split the tree near the root into independent subproblems
-	// (branching-bound prefixes) solved by that many goroutines, each
+	// values run that many goroutines — a work-stealing node pool, or
+	// racing complete searches in portfolio mode (see Mode) — each
 	// owning a clone of the LP solver and pruning against a shared
 	// atomic incumbent. The returned Objective, X feasibility and
 	// Status are identical to the serial solve — only Nodes,
@@ -357,7 +357,8 @@ const (
 )
 
 // solver is the per-goroutine search state: the serial solve uses one,
-// a parallel solve uses one per worker plus one for the root split.
+// a parallel solve uses one per worker plus the root one that solves
+// the root LP, cuts and dive before the workers start.
 // Everything cross-worker lives in the shared struct.
 type solver struct {
 	lps      *lp.Solver
@@ -374,9 +375,10 @@ type solver struct {
 
 	// Observability state. rec/prof mirror Options.Record/Profile after
 	// SolveContext resolves the record-implies-profile rule; both are
-	// shared across parallel workers. curNode is the recorder id of the
-	// node this goroutine is currently exploring, so incumbent installs
-	// from candidate hooks can be attributed to the right node.
+	// shared across parallel workers. curNode is the global index (the
+	// recorder id) of the node this goroutine is currently exploring, so
+	// incumbent installs from candidate hooks and recovered panics are
+	// attributed to the right node.
 	rec     *trace.Recorder
 	prof    *trace.Profile
 	curNode int64
@@ -786,8 +788,8 @@ func (s *solver) bound(z float64) float64 {
 // branch explores the current node (whose LP relaxation has already
 // been solved with the given status) and its subtree, restoring all
 // bound changes before returning. depth is the number of branching
-// fixes between the root and this node; it only matters in the
-// root-split collection mode of a parallel solve. meta identifies the
+// fixes between the root and this node; the work-stealing pool donates
+// subproblems only above donateDepth. meta identifies the
 // node to the flight recorder (lineage edge and entry-LP cost).
 func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	s.local++
@@ -808,8 +810,8 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 			nr.Obj, nr.HasObj = s.lps.Objective(), true
 		}
 		s.rec.Node(nr)
-		s.curNode = total
 	}
+	s.curNode = total
 	if s.bb != nil {
 		e := trace.BBEvent{Kind: trace.BBNode, Node: total, Worker: s.worker,
 			Depth: depth, Col: int(meta.col),

@@ -189,13 +189,17 @@ func (sh *shared) setPhase(worker int, p int32) {
 	sh.wphase[worker].Store(p)
 }
 
-// recordPanic captures a recovered worker panic: the first one wins
+// recordPanic captures a recovered worker panic at the worker's current
+// node (the global count when it had none yet): the first one wins
 // the terminal error, every one lands in the black box (with the
 // goroutine stack) and the trace, and the black box is flushed so the
 // events leading up to the crash survive. Safe from any worker.
-func (sh *shared) recordPanic(worker int, r any) {
+func (sh *shared) recordPanic(worker int, node int64, r any) {
 	msg := fmt.Sprint(r)
-	node := sh.nodes.Load()
+	if node == 0 {
+		// the panic came before this goroutine explored any node
+		node = sh.nodes.Load()
+	}
 	sh.panicMu.Lock()
 	if sh.panicMsg == "" {
 		sh.panicMsg = msg
@@ -230,7 +234,7 @@ func (sh *shared) panicked() (msg string, node int64, ok bool) {
 func (w *solver) guard(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			w.sh.recordPanic(w.worker, r)
+			w.sh.recordPanic(w.worker, w.curNode, r)
 			w.reason = reasonPanic
 			w.sh.requestStop(reasonPanic)
 			if w.pool != nil {

@@ -1,8 +1,7 @@
 package service
 
-// Admission control: the single-process half of the roadmap's
-// distributed solve fleet. Three mechanisms shed load before it can
-// pile up behind the worker pool:
+// Admission control. Two mechanisms shed load before it can pile up
+// behind the worker pool:
 //
 //   - a token bucket over all submissions (solve, async jobs, amends,
 //     batch items), so a misbehaving client is throttled at a
@@ -11,10 +10,7 @@ package service
 //     shed once the queue is half full, normal work (priority 0) at 90%,
 //     and only elevated priorities may use the full queue — so
 //     interactive traffic always finds room even under a background
-//     flood;
-//   - a cap on concurrently running synchronous sweeps, which execute
-//     in the caller's HTTP handler goroutine and would otherwise pin
-//     every HTTP worker.
+//     flood.
 //
 // Every rejection is a *ShedError carrying a retry hint. The hint for
 // queue rejections is derived from the observed queue-wait histogram
@@ -33,28 +29,23 @@ import (
 	"repro/internal/trace"
 )
 
-// Shed sentinels, matchable with errors.Is through *ShedError.
-var (
-	// ErrRateLimited reports a submission shed by the token bucket.
-	ErrRateLimited = errors.New("service: rate limited")
-	// ErrSweepLimit reports a sweep shed by the in-flight sweep cap.
-	ErrSweepLimit = errors.New("service: sweep limit")
-)
+// ErrRateLimited reports a submission shed by the token bucket,
+// matchable with errors.Is through *ShedError.
+var ErrRateLimited = errors.New("service: rate limited")
 
 // Shed-error codes, also the "code" of the HTTP 429 envelope.
 const (
 	ShedQueueFull   = "queue_full"
 	ShedRateLimited = "rate_limited"
-	ShedSweepLimit  = "sweep_limit"
 )
 
 // ShedError is a load-shedding rejection: the typed code that becomes
 // the HTTP envelope code and a retry hint that becomes the Retry-After
-// header. It wraps the matching sentinel (ErrQueueFull, ErrRateLimited,
-// ErrSweepLimit), so errors.Is keeps working for callers of Submit.
+// header. It wraps the matching sentinel (ErrQueueFull or
+// ErrRateLimited), so errors.Is keeps working for callers of Submit.
 type ShedError struct {
-	// Code is the machine-readable rejection class: ShedQueueFull,
-	// ShedRateLimited or ShedSweepLimit.
+	// Code is the machine-readable rejection class: ShedQueueFull or
+	// ShedRateLimited.
 	Code string
 	// RetryAfter is the suggested back-off before resubmitting; always
 	// positive.

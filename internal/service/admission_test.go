@@ -199,42 +199,6 @@ func TestPriorityQueueBudgets(t *testing.T) {
 	_ = s.Close(ctx) // cancels the queued heavies
 }
 
-// TestSweepLimitShed pins the in-flight sweep cap: at the limit, Sweep
-// sheds with a typed sweep_limit 429 error instead of queueing behind
-// the running sweeps, and recovers once a slot frees.
-func TestSweepLimitShed(t *testing.T) {
-	s := New(Config{Workers: 2, MaxSweeps: 1})
-	defer closeBounded(t, s)
-	ctx := context.Background()
-
-	s.mu.Lock()
-	s.sweepsRunning = 1 // simulate a sweep pinned to another handler
-	s.mu.Unlock()
-
-	sreq := &SweepRequest{Request: *fastRequest()}
-	_, err := s.Sweep(ctx, sreq)
-	if !errors.Is(err, ErrSweepLimit) {
-		t.Fatalf("err = %v, want ErrSweepLimit", err)
-	}
-	var shed *ShedError
-	if !errors.As(err, &shed) || shed.Code != ShedSweepLimit || shed.RetryAfter <= 0 {
-		t.Fatalf("sweep shed = %v", err)
-	}
-	if st := s.Stats(); st.ShedSweepLimit != 1 || st.SweepsRunning != 1 {
-		t.Fatalf("stats shed_sweep_limit=%d sweeps_running=%d", st.ShedSweepLimit, st.SweepsRunning)
-	}
-
-	s.mu.Lock()
-	s.sweepsRunning = 0
-	s.mu.Unlock()
-	if _, err := s.Sweep(ctx, sreq); err != nil {
-		t.Fatalf("sweep below the cap: %v", err)
-	}
-	if st := s.Stats(); st.SweepsRunning != 0 {
-		t.Fatalf("sweeps_running gauge stuck at %d", st.SweepsRunning)
-	}
-}
-
 // TestQueueFullPreservesTokens pins the admission order: the queue
 // budget is checked before the token bucket, so a queue_full rejection
 // burns no tokens. (The old order consumed a token first, turning

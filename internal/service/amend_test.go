@@ -14,6 +14,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestAmendLifecycle drives the amend tentpole at the service level: a
@@ -379,7 +381,8 @@ func TestV1SSEResumeAcrossAmend(t *testing.T) {
 
 // TestSweep drives the design-space sweep: an α scan whose points
 // chain through the delta engine. Later points must leave the cold
-// path, and every point's verdict must match an isolated solve.
+// path, and every point's verdict must match a cold core solve (the
+// service would answer the same points from its result cache).
 func TestSweep(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer closeBounded(t, s)
@@ -403,12 +406,20 @@ func TestSweep(t *testing.T) {
 		}
 		req := fastRequest()
 		req.Device.Alpha = pt.Alpha
-		want, err := s.Solve(ctx, req)
+		ci, err := req.compile(time.Minute, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if pt.Feasible != want.Result.Feasible || pt.Comm != want.Result.Comm {
-			t.Fatalf("point %d (alpha %g): sweep %+v, isolated %+v", i, pt.Alpha, pt, want.Result)
+		want, err := core.SolveInstance(ci.inst, ci.opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantComm := 0
+		if want.Solution != nil {
+			wantComm = want.Solution.Comm
+		}
+		if pt.Feasible != want.Feasible || pt.Comm != wantComm {
+			t.Fatalf("point %d (alpha %g): sweep %+v, cold feasible=%v comm=%d", i, pt.Alpha, pt, want.Feasible, wantComm)
 		}
 	}
 
@@ -416,7 +427,18 @@ func TestSweep(t *testing.T) {
 		t.Fatalf("stats sweeps=%d points=%d, want 1/3", st.Sweeps, st.SweepPoints)
 	}
 
-	// grid-size limit
+	// the same grid again: every point is an exact hit
+	again, err := s.Sweep(ctx, sreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range again.Points {
+		if pt.Path != "cache" || pt.Comm != res.Points[i].Comm {
+			t.Fatalf("repeat point %d: %+v, first %+v", i, pt, res.Points[i])
+		}
+	}
+
+	// grid-size limit: Config.MaxBatch points
 	big := &SweepRequest{Request: *fastRequest()}
 	big.Sweep.CapacityFG = make([]int, 30)
 	for i := range big.Sweep.CapacityFG {
@@ -424,8 +446,61 @@ func TestSweep(t *testing.T) {
 	}
 	big.Sweep.ScratchMem = []int{8, 16, 32, 64}
 	big.Sweep.Alpha = []float64{0.5, 0.6, 0.7}
-	if _, err := s.Sweep(ctx, big); err == nil {
-		t.Fatal("oversized grid accepted")
+	if _, err := s.Sweep(ctx, big); !errors.Is(err, ErrBatchTooLarge) {
+		t.Fatalf("oversized grid: %v, want ErrBatchTooLarge", err)
+	}
+}
+
+// TestSweepCancelMidGrid cancels a sweep while its first points are
+// still solving: every job of its batch must end terminal, and the
+// queue, deferred and running gauges must drain back to zero.
+func TestSweepCancelMidGrid(t *testing.T) {
+	s := New(Config{Workers: 2, InjectFault: func(op *core.Options) { op.NodeDelay = 5 * time.Millisecond }})
+	defer closeBounded(t, s)
+
+	// two structural cells of three α points: two chain heads running,
+	// four successors deferred behind them
+	sreq := &SweepRequest{Request: *heavyRequest(910)}
+	sreq.Sweep.N = []int{4, 5}
+	sreq.Sweep.Alpha = []float64{0.8, 0.9, 1.0}
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		for end := time.Now().Add(10 * time.Second); s.Stats().Running < 2 && time.Now().Before(end); {
+			time.Sleep(2 * time.Millisecond)
+		}
+		cancel()
+	}()
+	if _, err := s.Sweep(ctx, sreq); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled sweep returned %v", err)
+	}
+
+	s.mu.Lock()
+	batchID := s.batchOrder[0]
+	s.mu.Unlock()
+	bi, err := s.Batch(batchID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bi.Done || len(bi.Jobs) != 6 {
+		t.Fatalf("batch after cancel: done=%v jobs=%d", bi.Done, len(bi.Jobs))
+	}
+	for _, j := range bi.Jobs {
+		if j.Status != StatusCancelled {
+			t.Fatalf("job %s ended %s, want cancelled", j.ID, j.Status)
+		}
+	}
+	for end := time.Now().Add(10 * time.Second); ; {
+		st := s.Stats()
+		if st.Queued == 0 && st.Deferred == 0 && st.Running == 0 {
+			if st.Sweeps != 0 || st.Cancelled != 6 {
+				t.Fatalf("stats sweeps=%d cancelled=%d, want 0/6", st.Sweeps, st.Cancelled)
+			}
+			break
+		}
+		if time.Now().After(end) {
+			t.Fatalf("gauges never drained: queued=%d deferred=%d running=%d", st.Queued, st.Deferred, st.Running)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -456,6 +531,21 @@ func TestV1SweepHTTP(t *testing.T) {
 	}
 	if len(res.Points) != 2 || !res.Points[0].Optimal || !res.Points[1].Optimal {
 		t.Fatalf("sweep result %+v", res)
+	}
+
+	// a grid beyond Config.MaxBatch is a 400 before anything runs
+	big, err := json.Marshal(&SweepRequest{Request: *fastRequest(),
+		Sweep: SweepAxes{CapacityFG: make([]int, 65)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3, err := http.Post(ts.URL+"/v1/sweep", "application/json", bytes.NewReader(big))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp3.Body.Close()
+	if resp3.StatusCode != http.StatusBadRequest {
+		t.Fatalf("oversized sweep: status %d", resp3.StatusCode)
 	}
 
 	resp2, err := http.Post(ts.URL+"/v1/sweep", "application/json", strings.NewReader("{bad"))

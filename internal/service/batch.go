@@ -50,7 +50,7 @@ type BatchInfo struct {
 	// (structural families; each costs at most one cold solve).
 	Chains int `json:"chains"`
 	// Done reports that every job in the batch is terminal.
-	Done bool `json:"done"`
+	Done bool      `json:"done"`
 	Jobs []JobInfo `json:"jobs"`
 }
 
@@ -67,11 +67,19 @@ const StatusExpired JobStatus = "expired"
 // memory, capacity, alpha — and each chain successor waits for its
 // predecessor, re-solving warm from the predecessor's cached build.
 func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
+	bi, _, err := s.submitBatch(reqs)
+	return bi, err
+}
+
+// submitBatch is SubmitBatch returning also the batch's jobs in request
+// order: a caller waiting on them holds the records themselves, which
+// history eviction cannot take away.
+func (s *Service) submitBatch(reqs []*Request) (BatchInfo, []*job, error) {
 	if len(reqs) == 0 {
-		return BatchInfo{}, ErrEmptyBatch
+		return BatchInfo{}, nil, ErrEmptyBatch
 	}
 	if len(reqs) > s.cfg.MaxBatch {
-		return BatchInfo{}, fmt.Errorf("%w: %d items (max %d)", ErrBatchTooLarge, len(reqs), s.cfg.MaxBatch)
+		return BatchInfo{}, nil, fmt.Errorf("%w: %d items (max %d)", ErrBatchTooLarge, len(reqs), s.cfg.MaxBatch)
 	}
 	// A batch larger than the token bucket's depth can never be
 	// admitted, no matter how long the client waits; rejecting it as
@@ -79,14 +87,14 @@ func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
 	// it up front as non-retryable (HTTP 400), like an over-MaxBatch
 	// batch.
 	if s.cfg.Admission.Rate > 0 && len(reqs) > s.cfg.Admission.Burst {
-		return BatchInfo{}, fmt.Errorf("%w: %d items exceed the admission burst %d and can never be admitted",
+		return BatchInfo{}, nil, fmt.Errorf("%w: %d items exceed the admission burst %d and can never be admitted",
 			ErrBatchTooLarge, len(reqs), s.cfg.Admission.Burst)
 	}
 	cis := make([]*instance, len(reqs))
 	for i, r := range reqs {
 		ci, err := r.compile(s.cfg.DefaultTimeout, s.cfg.DefaultParallelism)
 		if err != nil {
-			return BatchInfo{}, fmt.Errorf("batch item %d: %w", i, err)
+			return BatchInfo{}, nil, fmt.Errorf("batch item %d: %w", i, err)
 		}
 		cis[i] = ci
 	}
@@ -131,15 +139,16 @@ func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
-		return BatchInfo{}, ErrClosed
+		return BatchInfo{}, nil, ErrClosed
 	}
 	if err := s.admitNLocked(minPriority, len(reqs)); err != nil {
-		return BatchInfo{}, err
+		return BatchInfo{}, nil, err
 	}
 
 	s.batchSeq++
 	batchID := fmt.Sprintf("b%08x", s.batchSeq)
 	rec := &batchRecord{id: batchID, jobIDs: make([]string, len(reqs)), submitted: time.Now()}
+	jobs := make([]*job, len(reqs))
 
 	// Enqueue in chain order. The first job of each chain (or any
 	// record-mode job) runs immediately; successors are deferred with
@@ -164,7 +173,7 @@ func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
 		}
 		id, err := s.enqueueLocked(ci, reqs[idx], nil, cl)
 		if err != nil {
-			return BatchInfo{}, fmt.Errorf("batch item %d: %w", idx, err)
+			return BatchInfo{}, nil, fmt.Errorf("batch item %d: %w", idx, err)
 		}
 		j := s.jobs[id]
 		if chained {
@@ -174,6 +183,7 @@ func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
 			prevChain, prevJob = ci.chain, j
 		}
 		rec.jobIDs[idx] = id
+		jobs[idx] = j
 	}
 	rec.chains = chains
 	s.stats.batches++
@@ -187,7 +197,7 @@ func (s *Service) SubmitBatch(reqs []*Request) (BatchInfo, error) {
 		clear(s.batchOrder[n:])
 		s.batchOrder = s.batchOrder[:n]
 	}
-	return s.batchInfoLocked(rec), nil
+	return s.batchInfoLocked(rec), jobs, nil
 }
 
 // Batch returns the state of a batch and its jobs. ErrUnknownJob for

@@ -21,9 +21,11 @@ package service
 //	                            predecessor's cached build
 //	GET    /v1/batch/{id}       batch status: per-item job records plus
 //	                            chain and completion accounting
-//	POST   /v1/sweep            synchronous (N, L, Ms, C, α) design-space
-//	                            scan; neighboring points share presolve
-//	                            and warm starts through the delta engine
+//	POST   /v1/sweep            (N, L, Ms, C, α) design-space scan of at
+//	                            most Config.MaxBatch points, run as one
+//	                            batch on the worker pool; the response
+//	                            waits for every point, and hanging up
+//	                            cancels the unfinished ones
 //	GET    /v1/jobs/{id}/events live solve progress as Server-Sent Events;
 //	                            honors Last-Event-ID for resume
 //	GET    /v1/jobs/{id}/recording
@@ -54,7 +56,7 @@ package service
 // Errors are a uniform envelope: {"error":{"code":..., "message":...}},
 // including the catch-all 404 for unknown paths. Load shedding is a
 // 429 with a Retry-After header and a typed code (rate_limited,
-// queue_full, sweep_limit); request bodies beyond Config.MaxBodyBytes
+// queue_full); request bodies beyond Config.MaxBodyBytes
 // are a typed 413. 503 is reserved for a service that is shutting
 // down.
 //
@@ -70,6 +72,7 @@ package service
 // Only net/http and encoding/json; no external dependencies.
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -254,8 +257,10 @@ func (a *api) amend(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, info)
 }
 
-// sweep runs a synchronous design-space scan; the request context
-// cancels it. Oversized grids and invalid points are 400s.
+// sweep runs a design-space scan as one batch and answers when every
+// point is done; the request context cancels the unfinished points.
+// Oversized grids and invalid points are 400s, sheds are 429s like a
+// batch's, and a sweep whose points were cancelled is a 499.
 func (a *api) sweep(w http.ResponseWriter, r *http.Request) {
 	var sreq SweepRequest
 	if !a.decodeJSON(w, r, "sweep", &sreq) {
@@ -263,17 +268,11 @@ func (a *api) sweep(w http.ResponseWriter, r *http.Request) {
 	}
 	res, err := a.s.Sweep(r.Context(), &sreq)
 	if err != nil {
-		var shed *ShedError
-		switch {
-		case r.Context().Err() != nil:
+		if r.Context().Err() != nil || errors.Is(err, context.Canceled) {
 			writeError(w, statusClientClosedRequest, "cancelled", err.Error())
-		case errors.As(err, &shed):
-			writeShed(w, shed)
-		case errors.Is(err, ErrClosed):
-			writeError(w, http.StatusServiceUnavailable, "unavailable", err.Error())
-		default:
-			writeError(w, http.StatusBadRequest, "bad_request", err.Error())
+			return
 		}
+		writeSubmitError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, res)

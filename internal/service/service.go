@@ -15,7 +15,8 @@
 //   - an instance cache keyed by a canonical hash of (graph, library,
 //     N, L, Ms, C, alpha, options) with singleflight semantics:
 //     identical in-flight instances share one solve, and completed
-//     results are kept in an LRU;
+//     results are kept by the delta engine, whose one cache serves
+//     both exact hits and warm-start bases;
 //   - per-job and aggregate metrics (queue wait, solve wall time,
 //     branch-and-bound nodes, LP pivots, cache hits/misses).
 //
@@ -63,9 +64,9 @@ type Config struct {
 	// QueueLimit bounds the number of queued (not yet running) jobs;
 	// 0 means 1024. Submissions beyond it fail with ErrQueueFull.
 	QueueLimit int
-	// CacheSize bounds the completed-result LRU; 0 means 256,
-	// negative disables result caching (in-flight deduplication stays
-	// active).
+	// CacheSize bounds the delta engine's cache of completed results;
+	// 0 means 256, negative disables exact hits and warm bases alike
+	// (in-flight deduplication stays active).
 	CacheSize int
 	// DefaultTimeout bounds each solve when the request carries no
 	// time limit of its own; 0 means 60 s.
@@ -102,12 +103,8 @@ type Config struct {
 	// per-priority queue-budget ladder. The zero value disables rate
 	// admission and applies the default budgets; see Admission.
 	Admission Admission
-	// MaxSweeps caps concurrently running synchronous sweeps (each runs
-	// in its caller's goroutine and would otherwise pin an HTTP worker
-	// for the whole grid); 0 means 4, negative disables the cap.
-	MaxSweeps int
-	// MaxBatch caps the number of requests one POST /v1/batch may carry;
-	// 0 means 64.
+	// MaxBatch caps the number of requests one POST /v1/batch may carry,
+	// and the grid points of one POST /v1/sweep; 0 means 64.
 	MaxBatch int
 	// MaxBodyBytes caps every decoded HTTP request body; 0 means 8 MiB,
 	// negative disables the cap. Oversized bodies get a typed 413.
@@ -129,9 +126,6 @@ func (c *Config) defaults() {
 	}
 	if c.History <= 0 {
 		c.History = 4096
-	}
-	if c.MaxSweeps == 0 {
-		c.MaxSweeps = 4
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = 64
@@ -210,8 +204,8 @@ type job struct {
 	// build/root-lp/search/... → per-worker children), adopting the
 	// trace id of the submitter's traceparent header when one was sent.
 	// rootSpan covers the whole job; queueSpan its time in the queue.
-	spans    *trace.Spans
-	rootSpan *trace.Span
+	spans     *trace.Spans
+	rootSpan  *trace.Span
 	queueSpan *trace.Span
 	// bb is the job's always-on black-box ring; live mirrors the
 	// in-flight search for GET /v1/debug/solves. stalled records a
@@ -246,18 +240,16 @@ type Service struct {
 	queue     jobQueue
 	jobs      map[string]*job
 	flights   map[string]*flight
-	cache     *lruCache
 	seq       uint64
 	running   int
 	closed    bool
 	doneOrder []string // finished job IDs, oldest first, for eviction
 	stats     counters
-	// admission state: the submission token bucket, the count of
+	// admission state: the submission token bucket and the count of
 	// deferred batch-chain jobs (they hold queue capacity while waiting
-	// on a predecessor), and the in-flight synchronous sweep gauge.
-	bucket        tokenBucket
-	deferred      int
-	sweepsRunning int
+	// on a predecessor).
+	bucket   tokenBucket
+	deferred int
 	// batches records recent batch submissions for GET /v1/batch/{id};
 	// batchOrder drives FIFO eviction like doneOrder does for jobs.
 	batches    map[string]*batchRecord
@@ -271,9 +263,11 @@ type Service struct {
 	// footer stays per-job.
 	prof *trace.Profile
 
-	// delta caches recent builds and dispatches every fresh solve down
-	// the cheapest sound path (cold / warm-started / conclusion reuse)
-	// given the edit against a cached base; see internal/delta.
+	// delta caches completed results — the exact-hit result cache — with
+	// the builds of the most recent ones, and dispatches every fresh
+	// solve down the cheapest sound path (cold / warm-started /
+	// conclusion reuse) given the edit against a cached base; see
+	// internal/delta.
 	delta *delta.Engine
 
 	wg sync.WaitGroup
@@ -287,9 +281,8 @@ func New(cfg Config) *Service {
 		jobs:    make(map[string]*job),
 		flights: make(map[string]*flight),
 		batches: make(map[string]*batchRecord),
-		cache:   newLRUCache(cfg.CacheSize),
 		prof:    trace.NewProfile(),
-		delta:   delta.NewEngine(delta.Config{}),
+		delta:   delta.NewEngine(max(cfg.CacheSize, 0)),
 	}
 	if cfg.Admission.Rate > 0 {
 		s.bucket = tokenBucket{rate: cfg.Admission.Rate, burst: float64(cfg.Admission.Burst)}
@@ -460,11 +453,14 @@ func (s *Service) Job(id string) (JobInfo, error) {
 // existed and was still cancellable.
 func (s *Service) Cancel(id string) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
-	if !ok {
-		s.mu.Unlock()
-		return false
-	}
+	return ok && s.cancelLocked(j)
+}
+
+// cancelLocked cancels a queued, deferred or running job, reporting
+// whether it was still cancellable. Callers hold s.mu.
+func (s *Service) cancelLocked(j *job) bool {
 	switch j.status {
 	case StatusQueued:
 		if j.index >= 0 {
@@ -473,7 +469,6 @@ func (s *Service) Cancel(id string) bool {
 		// (a deferred chain job has index -1 and is not in the heap; its
 		// bookkeeping is released by finalizeLocked)
 		s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-		s.mu.Unlock()
 		return true
 	case StatusRunning:
 		// settle the job right here rather than from the solve's watcher
@@ -483,11 +478,9 @@ func (s *Service) Cancel(id string) bool {
 		// still handles the flight bookkeeping (waiter counts, stopping
 		// the shared solve when the last waiter leaves).
 		s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-		s.mu.Unlock()
 		j.cancelOnce.Do(func() { close(j.cancelCh) })
 		return true
 	default:
-		s.mu.Unlock()
 		return false
 	}
 }
@@ -522,11 +515,11 @@ func (s *Service) Solve(ctx context.Context, req *Request) (JobInfo, error) {
 func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.stats.snapshot(s.cfg.Workers, s.queue.Len(), s.running, len(s.flights), s.cache.len())
+	dm := s.delta.Metrics()
+	st := s.stats.snapshot(s.cfg.Workers, s.queue.Len(), s.running, len(s.flights), dm.Entries)
 	st.Deferred = s.deferred
-	st.SweepsRunning = s.sweepsRunning
 	st.Phases = s.prof.Snapshot()
-	st.Delta = s.delta.Metrics()
+	st.Delta = dm
 	return st
 }
 
@@ -553,39 +546,16 @@ func (s *Service) Close(ctx context.Context) error {
 	}
 }
 
-// cancelAll cancels every queued, deferred and running job. Finalizing
-// a chained job releases its successor into the heap, so the drain
-// loops until a full pass makes no progress — successors released by a
-// cancelled predecessor are cancelled too instead of starting to solve
-// during shutdown.
+// cancelAll cancels every queued, deferred and running job in one pass
+// under s.mu. Every unfinished job is in s.jobs (history evicts only
+// finished ones), and a successor that a cancelled predecessor releases
+// into the heap is still unfinished, so the pass cancels it too — either
+// before its predecessor (then nothing is released) or after.
 func (s *Service) cancelAll() {
 	s.mu.Lock()
-	var running []*job
-	for {
-		acted := false
-		for s.queue.Len() > 0 {
-			j := heap.Pop(&s.queue).(*job)
-			s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-			acted = true
-		}
-		for _, j := range s.jobs {
-			switch {
-			case j.status == StatusRunning:
-				s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-				running = append(running, j)
-				acted = true
-			case j.status == StatusQueued && j.deferred:
-				s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-				acted = true
-			}
-		}
-		if !acted {
-			break
-		}
-	}
-	s.mu.Unlock()
-	for _, j := range running {
-		j.cancelOnce.Do(func() { close(j.cancelCh) })
+	defer s.mu.Unlock()
+	for _, j := range s.jobs {
+		s.cancelLocked(j)
 	}
 }
 
@@ -630,7 +600,9 @@ func (s *Service) run(j *job) {
 	}
 	key := j.req.key
 	s.mu.Lock()
-	if res, ok := s.cache.get(key); ok {
+	// the engine stores a result before its flight is removed below, so
+	// under s.mu a key is always either cached or in flight once solved
+	if res, ok := s.delta.Lookup(key); ok {
 		j.cacheHit = true
 		s.stats.cacheHits++
 		s.finalizeLocked(j, res, nil, StatusDone)
@@ -715,9 +687,6 @@ func (s *Service) run(j *job) {
 		s.stats.nodes += uint64(res.Nodes)
 		s.stats.pivots += uint64(res.LPIterations)
 	}
-	if err == nil && res != nil && !res.Cancelled {
-		s.cache.add(key, res)
-	}
 	if j.status == StatusRunning { // not already settled by the watcher
 		switch {
 		case err != nil:
@@ -734,10 +703,10 @@ func (s *Service) run(j *job) {
 }
 
 // runRecorded executes a record-mode job: always a fresh solve with a
-// flight recorder and a private phase profile attached. The result is
-// still published to the result cache (it is exactly what an unrecorded
-// request would compute), but no flight is registered, so concurrent
-// identical jobs neither join nor reuse this solve.
+// flight recorder and a private phase profile attached. The delta engine
+// still caches the result (it is exactly what an unrecorded request
+// would compute), but no flight is registered, so concurrent identical
+// jobs neither join nor reuse this solve.
 func (s *Service) runRecorded(j *job) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -781,9 +750,6 @@ func (s *Service) runRecorded(j *job) {
 	if res != nil {
 		s.stats.nodes += uint64(res.Nodes)
 		s.stats.pivots += uint64(res.LPIterations)
-	}
-	if err == nil && res != nil && !res.Cancelled {
-		s.cache.add(j.req.key, res)
 	}
 	if j.status == StatusRunning {
 		switch {

@@ -213,6 +213,77 @@ func TestSolveSyncAndCache(t *testing.T) {
 	}
 }
 
+// TestLRUCacheEviction pins the service's result cache, now kept by the
+// delta engine, end to end: Config.CacheSize bounds it, the least
+// recently used result is evicted first, and a negative size disables
+// exact hits.
+func TestLRUCacheEviction(t *testing.T) {
+	reqL := func(l int) *Request {
+		r := fastRequest()
+		r.Options.L = l
+		return r
+	}
+	s := New(Config{Workers: 1, CacheSize: 2})
+	defer closeBounded(t, s)
+	solve := func(s *Service, l int) bool {
+		t.Helper()
+		info, err := s.Solve(context.Background(), reqL(l))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status != StatusDone || info.Result == nil {
+			t.Fatalf("L=%d: %+v", l, info)
+		}
+		return info.CacheHit
+	}
+	solve(s, 2) // a
+	solve(s, 3) // b
+	if !solve(s, 2) {
+		t.Fatal("a evicted early")
+	}
+	solve(s, 4) // c evicts b: a was just used
+	if !solve(s, 2) {
+		t.Fatal("a evicted despite recent use")
+	}
+	if solve(s, 3) {
+		t.Fatal("b survived eviction")
+	}
+
+	d := New(Config{Workers: 1, CacheSize: -1})
+	defer closeBounded(t, d)
+	solve(d, 2)
+	if solve(d, 2) {
+		t.Fatal("disabled cache stored a result")
+	}
+}
+
+// TestPresolveInfeasibleCached pins that a verdict proved by presolve,
+// before any LP exists, is cached like any other: the repeat request is
+// an exact hit.
+func TestPresolveInfeasibleCached(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer closeBounded(t, s)
+
+	req := fastRequest()
+	req.Options.Presolve = true
+	req.Options.N, req.Options.L = 1, 0
+	req.Device.CapacityFG = 30
+	first, err := s.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Status != StatusDone || first.Result.Feasible || !first.Result.Optimal || first.CacheHit {
+		t.Fatalf("first solve: %+v", first)
+	}
+	again, err := s.Solve(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit || again.Result.Feasible || !again.Result.Optimal {
+		t.Fatalf("repeat of a presolve-infeasible request: %+v", again)
+	}
+}
+
 func TestSolveContextCancel(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer closeBounded(t, s)
@@ -472,30 +543,5 @@ func TestCanonicalKeySearchOptions(t *testing.T) {
 	bad.Options.Search = &core.SearchOptions{Parallelism: -2}
 	if _, err := bad.compile(time.Minute, 0); err == nil {
 		t.Fatal("invalid search options compiled")
-	}
-}
-
-func TestLRUCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	res := &core.Result{}
-	c.add("a", res)
-	c.add("b", res)
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted early")
-	}
-	c.add("c", res) // evicts b (a was just used)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b survived eviction")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a evicted despite recent use")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d", c.len())
-	}
-	d := newLRUCache(-1)
-	d.add("a", res)
-	if _, ok := d.get("a"); ok {
-		t.Fatal("disabled cache stored a result")
 	}
 }

@@ -30,7 +30,6 @@ type counters struct {
 
 	shedQueue uint64
 	shedRate  uint64
-	shedSweep uint64
 
 	queueWait    time.Duration
 	maxQueueWait time.Duration
@@ -50,7 +49,8 @@ type Stats struct {
 	Queued  int `json:"queued"`
 	Running int `json:"running"`
 	// InFlight counts distinct instances currently solving (after
-	// deduplication); CachedResults the completed-result LRU size.
+	// deduplication); CachedResults the completed results held by the
+	// delta engine's cache (Delta.Entries).
 	InFlight      int `json:"in_flight"`
 	CachedResults int `json:"cached_results"`
 
@@ -66,25 +66,22 @@ type Stats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 
 	// Amends counts jobs created via POST /v1/jobs/{id}/amend; Sweeps
-	// and SweepPoints count POST /v1/sweep calls and the grid points
-	// they solved; Batches counts POST /v1/batch calls.
+	// and SweepPoints count completed POST /v1/sweep calls and their grid
+	// points; Batches counts batch submissions, each sweep included.
 	Amends      uint64 `json:"amends"`
 	Sweeps      uint64 `json:"sweeps"`
 	SweepPoints uint64 `json:"sweep_points"`
 	Batches     uint64 `json:"batches"`
 
 	// Deferred is a gauge of batch-chain jobs holding queue capacity
-	// while waiting for their warm-start predecessor; SweepsRunning a
-	// gauge of synchronous sweeps currently pinned to HTTP workers.
-	Deferred      int `json:"deferred"`
-	SweepsRunning int `json:"sweeps_running"`
+	// while waiting for their warm-start predecessor.
+	Deferred int `json:"deferred"`
 
 	// Shed* count rejected submissions by admission mechanism: queue
-	// budget exhausted, token bucket empty, sweep cap reached. Every
-	// shed became an HTTP 429 with a Retry-After header.
+	// budget exhausted, token bucket empty. Every shed became an HTTP
+	// 429 with a Retry-After header.
 	ShedQueueFull   uint64 `json:"shed_queue_full"`
 	ShedRateLimited uint64 `json:"shed_rate_limited"`
-	ShedSweepLimit  uint64 `json:"shed_sweep_limit"`
 
 	// Delta is the delta engine's dispatch accounting: how many fresh
 	// solves ran, how many were warm-started from a cached base, and
@@ -131,7 +128,6 @@ func (c *counters) snapshot(workers, queued, running, inFlight, cached int) Stat
 		Batches:           c.batches,
 		ShedQueueFull:     c.shedQueue,
 		ShedRateLimited:   c.shedRate,
-		ShedSweepLimit:    c.shedSweep,
 		TotalNodes:        c.nodes,
 		TotalLPIterations: c.pivots,
 		TotalQueueWaitMS:  durMS(c.queueWait),
@@ -159,7 +155,7 @@ func (st Stats) WritePrometheus(w io.Writer) {
 	gauge("tpserve_jobs_queued", "Jobs waiting in the queue.", float64(st.Queued))
 	gauge("tpserve_jobs_running", "Jobs currently solving.", float64(st.Running))
 	gauge("tpserve_flights_in_progress", "Distinct instances solving after deduplication.", float64(st.InFlight))
-	gauge("tpserve_cached_results", "Completed results held in the LRU.", float64(st.CachedResults))
+	gauge("tpserve_cached_results", "Completed results held in the delta engine's cache.", float64(st.CachedResults))
 	counter("tpserve_jobs_submitted_total", "Jobs submitted.", float64(st.Submitted))
 	counter("tpserve_jobs_completed_total", "Jobs finished successfully.", float64(st.Completed))
 	counter("tpserve_jobs_failed_total", "Jobs finished with an error.", float64(st.Failed))
@@ -167,14 +163,12 @@ func (st Stats) WritePrometheus(w io.Writer) {
 	counter("tpserve_cache_hits_total", "Jobs served from the cache or an in-flight solve.", float64(st.CacheHits))
 	counter("tpserve_cache_misses_total", "Fresh solves.", float64(st.CacheMisses))
 	counter("tpserve_amends_total", "Jobs created by amending a finished job.", float64(st.Amends))
-	counter("tpserve_sweeps_total", "Design-space sweep requests.", float64(st.Sweeps))
-	counter("tpserve_sweep_points_total", "Grid points solved by sweeps.", float64(st.SweepPoints))
+	counter("tpserve_sweeps_total", "Completed design-space sweeps.", float64(st.Sweeps))
+	counter("tpserve_sweep_points_total", "Grid points of completed sweeps.", float64(st.SweepPoints))
 	counter("tpserve_batches_total", "Batch submissions.", float64(st.Batches))
 	gauge("tpserve_jobs_deferred", "Batch-chain jobs holding queue capacity awaiting a warm-start predecessor.", float64(st.Deferred))
-	gauge("tpserve_sweeps_running", "Synchronous sweeps currently executing.", float64(st.SweepsRunning))
 	counter("tpserve_shed_queue_full_total", "Submissions shed by the per-priority queue budget.", float64(st.ShedQueueFull))
 	counter("tpserve_shed_rate_limited_total", "Submissions shed by the admission token bucket.", float64(st.ShedRateLimited))
-	counter("tpserve_shed_sweep_limit_total", "Sweeps shed by the in-flight sweep cap.", float64(st.ShedSweepLimit))
 	counter("tpserve_delta_warm_total", "Solves warm-started from a cached root basis.", float64(st.Delta.Warm))
 	counter("tpserve_delta_reuse_total", "Solves answered by monotone conclusion reuse.", float64(st.Delta.Reuse))
 	counter("tpserve_delta_structural_total", "Amends classified structural (cold re-solve).", float64(st.Delta.Structural))

@@ -1,23 +1,21 @@
 package service
 
 // The design-space sweep API: one request scans a (N, L, Ms, C, α)
-// grid over a fixed graph and allocation, walking neighboring points
-// through the delta engine so consecutive solves share presolve work,
-// root bases and — on monotone tightening steps — whole conclusions.
-// The axis order puts the warmable axes (scratch, capacity, α)
-// innermost: consecutive points then differ only in constraint bounds,
-// which the engine re-solves warm instead of cold.
+// grid over a fixed graph and allocation. A sweep is a batch: the grid
+// expands into one request per point and goes through SubmitBatch,
+// whose warm chains already reset at each structural (N, L) cell and
+// walk the warmable axes (scratch, capacity, α) in ascending order, so
+// consecutive solves share presolve work, root bases and — on monotone
+// tightening steps — whole conclusions. The points run on the worker
+// pool under the batch's atomic admission.
 
 import (
 	"context"
 	"fmt"
 	"time"
-)
 
-// maxSweepPoints bounds one sweep request; the grid is solved
-// sequentially in the caller's goroutine, so an unbounded product
-// would turn one request into an unbounded amount of synchronous work.
-const maxSweepPoints = 256
+	"repro/internal/delta"
+)
 
 // SweepRequest is a base solve request plus the axes to scan. Empty
 // axes inherit the base request's single value.
@@ -46,8 +44,9 @@ type SweepPoint struct {
 	ScratchMem int     `json:"scratch_mem,omitempty"`
 	Alpha      float64 `json:"alpha,omitempty"`
 	// Class and Path report the delta engine's dispatch against the
-	// previous point (cold for the first point of each structural
-	// cell).
+	// previous point of the point's warm chain (cold for the first point
+	// of each structural cell); Path is "cache" for a point answered by
+	// the result cache or an identical in-flight solve.
 	Class string `json:"class,omitempty"`
 	Path  string `json:"path"`
 	// Verdict summary of the point's solve.
@@ -57,7 +56,8 @@ type SweepPoint struct {
 	MS       float64 `json:"ms"`
 }
 
-// SweepResult is the solved grid plus the dispatch accounting.
+// SweepResult is the solved grid plus the dispatch accounting. Points
+// on the "cache" path count in none of Cold, Warm and Reuse.
 type SweepResult struct {
 	Points []SweepPoint `json:"points"`
 	Cold   int          `json:"cold"`
@@ -67,128 +67,106 @@ type SweepResult struct {
 	TotalMS float64 `json:"total_ms"`
 }
 
-// Sweep solves the request's design-space grid sequentially, chaining
-// each point's solve off the previous one through the delta engine.
-// The sweep runs synchronously under ctx in the caller's goroutine —
-// it does not enter the job queue — and a cancelled ctx returns the
-// context error. Invalid axes and oversized grids fail before any
-// solve.
+// Sweep expands the request's design-space grid into one batch, with
+// the points in axis order (N, L, Ms, C, α, the last innermost), and
+// waits for it under ctx. A grid of more than Config.MaxBatch points
+// fails with ErrBatchTooLarge; invalid points and sheds fail like
+// SubmitBatch, before anything is enqueued. A cancelled ctx cancels
+// every unfinished point and returns the context error.
 func (s *Service) Sweep(ctx context.Context, req *SweepRequest) (*SweepResult, error) {
 	axes := req.Sweep
-	ns := axes.N
-	if len(ns) == 0 {
-		ns = []int{req.Options.N}
-	}
-	ls := axes.L
-	if len(ls) == 0 {
-		ls = []int{req.Options.L}
-	}
-	caps := axes.CapacityFG
-	if len(caps) == 0 {
-		caps = []int{req.Device.CapacityFG}
-	}
-	mems := axes.ScratchMem
-	if len(mems) == 0 {
-		mems = []int{req.Device.ScratchMem}
-	}
-	alphas := axes.Alpha
-	if len(alphas) == 0 {
-		alphas = []float64{req.Device.Alpha}
-	}
-	total := len(ns) * len(ls) * len(mems) * len(caps) * len(alphas)
-	if total > maxSweepPoints {
-		return nil, fmt.Errorf("service: sweep grid has %d points (limit %d)", total, maxSweepPoints)
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	// Sweeps run synchronously in the caller's goroutine — over HTTP
-	// that is an HTTP worker — so without a cap, MaxSweeps+1 concurrent
-	// sweep requests could pin every server thread. Shed the excess
-	// with a typed 429 instead.
-	if limit := s.cfg.MaxSweeps; limit > 0 && s.sweepsRunning >= limit {
-		s.stats.shedSweep++
-		retry := s.queueRetryLocked()
-		running := s.sweepsRunning
-		s.mu.Unlock()
-		return nil, &ShedError{
-			Code:       ShedSweepLimit,
-			RetryAfter: retry,
-			msg:        fmt.Sprintf("service: %d sweeps already running (limit %d)", running, limit),
-			sentinel:   ErrSweepLimit,
+	ns := axisOr(axes.N, req.Options.N)
+	ls := axisOr(axes.L, req.Options.L)
+	mems := axisOr(axes.ScratchMem, req.Device.ScratchMem)
+	caps := axisOr(axes.CapacityFG, req.Device.CapacityFG)
+	alphas := axisOr(axes.Alpha, req.Device.Alpha)
+	// multiply axis by axis so a huge grid fails before it is expanded
+	// (or overflows)
+	total := 1
+	for _, k := range []int{len(ns), len(ls), len(mems), len(caps), len(alphas)} {
+		if total *= k; total > s.cfg.MaxBatch {
+			return nil, fmt.Errorf("%w: sweep grid exceeds %d points", ErrBatchTooLarge, s.cfg.MaxBatch)
 		}
 	}
-	s.sweepsRunning++
-	s.stats.sweeps++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.sweepsRunning--
-		s.mu.Unlock()
-	}()
 
-	start := time.Now()
-	out := &SweepResult{Points: make([]SweepPoint, 0, total)}
+	reqs := make([]*Request, 0, total)
 	for _, n := range ns {
 		for _, l := range ls {
-			// each structural cell starts a fresh warm chain: carrying a
-			// base across an N or L step would just classify structural
-			prevKey := ""
 			for _, ms := range mems {
 				for _, c := range caps {
 					for _, a := range alphas {
-						if err := ctx.Err(); err != nil {
-							return nil, err
-						}
 						r := req.Request
 						r.Options.N, r.Options.L = n, l
 						r.Device.CapacityFG, r.Device.ScratchMem, r.Device.Alpha = c, ms, a
-						ci, err := r.compile(s.cfg.DefaultTimeout, s.cfg.DefaultParallelism)
-						if err != nil {
-							return nil, fmt.Errorf("sweep point N=%d L=%d Ms=%d C=%d alpha=%g: %w", n, l, ms, c, a, err)
-						}
-						pstart := time.Now()
-						res, info, err := s.delta.Solve(ctx, ci.key, prevKey, ci.inst, ci.opt)
-						if err != nil {
-							return nil, fmt.Errorf("sweep point N=%d L=%d Ms=%d C=%d alpha=%g: %w", n, l, ms, c, a, err)
-						}
-						if res.Cancelled {
-							return nil, context.Canceled
-						}
-						prevKey = ci.key
-						pt := SweepPoint{
-							N: n, L: l, CapacityFG: c, ScratchMem: ms, Alpha: a,
-							Class: info.Class, Path: info.Path,
-							Feasible: res.Feasible, Optimal: res.Optimal,
-							MS: durMS(time.Since(pstart)),
-						}
-						if res.Solution != nil {
-							pt.Comm = res.Solution.Comm
-						}
-						switch info.Path {
-						case "warm":
-							out.Warm++
-						case "reuse":
-							out.Reuse++
-						default:
-							out.Cold++
-						}
-						out.Points = append(out.Points, pt)
-						s.mu.Lock()
-						s.stats.sweepPoints++
-						if res != nil {
-							s.stats.nodes += uint64(res.Nodes)
-							s.stats.pivots += uint64(res.LPIterations)
-						}
-						s.mu.Unlock()
+						// a record-mode item would run outside its chain
+						r.Options.Record = false
+						reqs = append(reqs, &r)
 					}
 				}
 			}
 		}
 	}
+
+	start := time.Now()
+	_, jobs, err := s.submitBatch(reqs)
+	if err != nil {
+		return nil, err
+	}
+	for _, j := range jobs {
+		select {
+		case <-j.done:
+		case <-ctx.Done():
+			s.mu.Lock()
+			for _, j := range jobs {
+				s.cancelLocked(j)
+			}
+			s.mu.Unlock()
+			return nil, ctx.Err()
+		}
+	}
+
+	out := &SweepResult{Points: make([]SweepPoint, len(jobs))}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, j := range jobs {
+		r := reqs[i]
+		if j.err != nil {
+			return nil, fmt.Errorf("sweep point N=%d L=%d Ms=%d C=%d alpha=%g: %w",
+				r.Options.N, r.Options.L, r.Device.ScratchMem, r.Device.CapacityFG, r.Device.Alpha, j.err)
+		}
+		pt := SweepPoint{
+			N: r.Options.N, L: r.Options.L,
+			CapacityFG: r.Device.CapacityFG, ScratchMem: r.Device.ScratchMem, Alpha: r.Device.Alpha,
+			Class: j.deltaClass, Path: j.deltaPath,
+			Feasible: j.result.Feasible, Optimal: j.result.Optimal,
+			MS: durMS(j.finished.Sub(j.started)),
+		}
+		if j.result.Solution != nil {
+			pt.Comm = j.result.Solution.Comm
+		}
+		switch {
+		case j.cacheHit:
+			pt.Path = "cache"
+		case pt.Path == delta.PathWarm:
+			out.Warm++
+		case pt.Path == delta.PathReuse:
+			out.Reuse++
+		default:
+			out.Cold++
+		}
+		out.Points[i] = pt
+	}
+	s.stats.sweeps++
+	s.stats.sweepPoints += uint64(len(jobs))
 	out.TotalMS = durMS(time.Since(start))
 	return out, nil
+}
+
+// axisOr returns the axis, or the base request's single value when the
+// axis is empty.
+func axisOr[T any](axis []T, base T) []T {
+	if len(axis) == 0 {
+		return []T{base}
+	}
+	return axis
 }
