@@ -44,15 +44,16 @@ func (s *solver) attachCertificate(p *lp.Problem, res *Result, rw rootWitness) {
 		}
 	}
 	res.Certificate = c
-	s.rec.SetCertificate(c) // nil-receiver safe
-	if s.sh != nil && s.sh.tr != nil {
-		s.sh.tr.Emit(trace.Event{Kind: trace.KindCertificate, Status: c.Kind, Msg: c.Summary()})
+	o := &s.sh.obs
+	o.rec.SetCertificate(c) // nil-receiver safe
+	if o.tr != nil {
+		o.tr.Emit(trace.Event{Kind: trace.KindCertificate, Status: c.Kind, Msg: c.Summary()})
 	}
-	if !c.Valid && s.bb != nil {
+	if !c.Valid && o.bb != nil {
 		// A failed certification is exactly the anomaly the black box
 		// exists for: the verdict is suspect, keep the recent history.
-		s.bb.Record(trace.BBEvent{Kind: trace.BBCertify, Msg: "certificate invalid: " + c.Summary()})
-		s.bb.Flush("certify-failed")
+		o.bb.Anomaly(trace.BBEvent{Kind: trace.BBCertify, Msg: "certificate invalid: " + c.Summary()},
+			"certify-failed")
 	}
 }
 

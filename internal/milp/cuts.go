@@ -3,7 +3,6 @@ package milp
 import (
 	"math"
 	"strconv"
-	"time"
 
 	"repro/internal/lp"
 	"repro/internal/trace"
@@ -121,19 +120,11 @@ func (s *solver) coverCuts(x []float64, limit int) []lp.CutRow {
 // rebuilt cold on the original model and 0 is returned. Returns the
 // number of cuts applied.
 func (s *solver) applyRootCuts() (int, error) {
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+	o := &s.sh.obs
+	defer o.lap(trace.PhaseCutGen, o.clock())
 	x := s.lps.Solution()
 	cuts := s.coverCuts(x, maxCoverCuts)
 	cuts = append(cuts, s.lps.GomoryCuts(s.isInt, maxGomoryCuts)...) // nil on the revised engine
-	applied := 0
-	defer func() {
-		if s.prof != nil {
-			s.prof.Observe(trace.PhaseCutGen, time.Since(t0).Nanoseconds())
-		}
-	}()
 	if len(cuts) == 0 {
 		return 0, nil
 	}
@@ -150,7 +141,7 @@ func (s *solver) applyRootCuts() (int, error) {
 			return err
 		}
 		fresh.Ctx = s.ctx
-		fresh.Prof = s.prof
+		fresh.Prof = o.prof
 		if st := fresh.Solve(); st != lp.StatusOptimal {
 			// the original root solved optimally moments ago; a cold
 			// re-solve can only fail on cancellation
@@ -167,13 +158,10 @@ func (s *solver) applyRootCuts() (int, error) {
 		return 0, discard()
 	}
 	s.prob = pc
-	applied = len(cuts)
-	if s.sh.tr != nil || s.rec.Enabled() {
+	if o.tr != nil || o.rec != nil {
 		for _, c := range cuts {
-			if s.sh.tr != nil {
-				s.sh.tr.Emit(trace.Event{Kind: trace.KindCut, NNZ: len(c.Idx),
-					Bound: s.lps.Objective(), Msg: c.Name})
-			}
+			o.tr.Emit(trace.Event{Kind: trace.KindCut, NNZ: len(c.Idx),
+				Bound: s.lps.Objective(), Msg: c.Name})
 			cr := trace.CutRec{Name: c.Name,
 				Idx: append([]int(nil), c.Idx...), Val: append([]float64(nil), c.Val...)}
 			if !math.IsInf(c.Lo, -1) {
@@ -184,15 +172,15 @@ func (s *solver) applyRootCuts() (int, error) {
 				hi := c.Hi
 				cr.Hi = &hi
 			}
-			s.rec.Cut(cr)
+			o.rec.Cut(cr)
 		}
-		if s.sh.tr != nil {
-			s.sh.tr.Emit(trace.Event{Kind: trace.KindCut, NNZ: applied,
+		if o.tr != nil {
+			o.tr.Emit(trace.Event{Kind: trace.KindCut, NNZ: len(cuts),
 				Bound: s.lps.Objective(),
 				Msg:   "root strengthened: " + trimFloat(before) + " -> " + trimFloat(s.lps.Objective())})
 		}
 	}
-	return applied, nil
+	return len(cuts), nil
 }
 
 // trimFloat formats a bound for the cut-summary event message.

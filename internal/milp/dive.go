@@ -2,7 +2,6 @@ package milp
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/lp"
 	"repro/internal/trace"
@@ -26,10 +25,8 @@ import (
 // re-validates integrality and feasibility against the problem's own
 // row data — the dive cannot install an invalid point.
 func (s *solver) dive() {
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+	o := &s.sh.obs
+	t0 := o.clock()
 	snap := s.lps.Snapshot()
 	found := false
 	x := s.lps.Solution()
@@ -79,18 +76,14 @@ func (s *solver) dive() {
 		x = s.lps.Solution()
 	}
 	s.lps.Restore(snap)
-	if s.prof != nil {
-		s.prof.Observe(trace.PhaseDive, time.Since(t0).Nanoseconds())
+	o.lap(trace.PhaseDive, t0)
+	msg := "dive: no incumbent"
+	if found {
+		msg = "dive: incumbent found"
 	}
-	if s.sh.tr != nil {
-		msg := "dive: no incumbent"
-		if found {
-			msg = "dive: incumbent found"
-		}
-		e := trace.Event{Kind: trace.KindDive, Msg: msg}
-		if inc := s.sh.incumbent(); !math.IsInf(inc, 0) {
-			e.HasIncumbent, e.Incumbent = true, inc
-		}
-		s.sh.tr.Emit(e)
+	e := trace.Event{Kind: trace.KindDive, Msg: msg}
+	if inc := s.sh.incumbent(); !math.IsInf(inc, 0) {
+		e.HasIncumbent, e.Incumbent = true, inc
 	}
+	o.tr.Emit(e) // nil-safe
 }

@@ -1,7 +1,6 @@
 package milp
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 )
@@ -87,11 +86,11 @@ func (st *SearchStatus) Snapshot() (SearchSnapshot, bool) {
 		Gap:       -1,
 	}
 	inc := sh.incumbent()
-	if !math.IsInf(inc, 0) && !math.IsNaN(inc) {
+	if isFinite(inc) {
 		snap.HasIncumbent, snap.Incumbent = true, inc
 	}
 	b := sh.displayBound()
-	if !math.IsInf(b, 0) && !math.IsNaN(b) {
+	if isFinite(b) {
 		snap.HasBound, snap.Bound = true, b
 		if snap.HasIncumbent {
 			snap.Gap = gapOf(inc, b)

@@ -183,7 +183,8 @@ type Options struct {
 	// node progress (every Trace.SampleEvery() nodes), incumbent
 	// installs, best-bound moves, worker subproblem pickups and the
 	// terminal status with LP engine counters. Nil disables tracing at
-	// zero cost — the hot node loop gates on a single pointer compare.
+	// zero cost — with Trace, Record and BlackBox all nil the hot node
+	// loop tests one flag and builds no event.
 	Trace *trace.Tracer
 	// Record, when set, captures the full search lineage into the
 	// flight recorder: every explored node with its id/parent, the
@@ -368,25 +369,18 @@ type solver struct {
 	isInt    []bool
 	sh       *shared
 	brancher Brancher
-	observer BoundObserver
+	boundObs BoundObserver
 	local    int // nodes explored by this worker (drives ctx-poll cadence)
 	reason   stopReason
 	worker   int // 0 for the serial search, 1-based for parallel workers
 
-	// Observability state. rec/prof mirror Options.Record/Profile after
-	// SolveContext resolves the record-implies-profile rule; both are
-	// shared across parallel workers. curNode is the global index (the
-	// recorder id) of the node this goroutine is currently exploring, so
-	// incumbent installs from candidate hooks and recovered panics are
-	// attributed to the right node.
-	rec     *trace.Recorder
-	prof    *trace.Profile
+	// curNode is the global index (the recorder id) of the node this
+	// goroutine is currently exploring, so incumbent installs from
+	// candidate hooks and recovered panics are attributed to the right
+	// node. span is the search-stage span under which parallel modes
+	// open their per-worker children (nil when off).
 	curNode int64
-	// bb mirrors Options.BlackBox (shared across workers); span is the
-	// search-stage span under which parallel modes open their
-	// per-worker children. Both nil when off.
-	bb   *trace.BlackBox
-	span *trace.Span
+	span    *trace.Span
 
 	// work-stealing state (see steal.go): pool is non-nil on the
 	// workers of a steal-mode solve, wslot is the worker's 0-based pool
@@ -467,12 +461,12 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	if opt.InitialUpper != 0 && !math.IsInf(opt.InitialUpper, 1) {
 		upper = opt.InitialUpper
 	}
-	s.sh = newShared(upper, opt.Trace, start)
-	s.sh.bb = opt.BlackBox
-	s.bb = opt.BlackBox
+	s.sh = newShared(upper, &opt, start)
+	o := &s.sh.obs
 	s.brancher = opt.Brancher
-	s.observer = observerOf(opt.Brancher)
+	s.boundObs = boundObserverOf(opt.Brancher)
 	lps.Ctx = ctx // bound individual LP solves too
+	lps.Prof = o.prof
 	if opt.Status != nil {
 		// Attach the live handle before any LP work so pollers see the
 		// solve from its first node; re-attached with the resolved mode
@@ -486,15 +480,6 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		defer opt.Status.finish()
 	}
 
-	// Recording implies profiling so the recording footer always carries
-	// a phase breakdown; a caller-supplied Profile is reused as-is.
-	s.rec, s.prof = opt.Record, opt.Profile
-	if s.rec.Enabled() && s.prof == nil {
-		s.prof = trace.NewProfile()
-	}
-	s.rec.SetProfile(s.prof) // nil-receiver safe
-	lps.Prof = s.prof
-
 	if err := ctx.Err(); err != nil {
 		// cancelled before any work: report it without touching the
 		// problem (a dead context must not race root-LP infeasibility)
@@ -505,10 +490,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		return res, nil
 	}
 
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+	t0 := o.clock()
 	rootSpan := opt.Span.Child("root-lp") // nil-safe: nil when spans are off
 	var rootStatus lp.Status
 	if opt.Warm != nil {
@@ -516,11 +498,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	} else {
 		rootStatus = lps.Solve()
 	}
-	rootMeta := nodeMeta{col: -1, pivots: int64(lps.Iterations)}
-	if s.prof != nil {
-		rootMeta.ns = time.Since(t0).Nanoseconds()
-		s.prof.Observe(trace.PhaseNodeLP, rootMeta.ns)
-	}
+	rootMeta := nodeMeta{col: -1, pivots: int64(lps.Iterations), ns: o.lap(trace.PhaseNodeLP, t0)}
 	rootSpan.SetStr("status", rootStatus.String())
 	rootSpan.SetStr("engine", lps.EngineKind().String())
 	rootSpan.SetNum("pivots", float64(lps.Iterations))
@@ -528,43 +506,28 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	rootSpan.End()
 	res := &Result{BestBound: math.Inf(-1), LPEngine: lps.EngineKind()}
 	switch rootStatus {
-	case lp.StatusInfeasible:
-		res.Status = StatusInfeasible
-		res.Runtime = time.Since(start)
-		res.LPIterations = lps.Iterations
-		if opt.Certify {
-			s.attachCertificate(p, res, rootWitness{farkas: lps.FarkasRay()})
-		}
-		if s.rec.Enabled() {
-			s.rec.Node(trace.NodeRec{ID: 1, Col: -1, LP: "infeasible",
-				Pivots: rootMeta.pivots, NS: rootMeta.ns})
-			s.rec.SetLPStat(lpStatOf(lps))
-			s.rec.Finalize(res.Status.String(), res.Runtime, 1, int64(res.LPIterations))
-		}
-		return res, nil
 	case lp.StatusUnbounded:
 		return nil, fmt.Errorf("milp: LP relaxation is unbounded")
-	case lp.StatusIterLimit:
-		// cancellation, deadline or iteration cap during the root
-		// solve: report an inconclusive run instead of an error
-		res.Status = StatusLimit
-		reason := "deadline"
-		if context.Cause(ctx) == context.Canceled {
-			res.Status = StatusCancelled
-			reason = "cancelled"
-		}
-		if s.bb != nil {
-			s.bb.Record(trace.BBEvent{Kind: trace.BBDeadline, Msg: "root LP stopped: " + reason})
-			s.bb.Flush(reason)
+	case lp.StatusInfeasible, lp.StatusIterLimit:
+		// The root LP decides the solve: it is infeasible, or
+		// cancellation, a deadline or an iteration cap stopped it (an
+		// inconclusive run, not an error).
+		o.node(trace.NodeRec{ID: 1, Col: -1, LP: rootStatus.String(),
+			Pivots: rootMeta.pivots, NS: rootMeta.ns})
+		res.Status = StatusInfeasible
+		if rootStatus == lp.StatusIterLimit {
+			res.Status = StatusLimit
+			reason := "deadline"
+			if context.Cause(ctx) == context.Canceled {
+				res.Status, reason = StatusCancelled, "cancelled"
+			}
+			o.bb.Anomaly(trace.BBEvent{Kind: trace.BBDeadline, Msg: "root LP stopped: " + reason}, reason)
+		} else if opt.Certify {
+			s.attachCertificate(p, res, rootWitness{farkas: lps.FarkasRay()})
 		}
 		res.Runtime = time.Since(start)
 		res.LPIterations = lps.Iterations
-		if s.rec.Enabled() {
-			s.rec.Node(trace.NodeRec{ID: 1, Col: -1, LP: "iteration-limit",
-				Pivots: rootMeta.pivots, NS: rootMeta.ns})
-			s.rec.SetLPStat(lpStatOf(lps))
-			s.rec.Finalize(res.Status.String(), res.Runtime, 1, int64(res.LPIterations))
-		}
+		o.finish(res, lps, 1)
 		return res, nil
 	}
 	// The OnRoot hook fires before any strengthening: the delta re-solve
@@ -605,10 +568,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	}
 	res.BestBound = lps.Objective()
 	s.sh.raiseBound(res.BestBound)
-	if s.sh.tr != nil {
-		s.sh.tr.Emit(trace.Event{Kind: trace.KindRoot, Bound: res.BestBound,
-			Pivots: int64(lps.Iterations)})
-	}
+	o.tr.Emit(trace.Event{Kind: trace.KindRoot, Bound: res.BestBound, Pivots: int64(lps.Iterations)})
 	if opt.Dive && opt.Warm == nil {
 		diveSpan := opt.Span.Child("dive")
 		s.dive()
@@ -626,14 +586,14 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		}
 		opt.Status.attach(&liveSearch{sh: s.sh, mode: mode, workers: nw, start: start})
 	}
-	if opt.Parallelism > 1 && s.sh.tr != nil {
+	if opt.Parallelism > 1 && o.tr != nil {
 		e := trace.Event{Kind: trace.KindPlan, Bound: res.BestBound, Worker: opt.Parallelism}
 		if why != "" {
 			e.Msg = "serial fallback: " + why
 		} else {
 			e.Msg = fmt.Sprintf("mode=%s workers=%d cuts=%d", mode, opt.Parallelism, res.CutsApplied)
 		}
-		s.sh.tr.Emit(e)
+		o.tr.Emit(e)
 	}
 	searchSpan := opt.Span.Child("search")
 	searchSpan.SetStr("mode", mode.String())
@@ -695,14 +655,13 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	// A deadline or cancellation is an anomaly worth a post-mortem:
 	// freeze the black box so "what was the search doing when it was
 	// cut off" stays answerable after the job is gone.
-	if s.bb != nil && (s.reason == reasonTime || s.reason == reasonCtx) {
+	if o.bb != nil && (s.reason == reasonTime || s.reason == reasonCtx) {
 		reason := "deadline"
 		if s.reason == reasonCtx {
 			reason = "cancelled"
 		}
-		s.bb.Record(trace.BBEvent{Kind: trace.BBDeadline, Node: int64(res.Nodes),
-			Incumbent: incObj, Bound: res.BestBound, Msg: "search stopped: " + reason})
-		s.bb.Flush(reason)
+		o.bb.Anomaly(trace.BBEvent{Kind: trace.BBDeadline, Node: int64(res.Nodes),
+			Incumbent: incObj, Bound: res.BestBound, Msg: "search stopped: " + reason}, reason)
 	}
 	if res.Status == StatusOptimal || res.Status == StatusInfeasible {
 		res.TimeToProof = res.Runtime
@@ -720,60 +679,8 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		}
 		certSpan.End()
 	}
-	if s.rec.Enabled() {
-		s.rec.SetLPStat(lpStatOf(lps))
-		s.rec.SetSearchStats(res.Mode.String(), res.Steals,
-			res.FirstIncumbentNodes, int64(res.FirstIncumbent))
-		s.rec.Finalize(res.Status.String(), res.Runtime, int64(res.Nodes), int64(res.LPIterations))
-	}
-	if s.sh.tr != nil {
-		s.sh.raiseBound(res.BestBound)
-		e := trace.Event{
-			Kind:             trace.KindStatus,
-			Status:           res.Status.String(),
-			Nodes:            int64(res.Nodes),
-			Pivots:           int64(res.LPIterations),
-			Refactorizations: lps.Counters.Refactorizations,
-			FarkasChecks:     lps.Counters.FarkasChecks,
-			FarkasRejected:   lps.Counters.FarkasRejected,
-			WindowScans:      lps.Counters.WindowScans,
-			CandidateHits:    lps.Counters.CandidateHits,
-			Engine:           lps.EngineKind().String(),
-			Factorizations:   lps.Counters.Factorizations,
-			FTRANs:           lps.Counters.FTRANs,
-			BTRANs:           lps.Counters.BTRANs,
-			EtaNNZ:           lps.Counters.EtaNNZ,
-			BasisNNZ:         lps.Counters.BasisNNZ,
-			FactorNNZ:        lps.Counters.FactorNNZ,
-			Bound:            s.sh.displayBound(),
-		}
-		if lps.Counters.BasisNNZ > 0 {
-			e.FillIn = float64(lps.Counters.FactorNNZ) / float64(lps.Counters.BasisNNZ)
-		}
-		if res.X != nil {
-			e.HasIncumbent = true
-			e.Incumbent = res.Objective
-			e.Gap = gapOf(res.Objective, e.Bound)
-		}
-		s.sh.tr.Emit(e)
-	}
+	o.finish(res, lps, int64(res.Nodes))
 	return res, nil
-}
-
-// lpStatOf summarizes the LP engine that ran — its kind and the
-// factorization/solve counters — for the recording footer (replay
-// tools derive fill-in and the realized refactorization interval from
-// it offline).
-func lpStatOf(lps *lp.Solver) trace.LPStat {
-	return trace.LPStat{
-		Engine:         lps.EngineKind().String(),
-		Factorizations: lps.Counters.Factorizations,
-		FTRANs:         lps.Counters.FTRANs,
-		BTRANs:         lps.Counters.BTRANs,
-		EtaNNZ:         lps.Counters.EtaNNZ,
-		BasisNNZ:       lps.Counters.BasisNNZ,
-		FactorNNZ:      lps.Counters.FactorNNZ,
-	}
 }
 
 // bound returns the pruning bound of the current LP objective,
@@ -794,32 +701,24 @@ func (s *solver) bound(z float64) float64 {
 func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	s.local++
 	total := s.sh.nodes.Add(1)
-	if s.rec != nil {
-		nr := trace.NodeRec{
+	s.curNode = total
+	o := &s.sh.obs
+	if o.nodes {
+		n := trace.NodeRec{
 			ID: total, Parent: meta.parent, Worker: int32(s.worker),
 			Depth: int32(depth), Col: meta.col, Dir: meta.dir,
 			LP: st.String(), Pivots: meta.pivots, NS: meta.ns,
 		}
 		if b := s.sh.displayBound(); !math.IsInf(b, 0) {
-			nr.Best = b
+			n.Best = b
 		}
 		if inc := s.sh.incumbent(); !math.IsInf(inc, 0) {
-			nr.Inc, nr.HasInc = inc, true
+			n.Inc, n.HasInc = inc, true
 		}
 		if st == lp.StatusOptimal {
-			nr.Obj, nr.HasObj = s.lps.Objective(), true
+			n.Obj, n.HasObj = s.lps.Objective(), true
 		}
-		s.rec.Node(nr)
-	}
-	s.curNode = total
-	if s.bb != nil {
-		e := trace.BBEvent{Kind: trace.BBNode, Node: total, Worker: s.worker,
-			Depth: depth, Col: int(meta.col),
-			Bound: s.sh.displayBound(), Incumbent: s.sh.incumbent()}
-		if st == lp.StatusOptimal {
-			e.Obj = s.lps.Objective()
-		}
-		s.bb.Record(e)
+		o.node(n)
 	}
 	if s.opt.PanicNode > 0 && total == s.opt.PanicNode {
 		panic(fmt.Sprintf("injected fault: PanicNode hit at node %d (worker %d, depth %d)",
@@ -831,9 +730,6 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	if r := s.limitHit(total); r != reasonNone {
 		s.reason = r
 		return
-	}
-	if s.sh.tr != nil && total%s.sh.sample == 0 {
-		s.sh.emitProgress(trace.KindNode, s.worker, 0)
 	}
 	if st == lp.StatusInfeasible {
 		return
@@ -860,14 +756,9 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	}
 	x := s.lps.Solution()
 	if s.opt.Probe != nil {
-		var t0 time.Time
-		if s.prof != nil {
-			t0 = time.Now()
-		}
+		t0 := o.clock()
 		xc, exhausted := s.opt.Probe(x, s.lps.Bound)
-		if s.prof != nil {
-			s.prof.Observe(trace.PhaseProbe, time.Since(t0).Nanoseconds())
-		}
+		o.lap(trace.PhaseProbe, t0)
 		if xc != nil && s.acceptCandidate(xc, z, false) {
 			return // candidate matches the node bound: subtree fathomed
 		}
@@ -877,24 +768,14 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 	}
 	col, oneFirst := -1, true
 	if s.brancher != nil {
-		var t0 time.Time
-		if s.prof != nil {
-			t0 = time.Now()
-		}
+		t0 := o.clock()
 		col, oneFirst = s.brancher.Select(x, s.lps.Bound)
-		if s.prof != nil {
-			s.prof.Observe(trace.PhaseBranchSelect, time.Since(t0).Nanoseconds())
-		}
+		o.lap(trace.PhaseBranchSelect, t0)
 	}
 	if col < 0 && s.opt.Complete != nil {
-		var t0 time.Time
-		if s.prof != nil {
-			t0 = time.Now()
-		}
+		t0 := o.clock()
 		xc := s.opt.Complete(x)
-		if s.prof != nil {
-			s.prof.Observe(trace.PhaseComplete, time.Since(t0).Nanoseconds())
-		}
+		o.lap(trace.PhaseComplete, t0)
 		if xc != nil && s.acceptCandidate(xc, z, true) {
 			return
 		}
@@ -931,9 +812,7 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 			if s.opt.ObjIntegral {
 				obj = math.Round(obj)
 			}
-			if s.sh.install(obj, x, s.worker) && s.rec != nil {
-				s.rec.Incumbent(s.curNode, obj)
-			}
+			s.sh.install(obj, x, s.worker, s.curNode)
 			return
 		}
 	}
@@ -974,19 +853,11 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 		if v >= 0.5 {
 			cm.dir = 1
 		}
-		var t0 time.Time
-		var piv0 int
-		if s.prof != nil {
-			t0, piv0 = time.Now(), s.lps.Iterations
-		}
+		t0, piv0 := o.clock(), s.lps.Iterations
 		cst := s.lps.ReOptimize()
-		if s.prof != nil {
-			cm.ns = time.Since(t0).Nanoseconds()
-			cm.pivots = int64(s.lps.Iterations - piv0)
-			s.prof.Observe(trace.PhaseNodeLP, cm.ns)
-		}
-		if s.observer != nil && cst == lp.StatusOptimal {
-			s.observer.Observe(col, v >= 0.5, z, s.lps.Objective())
+		cm.ns, cm.pivots = o.lap(trace.PhaseNodeLP, t0), int64(s.lps.Iterations-piv0)
+		if s.boundObs != nil && cst == lp.StatusOptimal {
+			s.boundObs.Observe(col, v >= 0.5, z, s.lps.Objective())
 		}
 		s.branch(cst, depth+1, cm)
 		s.path = s.path[:len(s.path)-1]
@@ -1001,28 +872,18 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 // (drift recovery and iteration-limit retries), attributing the work to
 // the node-lp phase.
 func (s *solver) resolveNodeLP() lp.Status {
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+	t0 := s.sh.obs.clock()
 	st := s.lps.Solve()
-	if s.prof != nil {
-		s.prof.Observe(trace.PhaseNodeLP, time.Since(t0).Nanoseconds())
-	}
+	s.sh.obs.lap(trace.PhaseNodeLP, t0)
 	return st
 }
 
 // checkFeasible verifies a point against the original problem data,
 // attributing the row scan to the verify phase.
 func (s *solver) checkFeasible(x []float64, tol float64) error {
-	var t0 time.Time
-	if s.prof != nil {
-		t0 = time.Now()
-	}
+	t0 := s.sh.obs.clock()
 	err := s.prob.Feasible(x, tol)
-	if s.prof != nil {
-		s.prof.Observe(trace.PhaseVerify, time.Since(t0).Nanoseconds())
-	}
+	s.sh.obs.lap(trace.PhaseVerify, t0)
 	return err
 }
 
@@ -1060,9 +921,7 @@ func (s *solver) acceptCandidate(xc []float64, nodeBound float64, inNode bool) b
 	if s.opt.ObjIntegral {
 		obj = math.Round(obj)
 	}
-	if s.sh.install(obj, xc, s.worker) && s.rec != nil {
-		s.rec.Incumbent(s.curNode, obj)
-	}
+	s.sh.install(obj, xc, s.worker, s.curNode)
 	return obj <= nodeBound+1e-6*(1+math.Abs(nodeBound))
 }
 

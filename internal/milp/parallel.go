@@ -27,14 +27,13 @@ type shared struct {
 	stop    atomic.Int32  // sticky stopReason; first writer wins
 	incBits atomic.Uint64 // math.Float64bits of the incumbent objective
 
-	// Tracing state. tr is nil when tracing is off; sample is always a
-	// positive interval so the node-loop modulo never divides by zero.
+	// obs receives every search event of the solve (see observer); held
+	// by value so a solve allocates no separate observer.
 	// dispBits is the monotone display bound: a CAS-max ratchet over
 	// math.Float64bits, seeded with -Inf, raised by the root bound and
 	// by the parallel best-bound aggregation, so streamed bound events
 	// never regress even though per-subtree LP bounds move both ways.
-	tr       *trace.Tracer
-	sample   int64
+	obs      observer
 	dispBits atomic.Uint64
 
 	// First-incumbent bookkeeping for the time-to-first-solution
@@ -50,15 +49,12 @@ type shared struct {
 	incObj float64
 	incX   []float64
 
-	// Observability extensions (all optional; nil/empty when off).
-	// bb is the per-solve black box — shared so incumbent installs and
-	// worker panics land in the same ring as the node stream. pool is
-	// published by solveSteal so live snapshots can read the open/steal
-	// counters lock-free. wphase holds one coarse phase slot per worker
-	// (index 0 = serial/coordinator), allocated only when a
-	// SearchStatus is attached. The panic fields keep the first
-	// recovered worker panic for the terminal error.
-	bb     *trace.BlackBox
+	// Live-introspection state (nil/empty when off). pool is published
+	// by solveSteal so live snapshots can read the open/steal counters
+	// lock-free. wphase holds one coarse phase slot per worker (index 0
+	// = serial/coordinator), allocated only when a SearchStatus is
+	// attached. The panic fields keep the first recovered worker panic
+	// for the terminal error.
 	pool   atomic.Pointer[stealPool]
 	wphase []atomic.Int32
 
@@ -67,8 +63,11 @@ type shared struct {
 	panicNode int64
 }
 
-func newShared(upper float64, tr *trace.Tracer, start time.Time) *shared {
-	sh := &shared{incObj: upper, tr: tr, sample: tr.SampleEvery(), start: start}
+// newShared returns the cross-worker state of one solve, with its
+// observer built from opt.
+func newShared(upper float64, opt *Options, start time.Time) *shared {
+	sh := &shared{incObj: upper, start: start}
+	sh.obs = newObserver(sh, opt)
 	sh.incBits.Store(math.Float64bits(upper))
 	sh.dispBits.Store(math.Float64bits(math.Inf(-1)))
 	return sh
@@ -80,15 +79,14 @@ func (sh *shared) incumbent() float64 {
 }
 
 // install makes (obj, x) the incumbent if it improves on the current
-// one by more than the solver's comparison tolerance, reporting whether
-// it became the authoritative incumbent (so callers can record the
-// install). x is copied. worker attributes the resulting incumbent
-// trace event.
-func (sh *shared) install(obj float64, x []float64, worker int) bool {
+// one by more than the solver's comparison tolerance; x is copied. An
+// install that becomes the authoritative incumbent goes to the
+// observer, attributed to worker and the node it was exploring.
+func (sh *shared) install(obj float64, x []float64, worker int, node int64) {
 	for {
 		old := sh.incBits.Load()
 		if obj >= math.Float64frombits(old)-1e-9 {
-			return false
+			return
 		}
 		if sh.incBits.CompareAndSwap(old, math.Float64bits(obj)) {
 			break
@@ -102,18 +100,14 @@ func (sh *shared) install(obj float64, x []float64, worker int) bool {
 		improved = true
 	}
 	sh.mu.Unlock()
-	if improved {
-		if sh.firstInc.CompareAndSwap(false, true) {
-			sh.firstIncNode.Store(sh.nodes.Load())
-			sh.firstIncNS.Store(time.Since(sh.start).Nanoseconds())
-		}
-		if sh.bb != nil {
-			sh.bb.Record(trace.BBEvent{Kind: trace.BBIncumbent, Worker: worker,
-				Node: sh.nodes.Load(), Incumbent: obj, Bound: sh.displayBound()})
-		}
-		sh.emitProgress(trace.KindIncumbent, worker, 0)
+	if !improved {
+		return
 	}
-	return improved
+	if sh.firstInc.CompareAndSwap(false, true) {
+		sh.firstIncNode.Store(sh.nodes.Load())
+		sh.firstIncNS.Store(time.Since(sh.start).Nanoseconds())
+	}
+	sh.obs.incumbent(worker, node, obj)
 }
 
 // best returns the final incumbent pair (nil X when none was found).
@@ -156,29 +150,6 @@ func (sh *shared) displayBound() float64 {
 	return math.Float64frombits(sh.dispBits.Load())
 }
 
-// emitProgress emits a search-progress event carrying the global node
-// count, the incumbent (when one exists), the display bound and the
-// relative gap. No-op when tracing is off.
-func (sh *shared) emitProgress(kind trace.Kind, worker, sub int) {
-	if sh.tr == nil {
-		return
-	}
-	e := trace.Event{Kind: kind, Nodes: sh.nodes.Load(), Worker: worker, Subproblem: sub}
-	inc := sh.incumbent()
-	if !math.IsInf(inc, 0) && !math.IsNaN(inc) {
-		e.HasIncumbent = true
-		e.Incumbent = inc
-	}
-	b := sh.displayBound()
-	if !math.IsInf(b, 0) && !math.IsNaN(b) {
-		e.Bound = b
-		if e.HasIncumbent {
-			e.Gap = gapOf(inc, b)
-		}
-	}
-	sh.tr.Emit(e)
-}
-
 // setPhase publishes worker's coarse phase for live snapshots; no-op
 // unless a SearchStatus allocated the phase slots. Called at
 // subproblem granularity, never per node.
@@ -206,15 +177,10 @@ func (sh *shared) recordPanic(worker int, node int64, r any) {
 		sh.panicNode = node
 	}
 	sh.panicMu.Unlock()
-	if sh.bb != nil {
-		sh.bb.Record(trace.BBEvent{Kind: trace.BBPanic, Worker: worker, Node: node,
-			Incumbent: sh.incumbent(), Bound: sh.displayBound(),
-			Msg: msg + "\n" + string(debug.Stack())})
-		sh.bb.Flush("worker-panic")
-	}
-	if sh.tr != nil {
-		sh.tr.Emit(trace.Event{Kind: trace.KindPanic, Worker: worker, Nodes: node, Msg: msg})
-	}
+	sh.obs.bb.Anomaly(trace.BBEvent{Kind: trace.BBPanic, Worker: worker, Node: node,
+		Incumbent: sh.incumbent(), Bound: sh.displayBound(),
+		Msg: msg + "\n" + string(debug.Stack())}, "worker-panic")
+	sh.obs.tr.Emit(trace.Event{Kind: trace.KindPanic, Worker: worker, Nodes: node, Msg: msg})
 }
 
 // panicked reports the first recovered panic, if any.
@@ -307,7 +273,7 @@ type BoundObserver interface {
 	Observe(col int, up bool, parent, child float64)
 }
 
-func observerOf(b Brancher) BoundObserver {
+func boundObserverOf(b Brancher) BoundObserver {
 	if o, ok := b.(BoundObserver); ok {
 		return o
 	}

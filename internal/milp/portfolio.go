@@ -36,7 +36,7 @@ func (f flipBrancher) Select(x []float64, bound func(col int) (lo, hi float64)) 
 func (f flipBrancher) Fork() Brancher { return flipBrancher{forkBrancher(f.inner)} }
 
 func (f flipBrancher) Observe(col int, up bool, parent, child float64) {
-	if o := observerOf(f.inner); o != nil {
+	if o := boundObserverOf(f.inner); o != nil {
 		o.Observe(col, up, parent, child)
 	}
 }
@@ -97,13 +97,10 @@ func (s *solver) solvePortfolio(rootMeta nodeMeta) {
 			isInt:    s.isInt,
 			sh:       s.sh,
 			brancher: seats[w],
+			boundObs: boundObserverOf(seats[w]),
 			worker:   w + 1,
-			rec:      s.rec,
-			prof:     s.prof,
-			bb:       s.bb,
 			span:     s.span,
 		}
-		ws[w].observer = observerOf(ws[w].brancher)
 	}
 	var wg sync.WaitGroup
 	for _, w := range ws {

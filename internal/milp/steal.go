@@ -7,7 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -40,8 +39,8 @@ type stealPool struct {
 	cond     *sync.Cond
 	queues   [][]subproblem // per-worker deques
 	curBound []float64      // bound of each worker's in-flight subproblem (+Inf when idle)
-	open     int  // queued + in-flight subproblems
-	waiting  int  // workers blocked in next()
+	open     int            // queued + in-flight subproblems
+	waiting  int            // workers blocked in next()
 	stopped  bool
 
 	workers int
@@ -213,6 +212,7 @@ func (s *solver) solveSteal(res *Result, rootMeta nodeMeta) {
 	s.sh.pool.Store(pl) // publish for live snapshots
 	ws := make([]*solver, workers)
 	for w := range ws {
+		b := forkBrancher(s.brancher)
 		ws[w] = &solver{
 			lps:      s.lps.Clone(), // clone carries Prof: workers share the profile
 			prob:     s.prob,
@@ -220,16 +220,13 @@ func (s *solver) solveSteal(res *Result, rootMeta nodeMeta) {
 			ctx:      s.ctx,
 			isInt:    s.isInt,
 			sh:       s.sh,
-			brancher: forkBrancher(s.brancher),
+			brancher: b,
+			boundObs: boundObserverOf(b),
 			worker:   w + 1,
 			wslot:    w,
 			pool:     pl,
-			rec:      s.rec,
-			prof:     s.prof,
-			bb:       s.bb,
 			span:     s.span,
 		}
-		ws[w].observer = observerOf(ws[w].brancher)
 	}
 	var wg sync.WaitGroup
 	for _, w := range ws {
@@ -272,6 +269,7 @@ func (w *solver) stealLoop(rootMeta nodeMeta) {
 	// cheaper than a fresh Clone and it discards any numerical drift
 	// from the previous subtree
 	snap := w.lps.Snapshot()
+	o := &w.sh.obs
 	defer w.sh.setPhase(w.worker, wpDone)
 	for {
 		if w.sh.stopRequested() != reasonNone {
@@ -283,8 +281,8 @@ func (w *solver) stealLoop(rootMeta nodeMeta) {
 			return
 		}
 		w.sh.setPhase(w.worker, wpSearch)
-		if victim >= 0 && w.sh.tr != nil {
-			w.sh.tr.Emit(trace.Event{Kind: trace.KindSteal, Worker: w.worker,
+		if victim >= 0 && o.tr != nil {
+			o.tr.Emit(trace.Event{Kind: trace.KindSteal, Worker: w.worker,
 				Nodes: w.sh.nodes.Load(), Bound: sp.bound,
 				Msg: "steal from w" + strconv.Itoa(victim+1)})
 		}
@@ -293,10 +291,8 @@ func (w *solver) stealLoop(rootMeta nodeMeta) {
 			w.finishSub()
 			continue
 		}
-		if w.sh.tr != nil {
-			w.sh.tr.Emit(trace.Event{Kind: trace.KindWorker, Worker: w.worker,
-				Nodes: w.sh.nodes.Load(), Msg: "pickup"})
-		}
+		o.tr.Emit(trace.Event{Kind: trace.KindWorker, Worker: w.worker,
+			Nodes: w.sh.nodes.Load(), Msg: "pickup"})
 		w.lps.Restore(snap)
 		for _, f := range sp.fixes {
 			w.lps.SetBound(f.col, f.val, f.val)
@@ -311,17 +307,9 @@ func (w *solver) stealLoop(rootMeta nodeMeta) {
 		} else {
 			m = rootMeta // the root subproblem: keep the root-LP lineage
 		}
-		var t0 time.Time
-		var piv0 int
-		if w.prof != nil {
-			t0, piv0 = time.Now(), w.lps.Iterations
-		}
+		t0, piv0 := o.clock(), w.lps.Iterations
 		cst := w.lps.ReOptimize()
-		if w.prof != nil {
-			m.ns = time.Since(t0).Nanoseconds()
-			m.pivots = int64(w.lps.Iterations - piv0)
-			w.prof.Observe(trace.PhaseNodeLP, m.ns)
-		}
+		m.ns, m.pivots = o.lap(trace.PhaseNodeLP, t0), int64(w.lps.Iterations-piv0)
 		w.branch(cst, len(sp.fixes), m)
 		if w.reason != reasonNone {
 			w.sh.requestStop(w.reason)
@@ -338,13 +326,13 @@ func (w *solver) stealLoop(rootMeta nodeMeta) {
 // streamed sequence non-decreasing).
 func (w *solver) finishSub() {
 	open := w.pool.done(w.wslot)
-	if w.sh.tr == nil {
+	if w.sh.obs.tr == nil {
 		return
 	}
 	if inc := w.sh.incumbent(); open > inc {
 		open = inc
 	}
 	if w.sh.raiseBound(open) {
-		w.sh.emitProgress(trace.KindBound, w.worker, 0)
+		w.sh.obs.progress(trace.KindBound, w.worker)
 	}
 }

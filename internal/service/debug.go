@@ -111,14 +111,13 @@ func (s *Service) watchStall(j *job, tr *trace.Tracer) func() {
 				e.Incumbent = snap.Incumbent
 			}
 			tr.Emit(e)
-			j.bb.Record(trace.BBEvent{
+			j.bb.Anomaly(trace.BBEvent{
 				Kind:      trace.BBStall,
 				Node:      snap.Nodes,
 				Bound:     snap.Bound,
 				Incumbent: snap.Incumbent,
 				Msg:       "watchdog: bound and incumbent unmoved for " + window.String(),
-			})
-			j.bb.Flush("stall")
+			}, "stall")
 			return
 		}
 	}()
@@ -134,10 +133,10 @@ func (s *Service) watchStall(j *job, tr *trace.Tracer) func() {
 // root LP) or when it joined another job's flight (the shared search is
 // mirrored on the flight leader's entry).
 type SolveDebug struct {
-	ID        string  `json:"id"`
-	Graph     string  `json:"graph"`
+	ID        string    `json:"id"`
+	Graph     string    `json:"graph"`
 	Status    JobStatus `json:"status"`
-	RunningMS float64 `json:"running_ms"`
+	RunningMS float64   `json:"running_ms"`
 	// TraceID names the job's span tree (and the caller's distributed
 	// trace, when the submission carried a traceparent header).
 	TraceID string `json:"trace_id,omitempty"`

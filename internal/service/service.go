@@ -590,74 +590,63 @@ func (s *Service) worker() {
 }
 
 // run executes one job: result cache, then singleflight join, then a
-// fresh solve as the flight leader. Record-mode jobs skip the cache and
-// the flight map entirely — a shared or cached result has no recording
-// — and run their own fresh solve.
+// fresh solve as the flight leader. A record-mode job skips the cache
+// and the flight map — a shared or cached result has no recording — and
+// runs its own fresh solve with a flight recorder and a private phase
+// profile, merged into /v1/metrics afterwards so the recording footer
+// stays per-job. The delta engine still caches its result (exactly what
+// an unrecorded request would compute), but concurrent identical jobs
+// neither join nor reuse it.
 func (s *Service) run(j *job) {
-	if j.req.record {
-		s.runRecorded(j)
-		return
-	}
-	key := j.req.key
+	key, record := j.req.key, j.req.record
 	s.mu.Lock()
-	// the engine stores a result before its flight is removed below, so
-	// under s.mu a key is always either cached or in flight once solved
-	if res, ok := s.delta.Lookup(key); ok {
-		j.cacheHit = true
-		s.stats.cacheHits++
-		s.finalizeLocked(j, res, nil, StatusDone)
-		s.mu.Unlock()
-		return
-	}
-	if f, ok := s.flights[key]; ok {
-		// an identical instance is already solving: share its outcome
-		// (and its event stream, from this point onward)
-		f.waiters++
-		j.cacheHit = true
-		s.stats.cacheHits++
-		f.fanout.Add(j.events)
-		s.mu.Unlock()
-		select {
-		case <-f.done:
-			s.mu.Lock()
-			switch {
-			case f.err != nil:
-				s.finalizeLocked(j, nil, f.err, StatusFailed)
-			case f.res.Cancelled:
-				s.finalizeLocked(j, f.res, context.Canceled, StatusCancelled)
-			default:
-				s.finalizeLocked(j, f.res, nil, StatusDone)
-			}
+	if !record {
+		// the engine stores a result before its flight is removed below,
+		// so under s.mu a key is always either cached or in flight once
+		// solved
+		if res, ok := s.delta.Lookup(key); ok {
+			j.cacheHit = true
+			s.stats.cacheHits++
+			s.finalizeLocked(j, res, nil, StatusDone)
 			s.mu.Unlock()
-		case <-j.cancelCh:
-			s.mu.Lock()
-			f.waiters--
-			last := f.waiters == 0
-			s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-			s.mu.Unlock()
-			if last {
-				f.cancel()
-			}
+			return
 		}
-		return
+		if f, ok := s.flights[key]; ok {
+			s.joinLocked(j, f)
+			return
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
-	f := &flight{done: make(chan struct{}), cancel: cancel, waiters: 1,
-		fanout: trace.NewFanout(j.events)}
-	s.flights[key] = f
+	op := j.req.opt
+	var f *flight
+	var rec *trace.Recorder
+	if record {
+		rec = trace.NewRecorder(0)
+		rec.SetLabel(j.req.inst.Graph.Name)
+		op.Trace, op.Record, op.Profile = trace.New(j.events), rec, trace.NewProfile()
+	} else {
+		f = &flight{done: make(chan struct{}), cancel: cancel, waiters: 1,
+			fanout: trace.NewFanout(j.events)}
+		s.flights[key] = f
+		op.Trace = trace.New(f.fanout)
+		op.Profile = s.prof // aggregate phase attribution for /v1/metrics
+	}
 	s.stats.cacheMisses++
 	s.mu.Unlock()
 
-	// Mirror the job's cancellation onto the shared solve: the flight
-	// is cancelled only when its last attached job cancels, so one
+	// Mirror the job's cancellation onto the solve: a flight is
+	// cancelled only when its last attached job cancels, so one
 	// impatient caller cannot kill a solve other callers still want.
 	watchStop := make(chan struct{})
 	go func() {
 		select {
 		case <-j.cancelCh:
 			s.mu.Lock()
-			f.waiters--
-			last := f.waiters == 0
+			last := true
+			if f != nil {
+				f.waiters--
+				last = f.waiters == 0
+			}
 			// settle the cancelled job immediately; the solve keeps
 			// running for the remaining waiters, if any
 			s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
@@ -669,75 +658,12 @@ func (s *Service) run(j *job) {
 		}
 	}()
 
-	op := j.req.opt
-	op.Trace = trace.New(f.fanout)
-	op.Profile = s.prof // aggregate phase attribution for /v1/metrics
 	endSolve := s.beginSolve(j, &op)
 	res, dinfo, err := s.solveLabeled(ctx, j, op)
 	endSolve(res, dinfo, err)
 	close(watchStop)
 
-	s.mu.Lock()
-	j.deltaClass, j.deltaPath, j.primed = dinfo.Class, dinfo.Path, dinfo.Primed
-	f.res, f.err = res, err
-	delete(s.flights, key)
-	if res != nil {
-		// solver-effort metrics count actual work, so cache hits and
-		// joiners never double-count
-		s.stats.nodes += uint64(res.Nodes)
-		s.stats.pivots += uint64(res.LPIterations)
-	}
-	if j.status == StatusRunning { // not already settled by the watcher
-		switch {
-		case err != nil:
-			s.finalizeLocked(j, nil, err, StatusFailed)
-		case res.Cancelled:
-			s.finalizeLocked(j, res, context.Canceled, StatusCancelled)
-		default:
-			s.finalizeLocked(j, res, nil, StatusDone)
-		}
-	}
-	s.mu.Unlock()
-	cancel()
-	close(f.done)
-}
-
-// runRecorded executes a record-mode job: always a fresh solve with a
-// flight recorder and a private phase profile attached. The delta engine
-// still caches the result (it is exactly what an unrecorded request
-// would compute), but no flight is registered, so concurrent identical
-// jobs neither join nor reuse this solve.
-func (s *Service) runRecorded(j *job) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	watchStop := make(chan struct{})
-	go func() {
-		select {
-		case <-j.cancelCh:
-			s.mu.Lock()
-			s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
-			s.mu.Unlock()
-			cancel()
-		case <-watchStop:
-		}
-	}()
-
-	rec := trace.NewRecorder(0)
-	rec.SetLabel(j.req.inst.Graph.Name)
-	prof := trace.NewProfile()
-	op := j.req.opt
-	op.Trace = trace.New(j.events)
-	op.Record = rec
-	op.Profile = prof
-	endSolve := s.beginSolve(j, &op)
-	s.mu.Lock()
-	s.stats.cacheMisses++
-	s.mu.Unlock()
-	res, dinfo, err := s.solveLabeled(ctx, j, op)
-	endSolve(res, dinfo, err)
-	close(watchStop)
-
-	if j.amendOf != "" {
+	if rec != nil && j.amendOf != "" {
 		// stamp the amend lineage before snapshotting, so the recording
 		// names its base job and the delta path the engine took
 		rec.SetAmend(&trace.AmendRec{Of: j.amendOf, Generation: j.gen,
@@ -745,23 +671,65 @@ func (s *Service) runRecorded(j *job) {
 	}
 	s.mu.Lock()
 	j.deltaClass, j.deltaPath, j.primed = dinfo.Class, dinfo.Path, dinfo.Primed
-	s.prof.Merge(prof) // fold the per-job phases into /v1/metrics
-	j.recording = rec.Snapshot()
+	if f != nil {
+		f.res, f.err = res, err
+		delete(s.flights, key)
+	} else {
+		s.prof.Merge(op.Profile) // fold the per-job phases into /v1/metrics
+		j.recording = rec.Snapshot()
+	}
 	if res != nil {
+		// solver-effort metrics count actual work, so cache hits and
+		// joiners never double-count
 		s.stats.nodes += uint64(res.Nodes)
 		s.stats.pivots += uint64(res.LPIterations)
 	}
-	if j.status == StatusRunning {
-		switch {
-		case err != nil:
-			s.finalizeLocked(j, nil, err, StatusFailed)
-		case res.Cancelled:
-			s.finalizeLocked(j, res, context.Canceled, StatusCancelled)
-		default:
-			s.finalizeLocked(j, res, nil, StatusDone)
+	s.settleLocked(j, res, err)
+	s.mu.Unlock()
+	cancel()
+	if f != nil {
+		close(f.done)
+	}
+}
+
+// joinLocked attaches j to an identical in-flight solve and waits for
+// its outcome, sharing its event stream from this point onward. Called
+// with s.mu held; releases it.
+func (s *Service) joinLocked(j *job, f *flight) {
+	f.waiters++
+	j.cacheHit = true
+	s.stats.cacheHits++
+	f.fanout.Add(j.events)
+	s.mu.Unlock()
+	select {
+	case <-f.done:
+		s.mu.Lock()
+		s.settleLocked(j, f.res, f.err)
+		s.mu.Unlock()
+	case <-j.cancelCh:
+		s.mu.Lock()
+		f.waiters--
+		last := f.waiters == 0
+		s.finalizeLocked(j, nil, context.Canceled, StatusCancelled)
+		s.mu.Unlock()
+		if last {
+			f.cancel()
 		}
 	}
-	s.mu.Unlock()
+}
+
+// settleLocked finalizes a job with a solve's outcome unless the
+// cancellation watcher already settled it. Callers hold s.mu.
+func (s *Service) settleLocked(j *job, res *core.Result, err error) {
+	switch {
+	case j.status.Finished():
+	case err != nil:
+		s.finalizeLocked(j, nil, err, StatusFailed)
+	case res.Cancelled:
+		s.finalizeLocked(j, res, context.Canceled, StatusCancelled)
+	default:
+		s.finalizeLocked(j, res, nil, StatusDone)
+	}
 }
 
 // solveLabeled runs the solve through the delta engine — which caches

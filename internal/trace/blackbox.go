@@ -122,6 +122,14 @@ func (b *BlackBox) Record(e BBEvent) {
 	b.mu.Unlock()
 }
 
+// Anomaly records e and flushes the box under reason: the one call
+// every anomaly site makes (worker panic, deadline or cancellation,
+// failed certification, watchdog stall). No-op on nil.
+func (b *BlackBox) Anomaly(e BBEvent, reason string) {
+	b.Record(e)
+	b.Flush(reason)
+}
+
 // Flush freezes the current ring contents under reason. Only the first
 // flush takes effect; the return value reports whether this call was
 // it. The OnFlush hook, when set, is invoked with the frozen dump

@@ -65,8 +65,8 @@ type IncRec struct {
 	TMS  float64 `json:"t_ms,omitempty"`
 }
 
-// LPStat is the LP-engine summary stamped into a recording footer:
-// which engine ran (dense tableau or sparse revised simplex) and, on
+// LPStat is the LP-engine summary stamped into a recording footer (and
+// embedded in the terminal status Event): which engine ran (dense tableau or sparse revised simplex) and, on
 // the revised engine, the factorization/solve counters that let replay
 // analysis derive fill-in (FactorNNZ / BasisNNZ) and the realized
 // refactorization interval (pivots / Factorizations) offline. Mirrors

@@ -123,19 +123,13 @@ type Event struct {
 	WindowScans      int64 `json:"window_scans,omitempty"`
 	CandidateHits    int64 `json:"candidate_hits,omitempty"`
 
-	// Sparse-engine observability (status events, revised engine only).
-	// Engine names the LP engine that ran ("dense" or "revised");
-	// FillIn is FactorNNZ / BasisNNZ — the LU fill ratio of the last
-	// factorized basis — and EtaNNZ counts eta-file entries appended
-	// across the solve (the quantity the refactorization policy bounds).
-	Engine         string  `json:"engine,omitempty"`
-	Factorizations int64   `json:"factorizations,omitempty"`
-	FTRANs         int64   `json:"ftrans,omitempty"`
-	BTRANs         int64   `json:"btrans,omitempty"`
-	EtaNNZ         int64   `json:"eta_nnz,omitempty"`
-	BasisNNZ       int64   `json:"basis_nnz,omitempty"`
-	FactorNNZ      int64   `json:"factor_nnz,omitempty"`
-	FillIn         float64 `json:"fill_in,omitempty"`
+	// LP-engine summary (status events): the engine that ran and, on the
+	// revised engine, its factorization/solve counters — the same LPStat
+	// a recording footer carries, embedded so its JSON keys stay flat.
+	// FillIn is FactorNNZ / BasisNNZ, the LU fill ratio of the last
+	// factorized basis.
+	LPStat
+	FillIn float64 `json:"fill_in,omitempty"`
 
 	// Status is the terminal state string (status/result/job events).
 	Status string `json:"status,omitempty"`
