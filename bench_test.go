@@ -294,9 +294,9 @@ func BenchmarkMILPParallel(b *testing.B) {
 			}
 			b.Run(name, func(b *testing.B) {
 				opt := e.Opt
-				opt.Parallelism = par
+				opt.Search.Parallelism = par
 				if par > 1 {
-					opt.ParallelThreshold = -1 // measure the real parallel path
+					opt.Search.Threshold = -1 // measure the real parallel path
 				}
 				var nodes, pivots int
 				for n := 0; n < b.N; n++ {

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/library"
+	"repro/internal/milp"
 	"repro/internal/rpsim"
 	"repro/internal/rtl"
 	"repro/internal/trace"
@@ -92,23 +93,19 @@ func main() {
 		Tightened:   !*loose,
 		WPerProduct: *perProd,
 		TimeLimit:   *timeout,
-		Parallelism: *parallel,
+		Search:      core.SearchOptions{Parallelism: *parallel},
 		Certify:     *certify,
 	}
 	opt.Linearization, err = core.ParseLinearization(*lin)
 	fail(err)
-	opt.Branch, err = core.ParseBranchRule(*branch)
+	opt.Search.Branch, err = core.ParseBranchRule(*branch)
 	fail(err)
-	search := core.SearchOptions{}
-	search.Mode, err = core.ParseSearchMode(*mode)
+	opt.Search.Mode, err = milp.ParseSearchMode(*mode)
 	fail(err)
-	search.Cuts, err = core.ParseToggle(*cuts)
+	opt.Search.Cuts, err = core.ParseToggle(*cuts)
 	fail(err)
-	search.Dive, err = core.ParseToggle(*dive)
+	opt.Search.Dive, err = core.ParseToggle(*dive)
 	fail(err)
-	if search != (core.SearchOptions{}) {
-		opt.Search = &search
-	}
 	if *traceOut != "" {
 		var w io.Writer = os.Stderr
 		if *traceOut != "-" {

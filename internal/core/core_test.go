@@ -90,7 +90,7 @@ func TestBranchRulesAgree(t *testing.T) {
 		var comm [3]int
 		var feas [3]bool
 		for bi, rule := range []BranchRule{BranchPaper, BranchFirstFrac, BranchMostFrac} {
-			res, err := SolveInstance(inst, Options{N: 2, L: 1, Tightened: true, Branch: rule})
+			res, err := SolveInstance(inst, Options{N: 2, L: 1, Tightened: true, Search: SearchOptions{Branch: rule}})
 			if err != nil {
 				t.Fatalf("seed %d rule %v: %v", seed, rule, err)
 			}

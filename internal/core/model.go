@@ -65,9 +65,9 @@ type Model struct {
 	// cold solve).
 	warm *Warm
 	// probeCache memoizes exact-schedule results per task assignment.
-	// Guarded by probeMu: under Options.Parallelism > 1 every branch-
-	// and-bound worker probes (and branches) concurrently. Concurrent
-	// misses may duplicate an exact-schedule run for the same
+	// Guarded by probeMu: under Options.Search.Parallelism > 1 every
+	// branch-and-bound worker probes (and branches) concurrently.
+	// Concurrent misses may duplicate an exact-schedule run for the same
 	// assignment; the cache stays consistent and the extra work is
 	// bounded by the worker count.
 	probeMu    sync.Mutex

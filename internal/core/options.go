@@ -18,9 +18,7 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/graph"
@@ -62,23 +60,14 @@ func ParseLinearization(s string) (Linearization, error) {
 	return 0, fmt.Errorf("core: unknown linearization %q (want glover or fortet)", s)
 }
 
-// MarshalJSON encodes the linearization by name.
-func (l Linearization) MarshalJSON() ([]byte, error) {
-	return json.Marshal(l.String())
+// MarshalText encodes the linearization by name.
+func (l Linearization) MarshalText() ([]byte, error) {
+	return []byte(l.String()), nil
 }
 
-// UnmarshalJSON accepts a name ("glover", "fortet") or the numeric
-// enum value.
-func (l *Linearization) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err != nil {
-		if n, nerr := strconv.Atoi(string(b)); nerr == nil && n >= 0 && n <= int(LinFortet) {
-			*l = Linearization(n)
-			return nil
-		}
-		return fmt.Errorf("core: invalid linearization %s", b)
-	}
-	v, err := ParseLinearization(s)
+// UnmarshalText decodes a linearization name ("glover", "fortet").
+func (l *Linearization) UnmarshalText(b []byte) error {
+	v, err := ParseLinearization(string(b))
 	if err != nil {
 		return err
 	}
@@ -147,22 +136,14 @@ func ParseBranchRule(s string) (BranchRule, error) {
 	return 0, fmt.Errorf("core: unknown branch rule %q (want paper, first-fractional or most-fractional)", s)
 }
 
-// MarshalJSON encodes the branch rule by name.
-func (b BranchRule) MarshalJSON() ([]byte, error) {
-	return json.Marshal(b.String())
+// MarshalText encodes the branch rule by name.
+func (b BranchRule) MarshalText() ([]byte, error) {
+	return []byte(b.String()), nil
 }
 
-// UnmarshalJSON accepts a name or the numeric enum value.
-func (b *BranchRule) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		if n, nerr := strconv.Atoi(string(data)); nerr == nil && n >= 0 && n <= int(BranchMostFrac) {
-			*b = BranchRule(n)
-			return nil
-		}
-		return fmt.Errorf("core: invalid branch rule %s", data)
-	}
-	v, err := ParseBranchRule(s)
+// UnmarshalText decodes a branch-rule name.
+func (b *BranchRule) UnmarshalText(data []byte) error {
+	v, err := ParseBranchRule(string(data))
 	if err != nil {
 		return err
 	}
@@ -197,8 +178,6 @@ type Options struct {
 	// Multicycle honors FU latencies greater than one control step
 	// (the paper's Gebotys/OSCAR-style extension).
 	Multicycle bool `json:"multicycle,omitempty"`
-	// Branch selects the branching rule.
-	Branch BranchRule `json:"branch,omitempty"`
 	// ExactSweep enumerates task assignments (cost-ordered, pruned)
 	// and certifies each with the exact scheduler before branch and
 	// bound; when every candidate resolves, optimality is proved
@@ -226,21 +205,6 @@ type Options struct {
 	// part of the wire form: the service expresses it as
 	// time_limit_ms so JSON clients never deal in nanoseconds.
 	TimeLimit time.Duration `json:"-"`
-	// Parallelism sets the number of branch-and-bound workers for the
-	// MILP search (milp.Options.Parallelism). 0 or 1 keeps the serial,
-	// deterministic search; higher values split the tree across that
-	// many goroutines over cloned LP solvers with a shared incumbent.
-	// The optimum and its feasibility are identical either way — only
-	// node/pivot counts and runtime change.
-	Parallelism int `json:"parallelism,omitempty"`
-	// ParallelThreshold gates Parallelism behind the root-size estimate
-	// of milp.Options.ParallelThreshold: instances whose root tableau
-	// falls under the threshold run serially even when Parallelism > 1
-	// (the decision is emitted as a "plan" trace event). 0 applies
-	// milp.DefaultParallelThreshold; negative disables the gate. Ignored
-	// by the service's canonical cache key — like Parallelism, it cannot
-	// change the reported solution.
-	ParallelThreshold int `json:"parallel_threshold,omitempty"`
 	// LPEngine selects the LP engine for the branch-and-bound
 	// relaxations: "" or "auto" applies the density × size heuristic of
 	// lp.ChooseEngine (sparse revised simplex for large sparse models,
@@ -250,12 +214,9 @@ type Options struct {
 	// or runtimes, so a forced-engine job is its own cache entry.
 	LPEngine string `json:"lp_engine,omitempty"`
 	// Search groups every branch-and-bound search knob (workers, gate
-	// threshold, mode, branching rule, root cuts, diving) into one
-	// object, serialized as options.search. Nil keeps the legacy flat
-	// fields (Parallelism, ParallelThreshold, Branch) in charge; when
-	// set, its non-zero fields override the flat ones — see
-	// EffectiveSearch for the exact merge.
-	Search *SearchOptions `json:"search,omitempty"`
+	// threshold, mode, branching rule, root cuts, diving), serialized
+	// as options.search. The zero value is the paper's serial search.
+	Search SearchOptions `json:"search"`
 	// Certify enables the exact-arithmetic audit mode: the MILP verdict
 	// is re-verified in rational arithmetic (internal/exact) and the
 	// resulting certificate attached to Result.Certificate, the flight
@@ -309,9 +270,6 @@ func (o Options) Validate() error {
 	if o.Linearization < LinGlover || o.Linearization > LinFortet {
 		return fmt.Errorf("core: unknown linearization %d", o.Linearization)
 	}
-	if o.Branch < BranchPaper || o.Branch > BranchMostFrac {
-		return fmt.Errorf("core: unknown branch rule %d", o.Branch)
-	}
 	if o.Cuts > CutsAll {
 		return fmt.Errorf("core: unknown cut families in mask %#x", o.Cuts)
 	}
@@ -321,18 +279,10 @@ func (o Options) Validate() error {
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: negative time limit %v", o.TimeLimit)
 	}
-	if o.Parallelism < 0 {
-		return fmt.Errorf("core: negative parallelism %d", o.Parallelism)
-	}
 	if _, err := lp.ParseEngine(o.LPEngine); err != nil {
 		return err
 	}
-	if o.Search != nil {
-		if err := o.Search.Validate(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return o.Search.Validate()
 }
 
 // Instance is a complete problem instance: the behavioral

@@ -47,8 +47,8 @@ func TestParallelMatchesSerialOnBenchmarks(t *testing.T) {
 					t.Fatal(err)
 				}
 				popt := opt
-				popt.Parallelism = 4
-				popt.ParallelThreshold = -1 // actually exercise the workers
+				popt.Search.Parallelism = 4
+				popt.Search.Threshold = -1 // actually exercise the workers
 				par, err := SolveInstance(inst, popt)
 				if err != nil {
 					t.Fatal(err)

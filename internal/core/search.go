@@ -1,81 +1,10 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"strconv"
+
+	"repro/internal/milp"
 )
-
-// SearchMode selects the branch-and-bound scheduling strategy of the
-// MILP layer (milp.SearchMode, re-declared here so the wire form never
-// imports solver internals).
-type SearchMode int
-
-const (
-	// SearchAuto lets the solver pick: the size gate decides between
-	// serial and work-stealing.
-	SearchAuto SearchMode = iota
-	// SearchSerial forces the single-threaded deterministic search even
-	// when Parallelism > 1.
-	SearchSerial
-	// SearchSteal forces the work-stealing node pool, bypassing the
-	// size gate.
-	SearchSteal
-	// SearchPortfolio races one complete search per worker, each with a
-	// different branching strategy, sharing incumbents.
-	SearchPortfolio
-)
-
-func (m SearchMode) String() string {
-	switch m {
-	case SearchSerial:
-		return "serial"
-	case SearchSteal:
-		return "steal"
-	case SearchPortfolio:
-		return "portfolio"
-	default:
-		return "auto"
-	}
-}
-
-// ParseSearchMode parses a search-mode name; "" means auto.
-func ParseSearchMode(s string) (SearchMode, error) {
-	switch s {
-	case "", "auto":
-		return SearchAuto, nil
-	case "serial":
-		return SearchSerial, nil
-	case "steal":
-		return SearchSteal, nil
-	case "portfolio":
-		return SearchPortfolio, nil
-	}
-	return 0, fmt.Errorf("core: unknown search mode %q (want auto, serial, steal or portfolio)", s)
-}
-
-// MarshalJSON encodes the search mode by name.
-func (m SearchMode) MarshalJSON() ([]byte, error) {
-	return json.Marshal(m.String())
-}
-
-// UnmarshalJSON accepts a name or the numeric enum value.
-func (m *SearchMode) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		if n, nerr := strconv.Atoi(string(data)); nerr == nil && n >= 0 && n <= int(SearchPortfolio) {
-			*m = SearchMode(n)
-			return nil
-		}
-		return fmt.Errorf("core: invalid search mode %s", data)
-	}
-	v, err := ParseSearchMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
 
 // Toggle is a three-state switch: auto (defer to the solver's policy),
 // on, or off. The zero value is auto, so omitted JSON fields inherit
@@ -116,23 +45,14 @@ func ParseToggle(s string) (Toggle, error) {
 	return 0, fmt.Errorf("core: unknown toggle %q (want auto, on or off)", s)
 }
 
-// MarshalJSON encodes the toggle by name.
-func (t Toggle) MarshalJSON() ([]byte, error) {
-	return json.Marshal(t.String())
+// MarshalText encodes the toggle by name.
+func (t Toggle) MarshalText() ([]byte, error) {
+	return []byte(t.String()), nil
 }
 
-// UnmarshalJSON accepts a name ("auto", "on", "off") or the numeric
-// enum value.
-func (t *Toggle) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		if n, nerr := strconv.Atoi(string(data)); nerr == nil && n >= 0 && n <= int(ToggleOff) {
-			*t = Toggle(n)
-			return nil
-		}
-		return fmt.Errorf("core: invalid toggle %s", data)
-	}
-	v, err := ParseToggle(s)
+// UnmarshalText decodes a toggle name ("auto", "on", "off").
+func (t *Toggle) UnmarshalText(b []byte) error {
+	v, err := ParseToggle(string(b))
 	if err != nil {
 		return err
 	}
@@ -140,23 +60,28 @@ func (t *Toggle) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// SearchOptions consolidates every branch-and-bound search knob into
-// one embeddable group, serialized as the "search" object of the wire
-// form. The legacy flat fields of Options (Parallelism,
-// ParallelThreshold, Branch) keep working: EffectiveSearch merges the
-// two, with explicit SearchOptions fields winning over the flat ones.
+// SearchOptions groups every branch-and-bound search knob, serialized
+// as the "search" object of the wire form. It is the only place these
+// knobs are set; the zero value is the paper's serial search.
 type SearchOptions struct {
-	// Parallelism is the worker count; see Options.Parallelism. 0
-	// inherits the flat field (which itself defaults to serial).
+	// Parallelism sets the number of branch-and-bound workers
+	// (milp.Options.Parallelism). 0 or 1 keeps the serial,
+	// deterministic search; higher values spread the tree across that
+	// many goroutines over cloned LP solvers with a shared incumbent.
+	// The optimum and its feasibility are identical either way — only
+	// node/pivot counts and runtime change.
 	Parallelism int `json:"parallelism,omitempty"`
-	// Threshold gates parallel modes by root size; see
-	// Options.ParallelThreshold. 0 inherits the flat field.
+	// Threshold gates Parallelism behind the root-size estimate of
+	// milp.Options.ParallelThreshold: instances whose root tableau
+	// falls under it run serially even when Parallelism > 1 (the
+	// decision is emitted as a "plan" trace event). 0 applies
+	// milp.DefaultParallelThreshold; negative disables the gate.
 	Threshold int `json:"threshold,omitempty"`
 	// Mode picks serial, work-stealing or portfolio search; auto (the
 	// zero value) lets the size gate decide.
-	Mode SearchMode `json:"mode,omitempty"`
-	// Branch selects the branching rule; the zero value (the paper's
-	// rule, BranchPaper) inherits the flat Options.Branch.
+	Mode milp.SearchMode `json:"mode,omitempty"`
+	// Branch selects the branching rule; the zero value is the paper's
+	// rule, BranchPaper.
 	Branch BranchRule `json:"branch,omitempty"`
 	// Cuts controls root-node cut strengthening (Gomory + cover cuts).
 	// Auto enables it for parallel searches.
@@ -171,7 +96,7 @@ func (s SearchOptions) Validate() error {
 	if s.Parallelism < 0 {
 		return fmt.Errorf("core: negative search parallelism %d", s.Parallelism)
 	}
-	if s.Mode < SearchAuto || s.Mode > SearchPortfolio {
+	if s.Mode < milp.ModeAuto || s.Mode > milp.ModePortfolio {
 		return fmt.Errorf("core: unknown search mode %d", s.Mode)
 	}
 	if s.Branch < BranchPaper || s.Branch > BranchMostFrac {
@@ -184,39 +109,4 @@ func (s SearchOptions) Validate() error {
 		return fmt.Errorf("core: unknown dive toggle %d", s.Dive)
 	}
 	return nil
-}
-
-// EffectiveSearch resolves the final search configuration: the legacy
-// flat fields (Parallelism, ParallelThreshold, Branch) seed the
-// result, then any explicitly-set field of Options.Search overrides
-// its flat counterpart. A zero SearchOptions field means "inherit the
-// flat knob", so existing callers and stored request bodies keep their
-// exact behavior.
-func (o Options) EffectiveSearch() SearchOptions {
-	eff := SearchOptions{
-		Parallelism: o.Parallelism,
-		Threshold:   o.ParallelThreshold,
-		Branch:      o.Branch,
-	}
-	if s := o.Search; s != nil {
-		if s.Parallelism != 0 {
-			eff.Parallelism = s.Parallelism
-		}
-		if s.Threshold != 0 {
-			eff.Threshold = s.Threshold
-		}
-		if s.Mode != SearchAuto {
-			eff.Mode = s.Mode
-		}
-		if s.Branch != BranchPaper {
-			eff.Branch = s.Branch
-		}
-		if s.Cuts != ToggleAuto {
-			eff.Cuts = s.Cuts
-		}
-		if s.Dive != ToggleAuto {
-			eff.Dive = s.Dive
-		}
-	}
-	return eff
 }

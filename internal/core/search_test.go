@@ -3,65 +3,16 @@ package core
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/milp"
 )
 
-// TestEffectiveSearchLegacyMapping pins the backward-compatibility
-// contract: the legacy flat knobs and the consolidated search object
-// resolve to the same effective configuration, and explicit search
-// fields win over flat ones.
-func TestEffectiveSearchLegacyMapping(t *testing.T) {
-	cases := []struct {
-		name string
-		opt  Options
-		want SearchOptions
-	}{
-		{
-			name: "zero options stay serial-auto",
-			opt:  Options{},
-			want: SearchOptions{},
-		},
-		{
-			name: "flat fields seed the effective search",
-			opt:  Options{Parallelism: 4, ParallelThreshold: -1, Branch: BranchMostFrac},
-			want: SearchOptions{Parallelism: 4, Threshold: -1, Branch: BranchMostFrac},
-		},
-		{
-			name: "search object alone",
-			opt: Options{Search: &SearchOptions{
-				Parallelism: 3, Mode: SearchPortfolio, Cuts: ToggleOn, Dive: ToggleOff,
-			}},
-			want: SearchOptions{Parallelism: 3, Mode: SearchPortfolio, Cuts: ToggleOn, Dive: ToggleOff},
-		},
-		{
-			name: "search overrides flat where set, inherits where zero",
-			opt: Options{
-				Parallelism: 2, ParallelThreshold: 500, Branch: BranchFirstFrac,
-				Search: &SearchOptions{Parallelism: 8, Mode: SearchSteal},
-			},
-			want: SearchOptions{Parallelism: 8, Threshold: 500, Mode: SearchSteal, Branch: BranchFirstFrac},
-		},
-		{
-			name: "empty search object inherits every flat field",
-			opt: Options{
-				Parallelism: 6, ParallelThreshold: 42, Branch: BranchMostFrac,
-				Search: &SearchOptions{},
-			},
-			want: SearchOptions{Parallelism: 6, Threshold: 42, Branch: BranchMostFrac},
-		},
-	}
-	for _, tc := range cases {
-		if got := tc.opt.EffectiveSearch(); got != tc.want {
-			t.Errorf("%s: EffectiveSearch() = %+v, want %+v", tc.name, got, tc.want)
-		}
-	}
-}
-
 // TestSearchOptionsJSONRoundTrip: the wire form serializes enums by
-// name and omits zero fields, and both names and numeric enum values
-// decode.
+// name and omits zero fields, names decode, and numeric enum values
+// are rejected.
 func TestSearchOptionsJSONRoundTrip(t *testing.T) {
-	opt := Options{N: 2, Search: &SearchOptions{
-		Parallelism: 4, Mode: SearchSteal, Branch: BranchMostFrac,
+	opt := Options{N: 2, Search: SearchOptions{
+		Parallelism: 4, Mode: milp.ModeSteal, Branch: BranchMostFrac,
 		Cuts: ToggleOn, Dive: ToggleOff,
 	}}
 	b, err := json.Marshal(opt)
@@ -76,25 +27,30 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Search == nil || *back.Search != *opt.Search {
+	if back.Search != opt.Search {
 		t.Fatalf("round trip = %+v, want %+v", back.Search, opt.Search)
 	}
-	// names and numerics both decode
 	var fromNames SearchOptions
 	if err := json.Unmarshal([]byte(`{"mode":"portfolio","cuts":"off","dive":"auto"}`), &fromNames); err != nil {
 		t.Fatal(err)
 	}
-	if fromNames.Mode != SearchPortfolio || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
+	if fromNames.Mode != milp.ModePortfolio || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
 		t.Fatalf("name decode = %+v", fromNames)
 	}
-	var fromNums SearchOptions
-	if err := json.Unmarshal([]byte(`{"mode":2,"cuts":1}`), &fromNums); err != nil {
-		t.Fatal(err)
+	// each enum has one spelling: its name
+	for _, body := range []string{
+		`{"search":{"mode":2}}`,
+		`{"search":{"branch":1}}`,
+		`{"search":{"cuts":1}}`,
+		`{"search":{"dive":2}}`,
+		`{"linearization":1}`,
+	} {
+		var o Options
+		if err := json.Unmarshal([]byte(body), &o); err == nil {
+			t.Errorf("numeric enum %s decoded to %+v", body, o)
+		}
 	}
-	if fromNums.Mode != SearchSteal || fromNums.Cuts != ToggleOn {
-		t.Fatalf("numeric decode = %+v", fromNums)
-	}
-	if _, err := ParseSearchMode("warp"); err == nil {
+	if _, err := milp.ParseSearchMode("warp"); err == nil {
 		t.Fatal("ParseSearchMode accepted garbage")
 	}
 	if _, err := ParseToggle("maybe"); err == nil {
@@ -105,20 +61,20 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 // TestSearchOptionsValidate: Options.Validate must reject out-of-range
 // search fields through the embedded group.
 func TestSearchOptionsValidate(t *testing.T) {
-	good := Options{Search: &SearchOptions{Parallelism: 2, Mode: SearchPortfolio}}
+	good := Options{Search: SearchOptions{Parallelism: 2, Mode: milp.ModePortfolio}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid search options rejected: %v", err)
 	}
 	bad := []Options{
-		{Search: &SearchOptions{Parallelism: -1}},
-		{Search: &SearchOptions{Mode: SearchMode(99)}},
-		{Search: &SearchOptions{Branch: BranchRule(7)}},
-		{Search: &SearchOptions{Cuts: Toggle(5)}},
-		{Search: &SearchOptions{Dive: Toggle(-2)}},
+		{Search: SearchOptions{Parallelism: -1}},
+		{Search: SearchOptions{Mode: milp.SearchMode(99)}},
+		{Search: SearchOptions{Branch: BranchRule(7)}},
+		{Search: SearchOptions{Cuts: Toggle(5)}},
+		{Search: SearchOptions{Dive: Toggle(-2)}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: invalid search options %+v passed Validate", i, *o.Search)
+			t.Errorf("case %d: invalid search options %+v passed Validate", i, o.Search)
 		}
 	}
 }

@@ -102,9 +102,9 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	// ever branches on them.
 	decision := append(append(append([]int{}, m.tierY...), m.tierU...), m.tierX...)
 	sort.Ints(decision)
-	eff := m.Opt.EffectiveSearch()
+	search := m.Opt.Search
 	var brancher milp.Brancher
-	switch eff.Branch {
+	switch search.Branch {
 	case BranchFirstFrac:
 		brancher = milp.FirstFractional(decision)
 	case BranchMostFrac:
@@ -132,9 +132,9 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		MaxNodes:          m.Opt.MaxNodes,
 		TimeLimit:         m.Opt.TimeLimit,
 		Complete:          m.complete,
-		Parallelism:       eff.Parallelism,
-		ParallelThreshold: eff.Threshold,
-		Mode:              searchModeToMILP(eff.Mode),
+		Parallelism:       search.Parallelism,
+		ParallelThreshold: search.Threshold,
+		Mode:              search.Mode,
 		Trace:             m.Opt.Trace,
 		Record:            m.Opt.Record,
 		Profile:           m.Opt.Profile,
@@ -150,9 +150,9 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	// exist to shrink the shared tree and seed the shared incumbent,
 	// and keeping serial solves bit-identical to the paper's algorithm
 	// matters more than a marginal serial speedup).
-	autoStrength := eff.Parallelism > 1 && eff.Mode != SearchSerial && m.warm == nil
-	mopt.RootCuts = eff.Cuts == ToggleOn || (eff.Cuts == ToggleAuto && autoStrength)
-	mopt.Dive = eff.Dive == ToggleOn || (eff.Dive == ToggleAuto && autoStrength)
+	autoStrength := search.Parallelism > 1 && search.Mode != milp.ModeSerial && m.warm == nil
+	mopt.RootCuts = search.Cuts == ToggleOn || (search.Cuts == ToggleAuto && autoStrength)
+	mopt.Dive = search.Dive == ToggleOn || (search.Dive == ToggleAuto && autoStrength)
 	if !m.Opt.DisableProbe {
 		mopt.Probe = m.probe
 	}
@@ -278,22 +278,6 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	}
 	out.Solution = sol
 	return out, nil
-}
-
-// searchModeToMILP maps the wire-form search mode onto the solver's
-// own enum; the two are kept separate so the service API never leaks
-// milp internals.
-func searchModeToMILP(m SearchMode) milp.SearchMode {
-	switch m {
-	case SearchSerial:
-		return milp.ModeSerial
-	case SearchSteal:
-		return milp.ModeSteal
-	case SearchPortfolio:
-		return milp.ModePortfolio
-	default:
-		return milp.ModeAuto
-	}
 }
 
 // solveCtx returns the context of the running SolveContext, or a

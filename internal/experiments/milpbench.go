@@ -14,6 +14,7 @@ import (
 	"repro/internal/benchmarks"
 	"repro/internal/core"
 	"repro/internal/library"
+	"repro/internal/milp"
 )
 
 // MILPBenchEntry is one named instance of the parallel-search suite.
@@ -130,12 +131,11 @@ func MILPBench() ([]MILPBenchEntry, error) {
 // a gated fallback would silently benchmark serial against serial.
 func runMILPEntry(e MILPBenchEntry, parallelism int) (MILPRunStats, error) {
 	opt := e.Opt
-	opt.Parallelism = parallelism
 	if parallelism > 1 {
-		opt.Search = &core.SearchOptions{
+		opt.Search = core.SearchOptions{
 			Parallelism: parallelism,
 			Threshold:   -1,
-			Mode:        core.SearchSteal,
+			Mode:        milp.ModeSteal,
 			Cuts:        core.ToggleOn,
 			Dive:        core.ToggleOn,
 		}

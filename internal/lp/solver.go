@@ -122,13 +122,13 @@ type Solver struct {
 	m    int // rows
 	ntot int // n + m (structural + logical)
 
-	c      []float64 // costs, logical costs are 0
-	lo, hi []float64 // current bounds, logical bounds encode row ranges
-	tab    []float64 // dense engine: m x ntot tableau, row-major B^{-1}A; nil on revised
+	c      []float64     // costs, logical costs are 0
+	lo, hi []float64     // current bounds, logical bounds encode row ranges
+	tab    []float64     // dense engine: m x ntot tableau, row-major B^{-1}A; nil on revised
 	rev    *revisedState // revised engine: sparse columns + LU basis; nil on dense
-	beta   []float64 // values of basic variables per row
-	basis  []int     // variable basic in each row
-	inRow  []int     // row of a basic variable, -1 if nonbasic
+	beta   []float64     // values of basic variables per row
+	basis  []int         // variable basic in each row
+	inRow  []int         // row of a basic variable, -1 if nonbasic
 	vstat  []varStatus
 	nbVal  []float64 // value of nonbasic variables
 	d      []float64 // reduced costs

@@ -112,6 +112,36 @@ func (m SearchMode) String() string {
 	}
 }
 
+// ParseSearchMode parses a search-mode name; "" means auto.
+func ParseSearchMode(s string) (SearchMode, error) {
+	switch s {
+	case "", "auto":
+		return ModeAuto, nil
+	case "serial":
+		return ModeSerial, nil
+	case "steal":
+		return ModeSteal, nil
+	case "portfolio":
+		return ModePortfolio, nil
+	}
+	return 0, fmt.Errorf("milp: unknown search mode %q (want auto, serial, steal or portfolio)", s)
+}
+
+// MarshalText encodes the search mode by name.
+func (m SearchMode) MarshalText() ([]byte, error) {
+	return []byte(m.String()), nil
+}
+
+// UnmarshalText decodes a search-mode name.
+func (m *SearchMode) UnmarshalText(b []byte) error {
+	v, err := ParseSearchMode(string(b))
+	if err != nil {
+		return err
+	}
+	*m = v
+	return nil
+}
+
 // Brancher selects the variable to branch on. x is the structural LP
 // solution of the current node and bound reports the node's current
 // variable bounds. It returns the column to branch on and whether the

@@ -58,16 +58,14 @@ package service
 // 429 with a Retry-After header and a typed code (rate_limited,
 // queue_full); request bodies beyond Config.MaxBodyBytes
 // are a typed 413. 503 is reserved for a service that is shutting
-// down.
+// down. Bodies decode strictly: an unknown field is a 400 bad_request.
 //
-// The pre-versioning aliases (/solve, /jobs, /jobs/{id}, the JSON
-// /metrics) served through several deprecation cycles with
-// "Deprecation: true" headers and successor-version Links; they are
-// now gone — requests to them get the typed 404 envelope whose message
-// names the /v1 successor. The one survivor is GET /healthz: liveness
-// probes are wired into infrastructure outside the API's versioning
-// (load balancers, container runtimes), so the unversioned path stays
-// as a permanent alias of /v1/healthz.
+// Removed names answer with the code "gone" and a message naming the
+// successor: a 404 for the pre-versioning paths (/solve, /jobs,
+// /jobs/{id}, the JSON /metrics), a 400 for the removed options. The
+// one unversioned survivor is GET /healthz: liveness probes are wired
+// into infrastructure outside the API's versioning (load balancers,
+// container runtimes), so it stays as a permanent alias of /v1/healthz.
 //
 // Only net/http and encoding/json; no external dependencies.
 
@@ -482,22 +480,40 @@ func (a *api) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, b
 	return &req, true
 }
 
-// decodeJSON decodes a request body under the configured size cap.
-// Oversized bodies get the typed 413 envelope; the cap also protects
-// the connection (MaxBytesReader closes it when the limit trips, so a
-// huge upload is not drained for keep-alive).
+// removedOptions maps each option name removed from the wire form to
+// its successor, which the "gone" 400 names for an old client.
+var removedOptions = map[string]string{
+	"parallelism":        "options.search.parallelism",
+	"parallel_threshold": "options.search.threshold",
+	"branch":             "options.search.branch",
+	"fortet":             "options.linearization",
+}
+
+// decodeJSON decodes a request body under the configured size cap,
+// rejecting unknown fields. Oversized bodies get the typed 413
+// envelope; the cap also protects the connection (MaxBytesReader
+// closes it when the limit trips, so a huge upload is not drained for
+// keep-alive).
 func (a *api) decodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool {
 	if limit := a.s.cfg.MaxBodyBytes; limit > 0 {
 		r.Body = http.MaxBytesReader(w, r.Body, limit)
 	}
-	if err := json.NewDecoder(r.Body).Decode(v); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "body_too_large",
 				fmt.Sprintf("decoding %s: body exceeds the %d-byte limit", what, mbe.Limit))
 			return false
 		}
-		writeError(w, http.StatusBadRequest, "bad_request", fmt.Sprintf("decoding %s: %v", what, err))
+		code, msg := "bad_request", fmt.Sprintf("decoding %s: %v", what, err)
+		// encoding/json names an unknown field only in its message
+		var name string
+		if _, serr := fmt.Sscanf(err.Error(), "json: unknown field %q", &name); serr == nil && removedOptions[name] != "" {
+			code, msg = "gone", fmt.Sprintf("decoding %s: option %q was removed; use %s", what, name, removedOptions[name])
+		}
+		writeError(w, http.StatusBadRequest, code, msg)
 		return false
 	}
 	return true

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -322,6 +323,88 @@ func TestRemovedAliases(t *testing.T) {
 		}
 		if !strings.Contains(string(b), `"ok"`) {
 			t.Errorf("GET %s: body %s", path, b)
+		}
+	}
+}
+
+// TestRemovedOptionSpellings checks strict decoding on all five body
+// decoders (solve, jobs, batch items, amend, sweep): a removed option
+// name is a 400 "gone" naming its successor, a misspelled field — in
+// the options or inside an object device — and a numeric enum are 400
+// bad_request, and the option set of the CI introspection step still
+// decodes.
+func TestRemovedOptionSpellings(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	var base JobInfo
+	postV1(t, ts.URL+"/v1/solve", fastRequest(), http.StatusOK, &base)
+	r := fastRequest()
+	spec, err := json.Marshal(map[string]any{"graph": r.Graph, "allocation": r.Allocation})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// each path embeds the spec fields, one options object and one
+	// device object
+	paths := []struct {
+		name, url string
+		accepted  int
+		body      string
+	}{
+		{"solve", "/v1/solve", http.StatusOK,
+			`{%[1]s,"device":%[3]s,"options":%[2]s}`},
+		{"jobs", "/v1/jobs", http.StatusAccepted,
+			`{%[1]s,"device":%[3]s,"options":%[2]s}`},
+		{"batch", "/v1/batch", http.StatusAccepted,
+			`{"items":[{%[1]s,"device":%[3]s,"options":%[2]s}]}`},
+		{"amend", "/v1/jobs/" + base.ID + "/amend", http.StatusAccepted,
+			`{"device":%[3]s,"options":%[2]s}`},
+		{"sweep", "/v1/sweep", http.StatusOK,
+			`{%[1]s,"device":%[3]s,"options":%[2]s,"sweep":{"alpha":[0.9]}}`},
+	}
+	const dev = `{"name":"xc4010"}`
+	cases := []struct {
+		name, options, device string
+		// code "" expects the path's success status; otherwise a 400
+		// whose message mentions the given name
+		code, mentions string
+	}{
+		{"parallelism", `{"n":2,"l":2,"parallelism":4}`, dev, "gone", "options.search.parallelism"},
+		{"parallel_threshold", `{"n":2,"l":2,"parallel_threshold":-1}`, dev, "gone", "options.search.threshold"},
+		{"branch", `{"n":2,"l":2,"branch":"most-fractional"}`, dev, "gone", "options.search.branch"},
+		{"fortet", `{"n":2,"l":2,"fortet":true}`, dev, "gone", "options.linearization"},
+		{"misspelled option", `{"n":2,"l":2,"tightend":true}`, dev, "bad_request", "tightend"},
+		{"misspelled device field", `{"n":2,"l":2}`, `{"capcity_fg":300}`, "bad_request", "capcity_fg"},
+		{"numeric enum", `{"n":2,"l":2,"search":{"mode":2}}`, dev, "bad_request", "mode"},
+		{"ci introspection body",
+			`{"n":2,"l":2,"base":true,"disable_probe":true,"search":{"parallelism":4},"time_limit_ms":60000}`,
+			dev, "", ""},
+	}
+	for _, p := range paths {
+		for _, tc := range cases {
+			body := fmt.Sprintf(p.body, spec[1:len(spec)-1], tc.options, tc.device)
+			resp, err := http.Post(ts.URL+p.url, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.code == "" {
+				if resp.StatusCode != p.accepted {
+					t.Errorf("%s %s: status %d, want %d: %s", p.name, tc.name, resp.StatusCode, p.accepted, b)
+				}
+				continue
+			}
+			var e errorEnvelope
+			if err := json.Unmarshal(b, &e); err != nil || resp.StatusCode != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400 envelope: %s", p.name, tc.name, resp.StatusCode, b)
+				continue
+			}
+			if e.Error.Code != tc.code || !strings.Contains(e.Error.Message, tc.mentions) {
+				t.Errorf("%s %s: %s %q, want code %s naming %s", p.name, tc.name,
+					e.Error.Code, e.Error.Message, tc.code, tc.mentions)
+			}
 		}
 	}
 }

@@ -30,7 +30,7 @@ func TestBlackboxPanicE2E(t *testing.T) {
 		Workers: 1,
 		InjectFault: func(op *core.Options) {
 			op.PanicNode = 3
-			op.Parallelism = 4
+			op.Search.Parallelism = 4
 		},
 	})
 
@@ -87,7 +87,7 @@ func TestDebugSolvesLiveE2E(t *testing.T) {
 		Workers: 1,
 		InjectFault: func(op *core.Options) {
 			op.NodeDelay = 3 * time.Millisecond
-			op.Parallelism = 4
+			op.Search.Parallelism = 4
 		},
 	})
 

@@ -5,6 +5,7 @@ package service
 // options, compiled into a core.Instance plus a canonical cache key.
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -63,7 +64,9 @@ func (d *DeviceSpec) UnmarshalJSON(b []byte) error {
 		return json.Unmarshal(b, &d.Name)
 	}
 	type raw DeviceSpec
-	return json.Unmarshal(b, (*raw)(d))
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	return dec.Decode((*raw)(d))
 }
 
 func (d DeviceSpec) resolve() (library.Device, error) {
@@ -90,17 +93,15 @@ func (d DeviceSpec) resolve() (library.Device, error) {
 
 // SolveOptions is the JSON view of core.Options: the canonical option
 // struct is embedded verbatim — its JSON tags define the wire names
-// (n, l, linearization, tightened, ...) — plus the service-level
-// conveniences that have no core field. The service historically
+// (n, l, linearization, tightened, search, ...) — plus the
+// service-level fields that have no core counterpart. The service
 // defaults to the tightened model, so absent both "tightened" and
 // "base" the cuts are on; "base": true turns them off; an explicit
-// "tightened": true always wins.
+// "tightened": true always wins. The HTTP API rejects unknown and
+// removed names (see removedOptions).
 type SolveOptions struct {
 	core.Options
 
-	// Fortet selects Fortet's linearization instead of Glover's; a
-	// legacy shorthand for "linearization": "fortet".
-	Fortet bool `json:"fortet,omitempty"`
 	// Base disables the Section-6 tightening cuts (the untightened
 	// Table-1 model).
 	Base bool `json:"base,omitempty"`
@@ -228,18 +229,23 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 	opt.PanicNode = 0
 	opt.NodeDelay = 0
 	opt.Tightened = opt.Tightened || !r.Options.Base
-	if r.Options.Fortet {
-		opt.Linearization = core.LinFortet
-	}
 	opt.TimeLimit = defaultTimeout
 	if r.Options.TimeLimitMS > 0 {
 		opt.TimeLimit = time.Duration(r.Options.TimeLimitMS) * time.Millisecond
 	}
-	if opt.Parallelism == 0 {
-		opt.Parallelism = defaultParallelism
+	if opt.Search.Parallelism == 0 {
+		opt.Search.Parallelism = defaultParallelism
 	}
 	if err := opt.Validate(); err != nil {
 		return nil, err
+	}
+	// one key per solve: "auto" is the default engine, a full cut mask
+	// is the zero mask, and an untightened model emits no cut at all
+	if opt.LPEngine == "auto" {
+		opt.LPEngine = ""
+	}
+	if opt.Cuts == core.CutsAll || !opt.Tightened {
+		opt.Cuts = 0
 	}
 	ci := &instance{
 		inst:   core.Instance{Graph: g, Alloc: alloc, Device: dev},
@@ -257,37 +263,21 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 // canonicalKey hashes the full instance identity — graph, exploration
 // set, device parameters (N, L, Ms, C, alpha) and solver options —
 // over canonical serializations, so textual variations of the same
-// request (whitespace, map order) collapse to one key. The search
-// knobs are folded through EffectiveSearch first, so the legacy flat
-// spelling and the options.search spelling of one configuration share
-// a cache entry. Parallelism and Threshold are deliberately excluded:
-// a parallel solve returns the same result as a serial one, so
-// requests differing only in worker count or gating deduplicate. The
-// mode, branch rule and strengthening toggles stay in the key — they
-// cannot change the optimum, but they can change which of several
-// tied optimal assignments is reported.
+// request (whitespace, map order) collapse to one key. opt comes from
+// compile, which has already cleared the per-job hooks. The search
+// worker count and gate threshold are deliberately excluded: a
+// parallel solve returns the same result as a serial one, so requests
+// differing only in worker count or gating deduplicate. The mode,
+// branch rule and strengthening toggles stay in the key — they cannot
+// change the optimum, but they can change which of several tied
+// optimal assignments is reported.
 func canonicalKey(g *graph.Graph, alloc *library.Allocation, dev library.Device, opt core.Options) string {
-	eff := opt.EffectiveSearch()
-	eff.Parallelism = 0
-	eff.Threshold = 0
-	opt.Search = nil // a pointer: %+v would hash its address
-	opt.Parallelism = 0
-	opt.ParallelThreshold = 0
-	opt.Branch = eff.Branch
-	// per-job observability must not perturb the identity
-	opt.Trace = nil
-	opt.Record = nil
-	opt.Profile = nil
-	opt.Span = nil
-	opt.BlackBox = nil
-	opt.Status = nil
-	opt.PanicNode = 0
-	opt.NodeDelay = 0
+	opt.Search.Parallelism = 0
+	opt.Search.Threshold = 0
 	h := sha256.New()
 	fmt.Fprintf(h, "graph:%s\n", g.String())
 	fmt.Fprintf(h, "alloc:%s\n", alloc.String())
 	fmt.Fprintf(h, "device:%s|%d|%g|%d\n", dev.Name, dev.CapacityFG, dev.Alpha, dev.ScratchMem)
 	fmt.Fprintf(h, "options:%+v\n", opt)
-	fmt.Fprintf(h, "search:%+v\n", eff)
 	return hex.EncodeToString(h.Sum(nil))
 }

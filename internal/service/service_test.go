@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
+	"repro/internal/milp"
 	"repro/internal/randgraph"
 )
 
@@ -461,7 +462,7 @@ func TestCanonicalKeyIdentity(t *testing.T) {
 	// the same result, so requests differing only in worker count must
 	// share cache entries and singleflight groups.
 	f := fastRequest()
-	f.Options.Parallelism = 4
+	f.Options.Search.Parallelism = 4
 	fi, err := f.compile(time.Minute, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -469,28 +470,27 @@ func TestCanonicalKeyIdentity(t *testing.T) {
 	if fi.key != a.key {
 		t.Fatal("parallelism changed the cache key")
 	}
-	if fi.opt.Parallelism != 4 {
-		t.Fatalf("parallelism = %d, want 4", fi.opt.Parallelism)
+	if fi.opt.Search.Parallelism != 4 {
+		t.Fatalf("parallelism = %d, want 4", fi.opt.Search.Parallelism)
 	}
 	// the service default fills an unset request value
 	g, err := fastRequest().compile(time.Minute, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.opt.Parallelism != 3 {
-		t.Fatalf("default parallelism = %d, want 3", g.opt.Parallelism)
+	if g.opt.Search.Parallelism != 3 {
+		t.Fatalf("default parallelism = %d, want 3", g.opt.Search.Parallelism)
 	}
 	if g.key != a.key {
 		t.Fatal("default parallelism changed the cache key")
 	}
 }
 
-// TestCanonicalKeySearchOptions pins the consolidated search group's
-// cache semantics: the legacy flat spelling and the options.search
-// spelling of one configuration share a key, worker count and gate
-// threshold never enter the key no matter which spelling carries them,
-// and the knobs that can change the reported assignment (mode, branch,
-// cuts, dive) do split cache entries.
+// TestCanonicalKeySearchOptions pins the search group's cache
+// semantics — worker count and gate threshold never enter the key,
+// while the knobs that can change the reported assignment (mode,
+// branch, cuts, dive) do split cache entries — and the normalization
+// of equivalent option spellings onto one key.
 func TestCanonicalKeySearchOptions(t *testing.T) {
 	compile := func(mut func(*Request)) *instance {
 		t.Helper()
@@ -504,43 +504,57 @@ func TestCanonicalKeySearchOptions(t *testing.T) {
 	}
 	base := compile(func(*Request) {})
 
-	// the two spellings of the same branch rule collapse to one key
-	flat := compile(func(r *Request) { r.Options.Branch = core.BranchMostFrac })
-	grouped := compile(func(r *Request) {
-		r.Options.Search = &core.SearchOptions{Branch: core.BranchMostFrac}
-	})
-	if flat.key != grouped.key {
-		t.Fatal("flat and search spellings of the same branch rule hash differently")
-	}
-	if flat.key == base.key {
-		t.Fatal("branch rule absent from the cache key")
-	}
-
-	// parallelism and threshold are excluded regardless of spelling
+	// parallelism and threshold are excluded from the identity
 	par := compile(func(r *Request) {
-		r.Options.Search = &core.SearchOptions{Parallelism: 8, Threshold: -1}
+		r.Options.Search = core.SearchOptions{Parallelism: 8, Threshold: -1}
 	})
 	if par.key != base.key {
 		t.Fatal("search parallelism/threshold changed the cache key")
 	}
-	if par.opt.EffectiveSearch().Parallelism != 8 {
+	if par.opt.Search.Parallelism != 8 {
 		t.Fatal("search parallelism lost in compilation")
 	}
 
-	// mode and the strengthening toggles are part of the identity
+	// mode, branch rule and the strengthening toggles are part of it
 	for i, mut := range []func(*Request){
-		func(r *Request) { r.Options.Search = &core.SearchOptions{Mode: core.SearchPortfolio} },
-		func(r *Request) { r.Options.Search = &core.SearchOptions{Cuts: core.ToggleOn} },
-		func(r *Request) { r.Options.Search = &core.SearchOptions{Dive: core.ToggleOff} },
+		func(r *Request) { r.Options.Search = core.SearchOptions{Mode: milp.ModePortfolio} },
+		func(r *Request) { r.Options.Search = core.SearchOptions{Branch: core.BranchMostFrac} },
+		func(r *Request) { r.Options.Search = core.SearchOptions{Cuts: core.ToggleOn} },
+		func(r *Request) { r.Options.Search = core.SearchOptions{Dive: core.ToggleOff} },
 	} {
 		if ci := compile(mut); ci.key == base.key {
 			t.Errorf("case %d: search knob absent from the cache key", i)
 		}
 	}
 
+	// equivalent spellings of one solve share a key and a warm chain
+	untightened := func(r *Request) { r.Options.Base = true }
+	for _, tc := range []struct {
+		name   string
+		a, b   func(*Request)
+		differ bool
+	}{
+		{name: "lp_engine auto vs omitted",
+			a: func(r *Request) { r.Options.LPEngine = "auto" }, b: func(*Request) {}},
+		{name: "all cut families vs omitted",
+			a: func(r *Request) { r.Options.Cuts = core.CutsAll }, b: func(*Request) {}},
+		{name: "cut mask on an untightened model vs none",
+			a: func(r *Request) { untightened(r); r.Options.Cuts = core.Cut28 }, b: untightened},
+		{name: "a forced engine stays distinct", differ: true,
+			a: func(r *Request) { r.Options.LPEngine = "dense" }, b: func(*Request) {}},
+		{name: "a partial cut mask stays distinct", differ: true,
+			a: func(r *Request) { r.Options.Cuts = core.Cut28 }, b: func(*Request) {}},
+	} {
+		a, b := compile(tc.a), compile(tc.b)
+		if (a.key != b.key) != tc.differ || (a.chain != b.chain) != tc.differ {
+			t.Errorf("%s: keys differ = %v, chains differ = %v, want %v",
+				tc.name, a.key != b.key, a.chain != b.chain, tc.differ)
+		}
+	}
+
 	// an out-of-range search group is rejected at compile time
 	bad := fastRequest()
-	bad.Options.Search = &core.SearchOptions{Parallelism: -2}
+	bad.Options.Search = core.SearchOptions{Parallelism: -2}
 	if _, err := bad.compile(time.Minute, 0); err == nil {
 		t.Fatal("invalid search options compiled")
 	}

@@ -73,6 +73,44 @@ func TestFacadeConstants(t *testing.T) {
 	}
 }
 
+// TestFacadeSearchBranch sets a search knob through the facade: a
+// caller outside the module reaches it as Options.Search without
+// naming the internal type, and the branching rule changes the search
+// path, not the optimum.
+func TestFacadeSearchBranch(t *testing.T) {
+	g := repro.NewGraph("branch")
+	producer := g.AddTask("producer")
+	consumer := g.AddTask("consumer")
+	a := g.AddOp(producer, repro.OpAdd, "a")
+	m := g.AddOp(consumer, repro.OpMul, "m")
+	g.Connect(a, m, 3)
+	alloc, err := repro.PaperAllocation(repro.DefaultLibrary(), 1, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// too small for adder and multiplier together: the split costs 3
+	dev := repro.Device{Name: "tiny", CapacityFG: 100, Alpha: 1.0, ScratchMem: 16}
+	inst := repro.Instance{Graph: g, Alloc: alloc, Device: dev}
+	opt := repro.Options{N: 2, L: 1, Tightened: true, DisableProbe: true}
+	paper, err := repro.Solve(inst, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Search.Branch = repro.BranchMostFrac
+	most, err := repro.Solve(inst, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !paper.Optimal || !most.Optimal || !paper.Feasible || !most.Feasible {
+		t.Fatalf("paper rule feasible=%v optimal=%v, most-fractional feasible=%v optimal=%v",
+			paper.Feasible, paper.Optimal, most.Feasible, most.Optimal)
+	}
+	if paper.Solution.Comm != 3 || most.Solution.Comm != paper.Solution.Comm {
+		t.Fatalf("comm: paper rule %d, most-fractional %d, want 3 both",
+			paper.Solution.Comm, most.Solution.Comm)
+	}
+}
+
 // ExampleSolve demonstrates the minimal flow: build a two-task
 // specification, pick an exploration set, optimize, and inspect.
 func ExampleSolve() {
