@@ -140,10 +140,13 @@ func printSummary(rec *trace.Recording) {
 		}
 		fmt.Println(")")
 	}
-	if lp := rec.LP; lp != nil && lp.Engine != "" {
-		fmt.Printf("engine:    %s", lp.Engine)
+	if lp := rec.LP; lp != nil {
+		fmt.Print("lp:        ")
+		if lp.Engine != "" { // recordings from before the dense engine's removal
+			fmt.Printf("%s engine; ", lp.Engine)
+		}
+		fmt.Printf("%d factorizations", lp.Factorizations)
 		if lp.Factorizations > 0 {
-			fmt.Printf("; %d factorizations", lp.Factorizations)
 			if rec.Pivots > 0 {
 				fmt.Printf(" (every %.0f pivots)", float64(rec.Pivots)/float64(lp.Factorizations))
 			}

@@ -49,7 +49,7 @@ func main() {
 		timeout  = flag.Duration("timeout", 60*time.Second, "solver time limit (matches the tpserve default)")
 		parallel = flag.Int("parallel", 0, "branch-and-bound workers (0 or 1 = serial)")
 		mode     = flag.String("search-mode", "auto", "parallel search mode: auto, serial, steal or portfolio")
-		cuts     = flag.String("cuts", "auto", "root cut strengthening (Gomory + cover): auto, on or off")
+		cuts     = flag.String("cuts", "auto", "root cover-cut strengthening: auto, on or off")
 		dive     = flag.String("dive", "auto", "root diving heuristic for an early incumbent: auto, on or off")
 		traceOut = flag.String("trace", "", "stream solver events as NDJSON to this file (- for stderr)")
 		record   = flag.String("record", "", "capture the search tree as a flight recording to this file for cmd/tpreplay (gzipped when the name ends in .gz)")

@@ -113,14 +113,10 @@ func runBenchMILP(path, trajectory string, parallel int, minSpeedup float64) err
 	}
 	fmt.Printf("== benchmilp (GOMAXPROCS=%d, parallelism=%d)\n", rep.GOMAXPROCS, rep.Parallelism)
 	for _, e := range rep.Entries {
-		engine := e.Serial.Engine
-		if engine == "" {
-			engine = "?"
-		}
-		fmt.Printf("%-14s serial %8v %4d nodes %6d pivots (%7.0f piv/s, %5.0f ns/piv, %s) | %s %8v %4d nodes %6d pivots, %d steals, %d cuts, 1st inc @%d nodes/%.0fms | comm %2d | speedup %.2fx\n",
+		fmt.Printf("%-14s serial %8v %4d nodes %6d pivots (%7.0f piv/s, %5.0f ns/piv) | %s %8v %4d nodes %6d pivots, %d steals, %d cuts, 1st inc @%d nodes/%.0fms | comm %2d | speedup %.2fx\n",
 			e.Name,
 			time.Duration(e.Serial.NS).Round(time.Millisecond), e.Serial.Nodes, e.Serial.LPPivots,
-			e.Serial.PivotsPerSec, e.Serial.NSPerPivot, engine,
+			e.Serial.PivotsPerSec, e.Serial.NSPerPivot,
 			e.Parallel.Mode,
 			time.Duration(e.Parallel.NS).Round(time.Millisecond), e.Parallel.Nodes, e.Parallel.LPPivots,
 			e.Parallel.Steals, e.Parallel.Cuts, e.Parallel.FirstIncNodes, e.Parallel.FirstIncMS,

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/library"
-	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/trace"
 )
@@ -205,14 +204,6 @@ type Options struct {
 	// part of the wire form: the service expresses it as
 	// time_limit_ms so JSON clients never deal in nanoseconds.
 	TimeLimit time.Duration `json:"-"`
-	// LPEngine selects the LP engine for the branch-and-bound
-	// relaxations: "" or "auto" applies the density × size heuristic of
-	// lp.ChooseEngine (sparse revised simplex for large sparse models,
-	// dense tableau otherwise), "dense" and "revised" force either.
-	// Part of the wire form and the service cache key — the engines
-	// agree on verdicts (differentially fuzzed) but not on pivot counts
-	// or runtimes, so a forced-engine job is its own cache entry.
-	LPEngine string `json:"lp_engine,omitempty"`
 	// Search groups every branch-and-bound search knob (workers, gate
 	// threshold, mode, branching rule, root cuts, diving), serialized
 	// as options.search. The zero value is the paper's serial search.
@@ -278,9 +269,6 @@ func (o Options) Validate() error {
 	}
 	if o.TimeLimit < 0 {
 		return fmt.Errorf("core: negative time limit %v", o.TimeLimit)
-	}
-	if _, err := lp.ParseEngine(o.LPEngine); err != nil {
-		return err
 	}
 	return o.Search.Validate()
 }

@@ -83,7 +83,7 @@ type SearchOptions struct {
 	// Branch selects the branching rule; the zero value is the paper's
 	// rule, BranchPaper.
 	Branch BranchRule `json:"branch,omitempty"`
-	// Cuts controls root-node cut strengthening (Gomory + cover cuts).
+	// Cuts controls root-node cover-cut strengthening.
 	// Auto enables it for parallel searches.
 	Cuts Toggle `json:"cuts,omitempty"`
 	// Dive controls the root diving heuristic that seeds an early

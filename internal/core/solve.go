@@ -46,11 +46,6 @@ type Result struct {
 	// never enter the MILP and carry none). Already checked; see
 	// Certificate.Valid / Err().
 	Certificate *exact.Certificate
-	// LPEngine names the LP engine the branch-and-bound relaxations ran
-	// on ("dense" or "revised") — the resolution of Options.LPEngine's
-	// auto heuristic. Empty on paths that never enter the MILP search
-	// (exact-sweep early exit, presolve-proved infeasibility).
-	LPEngine string
 	// SearchMode names the branch-and-bound scheduling mode that
 	// actually ran ("serial", "steal" or "portfolio") — the resolution
 	// of the search options' auto mode and size gate. Empty on paths
@@ -59,8 +54,8 @@ type Result struct {
 	// Steals counts work-stealing transfers between workers (zero for
 	// serial and portfolio searches).
 	Steals int64
-	// CutsApplied is the number of root cutting planes (Gomory + cover)
-	// that survived separation and strengthened the root relaxation.
+	// CutsApplied is the number of root cover cuts that survived
+	// separation and strengthened the root relaxation.
 	CutsApplied int
 	// FirstIncumbentNodes is the node count at which the MILP search
 	// installed its first incumbent (0 when the root dive found it
@@ -119,13 +114,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		return &Result{Stats: m.Stats(), Optimal: true}, nil
 	}
 	presolveSpan.End()
-	// Validate rejected unknown names; "" resolves to lp.EngineAuto.
-	engine, err := lp.ParseEngine(m.Opt.LPEngine)
-	if err != nil {
-		return nil, err
-	}
 	mopt := milp.Options{
-		Engine:            engine,
 		IntVars:           m.intVars,
 		Brancher:          brancher,
 		ObjIntegral:       true,
@@ -232,7 +221,6 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		LPIterations:         sweepPivots + res.LPIterations,
 		Runtime:              time.Since(solveStart), // includes sweep/settle time
 		Certificate:          res.Certificate,
-		LPEngine:             res.LPEngine.String(),
 		SearchMode:           res.Mode.String(),
 		Steals:               res.Steals,
 		CutsApplied:          res.CutsApplied,

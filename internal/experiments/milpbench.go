@@ -26,15 +26,13 @@ type MILPBenchEntry struct {
 
 // MILPRunStats records one solve of a suite entry. PivotsPerSec and
 // NSPerPivot are the derived pivot-throughput numbers the trajectory
-// series tracks across engine changes; Engine names the LP engine the
-// run selected (dense tableau or sparse revised simplex).
+// series tracks across engine changes.
 type MILPRunStats struct {
 	NS           int64   `json:"ns"`
 	Nodes        int     `json:"nodes"`
 	LPPivots     int     `json:"lp_pivots"`
 	PivotsPerSec float64 `json:"pivots_per_sec,omitempty"`
 	NSPerPivot   float64 `json:"ns_per_pivot,omitempty"`
-	Engine       string  `json:"engine,omitempty"`
 	Comm         int     `json:"comm"`
 	Feasible     bool    `json:"feasible"`
 	Optimal      bool    `json:"optimal"`
@@ -149,7 +147,6 @@ func runMILPEntry(e MILPBenchEntry, parallelism int) (MILPRunStats, error) {
 		NS:            time.Since(start).Nanoseconds(),
 		Nodes:         res.Nodes,
 		LPPivots:      res.LPIterations,
-		Engine:        res.LPEngine,
 		Feasible:      res.Feasible,
 		Optimal:       res.Optimal,
 		Mode:          res.SearchMode,

@@ -22,13 +22,11 @@ type TrajectoryResult struct {
 	// alters the search tree shows here even when wall time hides it.
 	Nodes int `json:"nodes"`
 	// Pivots, PivotsPerSec and NSPerPivot track the serial run's simplex
-	// throughput — the numbers an LP-engine change (dense tableau vs
-	// sparse revised simplex) moves even when the tree is unchanged.
-	// Engine names the LP engine the serial run selected.
+	// throughput — the numbers an LP-engine change moves even when the
+	// tree is unchanged.
 	Pivots       int     `json:"pivots,omitempty"`
 	PivotsPerSec float64 `json:"pivots_per_sec,omitempty"`
 	NSPerPivot   float64 `json:"ns_per_pivot,omitempty"`
-	Engine       string  `json:"engine,omitempty"`
 }
 
 // SweepTrajectory distills one -sweepbench run: total warm-chained vs
@@ -106,7 +104,6 @@ func distillTrajectory(date string, rep MILPBenchReport) TrajectoryEntry {
 			Pivots:       r.Serial.LPPivots,
 			PivotsPerSec: r.Serial.PivotsPerSec,
 			NSPerPivot:   r.Serial.NSPerPivot,
-			Engine:       r.Serial.Engine,
 		})
 	}
 	return e
@@ -147,8 +144,11 @@ func AppendLoadTrajectory(path, date string, gomaxprocs int, load LoadTrajectory
 	})
 }
 
+// appendTrajectoryEntry keeps every past entry as the raw JSON it was
+// written as, so a field later dropped from TrajectoryEntry is not
+// erased from history by the next append.
 func appendTrajectoryEntry(path string, entry TrajectoryEntry) error {
-	var series []TrajectoryEntry
+	var series []json.RawMessage
 	raw, err := os.ReadFile(path)
 	switch {
 	case err == nil:
@@ -160,7 +160,11 @@ func appendTrajectoryEntry(path string, entry TrajectoryEntry) error {
 	default:
 		return err
 	}
-	series = append(series, entry)
+	next, err := json.Marshal(entry)
+	if err != nil {
+		return err
+	}
+	series = append(series, next)
 	out, err := json.MarshalIndent(series, "", "  ")
 	if err != nil {
 		return err

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -124,5 +125,49 @@ func TestAppendTrajectoryRejectsCorrupt(t *testing.T) {
 	raw, _ := os.ReadFile(path)
 	if string(raw) != "{not json" {
 		t.Fatalf("corrupt file was rewritten to %q", raw)
+	}
+}
+
+// TestAppendTrajectoryKeepsHistory: an append must leave every past
+// entry as it was written, including keys TrajectoryEntry no longer
+// declares — the ledger is history, not a re-encoding of it.
+func TestAppendTrajectoryKeepsHistory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "BENCH_trajectory.json")
+	old := `[
+  {
+    "date": "2026-08-08",
+    "gomaxprocs": 2,
+    "results": [
+      {
+        "name": "diffeq/N2L2",
+        "serial_ms": 41.5,
+        "parallel_ms": 40.25,
+        "speedup": 1.031,
+        "nodes": 7,
+        "engine": "revised"
+      }
+    ],
+    "retired": {
+      "kept": true
+    }
+  }
+]
+`
+	if err := os.WriteFile(path, []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := AppendTrajectory(path, "2026-10-17", trajectoryReport(2e9, 1e9)); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series []json.RawMessage
+	if err := json.Unmarshal(raw, &series); err != nil || len(series) != 2 {
+		t.Fatalf("series after append: %d entries, err %v\n%s", len(series), err, raw)
+	}
+	if want := strings.TrimSuffix(old, "\n]\n"); !strings.HasPrefix(string(raw), want) {
+		t.Fatalf("past entry rewritten:\n%s\nwant prefix:\n%s", raw, want)
 	}
 }

@@ -7,9 +7,9 @@ import (
 
 // CutRow is a valid inequality over the structural variables, destined
 // for Solver.AppendRows: Lo <= sum Val[k] * x[Idx[k]] <= Hi. The MILP
-// layer's root strengthening (knapsack covers, Gomory rounds) produces
-// these; they must be satisfied by every integer-feasible point of the
-// model they are appended to, or the search built on them is unsound.
+// layer's root strengthening (knapsack covers) produces these; they
+// must be satisfied by every integer-feasible point of the model they
+// are appended to, or the search built on them is unsound.
 type CutRow struct {
 	Name string
 	Idx  []int
@@ -29,10 +29,8 @@ type CutRow struct {
 // and the new logicals get reduced cost zero, so a previously
 // dual-feasible basis stays dual feasible and ReOptimize repairs any
 // primal violation of the new rows with the dual simplex — exactly the
-// bound-edit re-optimization pattern. On the dense engine the new
-// tableau rows are reduced against the current basis; the revised
-// engine rebuilds its column form and refactorizes lazily from the
-// extended basis.
+// bound-edit re-optimization pattern. The column form is rebuilt and
+// the extended basis refactorized lazily.
 //
 // The original row data is copied on append, so Clones sharing the old
 // row slice are unaffected. Snapshots taken before an append no longer
@@ -88,37 +86,6 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 	or = append(or, newRows...)
 	s.origRows = or
 
-	m2, ntot2 := s.m+k, s.ntot+k
-	if s.tab != nil {
-		nt := make([]float64, m2*ntot2)
-		for i := 0; i < s.m; i++ {
-			copy(nt[i*ntot2:i*ntot2+s.ntot], s.tab[i*s.ntot:(i+1)*s.ntot])
-		}
-		for j := range newRows {
-			tr := nt[(s.m+j)*ntot2 : (s.m+j+1)*ntot2]
-			for t, col := range newRows[j].idx {
-				tr[col] = newRows[j].val[t]
-			}
-			tr[s.ntot+j] = 1
-			// Reduce against the current basis so the row is a valid
-			// B^{-1}-transformed tableau row: basic columns must be zero.
-			for i := 0; i < s.m; i++ {
-				b := s.basis[i]
-				piv := tr[b]
-				if piv == 0 {
-					continue
-				}
-				br := nt[i*ntot2 : (i+1)*ntot2]
-				for q := 0; q < s.ntot; q++ {
-					if br[q] != 0 {
-						tr[q] -= piv * br[q]
-					}
-				}
-				tr[b] = 0
-			}
-		}
-		s.tab = nt
-	}
 	for j := range newRows {
 		// logical of new row m+j sits at column n+(m+j) = ntot+j, so all
 		// existing structural and logical column indices are unchanged
@@ -132,15 +99,13 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 		s.basis = append(s.basis, s.ntot+j)
 		s.beta = append(s.beta, gval[j])
 	}
-	s.m, s.ntot = m2, ntot2
-	if s.rev != nil {
-		rv := newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
-		for j := range rv.wts {
-			rv.wts[j] = 1 // devex frame reseeded for the new dimensions
-		}
-		rv.stale = true // factorize lazily from the extended basis
-		s.rev = rv
+	s.m, s.ntot = s.m+k, s.ntot+k
+	rv := newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
+	for j := range rv.wts {
+		rv.wts[j] = 1 // devex frame reseeded for the new dimensions
 	}
+	rv.stale = true // factorize lazily from the extended basis
+	s.rev = rv
 	s.status = StatusUnknown
 	s.pCand, s.dCand = s.pCand[:0], s.dCand[:0]
 	s.pCur, s.dCur = 0, 0

@@ -8,66 +8,64 @@ import (
 
 // TestAppendRowsMatchesColdSolve appends random extra rows to a solved
 // random LP and cross-checks the warm re-optimization against a cold
-// solve of the extended problem, on both engines.
+// solve of the extended problem.
 func TestAppendRowsMatchesColdSolve(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		p := randLP(seed)
 		rng := rand.New(rand.NewSource(seed ^ 0x5eed))
-		for _, eng := range []Engine{EngineDense, EngineRevised} {
-			s, err := NewSolverEngine(p, eng)
-			if err != nil {
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if s.Solve() != StatusOptimal {
+			continue
+		}
+		n := p.NumVars()
+		k := 1 + rng.Intn(3)
+		cuts := make([]CutRow, k)
+		pc := p.Clone()
+		for c := range cuts {
+			nz := 1 + rng.Intn(3)
+			if nz > n {
+				nz = n
+			}
+			idx := append([]int(nil), rng.Perm(n)[:nz]...)
+			for a := 1; a < len(idx); a++ {
+				for b := a; b > 0 && idx[b] < idx[b-1]; b-- {
+					idx[b], idx[b-1] = idx[b-1], idx[b]
+				}
+			}
+			val := make([]float64, nz)
+			for a := range val {
+				for val[a] == 0 {
+					val[a] = float64(rng.Intn(9)-4) / 2
+				}
+			}
+			rhs := float64(rng.Intn(41)-20) / 2
+			cuts[c] = CutRow{Name: "extra", Idx: idx, Val: val, Lo: math.Inf(-1), Hi: rhs}
+			if err := pc.AddRow("extra", idx, val, math.Inf(-1), rhs); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
-			if s.Solve() != StatusOptimal {
-				continue
+		}
+		if err := s.AppendRows(cuts); err != nil {
+			t.Fatalf("seed %d: AppendRows: %v", seed, err)
+		}
+		warmStatus := s.ReOptimize()
+		cold, err := NewSolver(pc)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		coldStatus := cold.Solve()
+		if warmStatus != coldStatus {
+			t.Fatalf("seed %d: warm append status %v, cold solve %v", seed, warmStatus, coldStatus)
+		}
+		if warmStatus == StatusOptimal {
+			zw, zc := s.Objective(), cold.Objective()
+			if math.Abs(zw-zc) > 1e-6*(1+math.Abs(zc)) {
+				t.Fatalf("seed %d: warm objective %v, cold %v", seed, zw, zc)
 			}
-			n := p.NumVars()
-			k := 1 + rng.Intn(3)
-			cuts := make([]CutRow, k)
-			pc := p.Clone()
-			for c := range cuts {
-				nz := 1 + rng.Intn(3)
-				if nz > n {
-					nz = n
-				}
-				idx := append([]int(nil), rng.Perm(n)[:nz]...)
-				for a := 1; a < len(idx); a++ {
-					for b := a; b > 0 && idx[b] < idx[b-1]; b-- {
-						idx[b], idx[b-1] = idx[b-1], idx[b]
-					}
-				}
-				val := make([]float64, nz)
-				for a := range val {
-					for val[a] == 0 {
-						val[a] = float64(rng.Intn(9)-4) / 2
-					}
-				}
-				rhs := float64(rng.Intn(41)-20) / 2
-				cuts[c] = CutRow{Name: "extra", Idx: idx, Val: val, Lo: math.Inf(-1), Hi: rhs}
-				if err := pc.AddRow("extra", idx, val, math.Inf(-1), rhs); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-			}
-			if err := s.AppendRows(cuts); err != nil {
-				t.Fatalf("seed %d engine %v: AppendRows: %v", seed, eng, err)
-			}
-			warmStatus := s.ReOptimize()
-			cold, err := NewSolverEngine(pc, eng)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			coldStatus := cold.Solve()
-			if warmStatus != coldStatus {
-				t.Fatalf("seed %d engine %v: warm append status %v, cold solve %v", seed, eng, warmStatus, coldStatus)
-			}
-			if warmStatus == StatusOptimal {
-				zw, zc := s.Objective(), cold.Objective()
-				if math.Abs(zw-zc) > 1e-6*(1+math.Abs(zc)) {
-					t.Fatalf("seed %d engine %v: warm objective %v, cold %v", seed, eng, zw, zc)
-				}
-				if err := pc.Feasible(s.Solution(), 1e-6); err != nil {
-					t.Fatalf("seed %d engine %v: warm solution infeasible: %v", seed, eng, err)
-				}
+			if err := pc.Feasible(s.Solution(), 1e-6); err != nil {
+				t.Fatalf("seed %d: warm solution infeasible: %v", seed, err)
 			}
 		}
 	}
@@ -103,97 +101,4 @@ func TestAppendRowsCloneIsolation(t *testing.T) {
 	if _, m := c.Dims(); m != p.NumRows() {
 		t.Fatalf("clone rows = %d, want %d", m, p.NumRows())
 	}
-}
-
-// randBinaryLP builds a random pure-binary minimization with negative
-// objective pressure and positive knapsack-style LE rows, the shape
-// that makes the LP relaxation fractional.
-func randBinaryLP(seed int64) (*Problem, []bool) {
-	rng := rand.New(rand.NewSource(seed))
-	n := 4 + rng.Intn(7) // <= 10: brute force is 2^n
-	p := &Problem{}
-	isInt := make([]bool, n)
-	for j := 0; j < n; j++ {
-		p.AddBinary("", -float64(1+rng.Intn(10)))
-		isInt[j] = true
-	}
-	m := 2 + rng.Intn(4)
-	for i := 0; i < m; i++ {
-		idx := make([]int, 0, n)
-		val := make([]float64, 0, n)
-		tot := 0
-		for j := 0; j < n; j++ {
-			if rng.Intn(2) == 0 {
-				continue
-			}
-			a := 1 + rng.Intn(7)
-			idx = append(idx, j)
-			val = append(val, float64(a))
-			tot += a
-		}
-		if len(idx) < 2 {
-			continue
-		}
-		rhs := 1 + rng.Intn(tot)
-		if err := p.AddLE("", idx, val, float64(rhs)); err != nil {
-			panic(err)
-		}
-	}
-	return p, isInt
-}
-
-// TestGomoryCutsValid brute-forces every 0-1 point of random binary
-// problems and asserts that each generated Gomory cut is satisfied by
-// every integer-feasible point — the soundness contract — and violated
-// by the fractional LP optimum it was separated from.
-func TestGomoryCutsValid(t *testing.T) {
-	cutsSeen := 0
-	for seed := int64(0); seed < 400; seed++ {
-		p, isInt := randBinaryLP(seed)
-		s, err := NewSolverEngine(p, EngineDense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Solve() != StatusOptimal {
-			continue
-		}
-		cuts := s.GomoryCuts(isInt, 8)
-		if len(cuts) == 0 {
-			continue
-		}
-		cutsSeen += len(cuts)
-		xstar := s.Solution()
-		for _, c := range cuts {
-			lhs := 0.0
-			for t2, j := range c.Idx {
-				lhs += c.Val[t2] * xstar[j]
-			}
-			if lhs >= c.Lo {
-				t.Errorf("seed %d: cut %s not violated by LP point (lhs %v >= lo %v)", seed, c.Name, lhs, c.Lo)
-			}
-		}
-		n := p.NumVars()
-		x := make([]float64, n)
-		for bits := 0; bits < 1<<n; bits++ {
-			for j := 0; j < n; j++ {
-				x[j] = float64((bits >> j) & 1)
-			}
-			if p.Feasible(x, 1e-9) != nil {
-				continue
-			}
-			for _, c := range cuts {
-				lhs := 0.0
-				for t2, j := range c.Idx {
-					lhs += c.Val[t2] * x[j]
-				}
-				if lhs < c.Lo-1e-6 {
-					t.Fatalf("seed %d: cut %s cuts off integer point %v (lhs %v < lo %v)", seed, c.Name, x, lhs, c.Lo)
-				}
-			}
-		}
-	}
-	if cutsSeen == 0 {
-		t.Fatal("no Gomory cuts generated across 400 seeds; generator is dead")
-	}
-	t.Logf("verified %d Gomory cuts by brute force", cutsSeen)
 }

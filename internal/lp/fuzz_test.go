@@ -8,16 +8,17 @@ import (
 	"repro/internal/exact"
 )
 
-// FuzzDifferential cross-checks the two simplex engines on random
-// sparse bounded-variable LPs: the dense tableau engine is the oracle
-// for the revised (LU + eta file) engine. The contract:
+// FuzzDifferential cross-checks the revised (LU + eta file) simplex
+// every solve runs against the dense-tableau reference on random sparse
+// bounded-variable LPs. The contract:
 //
 //   - statuses agree (optimal / infeasible / unbounded),
 //   - optimal objectives agree within feasTol (scaled),
 //   - each engine's verdict certifies under internal/exact — basis
 //     optimality (exact primal/dual feasibility + complementary
 //     slackness) for optimal, Farkas-ray replay for infeasible —
-//     so BOTH engines must be right, not merely agree.
+//     so BOTH engines must be right, not merely agree,
+//   - a warm re-solve after the same bound tightening agrees again.
 //
 // Crashers land under testdata/fuzz/FuzzDifferential. Run locally with
 //
@@ -153,11 +154,11 @@ func certifyOptimal(p *Problem, s *Solver) (bool, *exact.Certificate) {
 func checkEnginesAgree(t *testing.T, seed int64) {
 	t.Helper()
 	p := randLP(seed)
-	dense, err := NewSolverEngine(p, EngineDense)
+	dense, err := newDenseSolver(p)
 	if err != nil {
 		t.Fatalf("seed %d: dense: %v", seed, err)
 	}
-	revised, err := NewSolverEngine(p, EngineRevised)
+	revised, err := NewSolver(p)
 	if err != nil {
 		t.Fatalf("seed %d: revised: %v", seed, err)
 	}

@@ -1,5 +1,5 @@
-// Package lp implements a dense bounded-variable simplex solver for
-// linear programs of the form
+// Package lp implements a sparse revised bounded-variable simplex
+// solver for linear programs of the form
 //
 //	minimize   c·x
 //	subject to Lo_i <= a_i·x <= Hi_i   (range constraints)
@@ -10,10 +10,10 @@
 // solver in internal/milp is built on — the role lp_solve plays in
 // Kaul & Vemuri (DATE 1998).
 //
-// The implementation keeps a full dense tableau (basis inverse times
-// the constraint matrix). Model sizes in the reproduced paper peak
-// around 1.2k structural variables and a few thousand rows, where a
-// dense tableau is simple, predictable and fast enough.
+// The constraint matrix is kept in sparse column form and the basis as
+// a sparse LU factorization updated by an eta file (revised.go, lu.go).
+// A dense-tableau engine (simplex.go) survives only as the reference
+// the package's differential tests compare the revised engine against.
 package lp
 
 import (

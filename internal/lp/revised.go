@@ -7,10 +7,11 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the revised simplex engine: the same bounded-variable
-// primal/dual pivoting rules as simplex.go, but with the basis kept as
-// a sparse LU factorization (lu.go) instead of a dense tableau. The
-// quantities a pivot needs are recomputed on demand:
+// This file is the revised simplex engine every solve runs: the same
+// bounded-variable primal/dual pivoting rules as the dense reference in
+// simplex.go, but with the basis kept as a sparse LU factorization
+// (lu.go) instead of a dense tableau. The quantities a pivot needs are
+// recomputed on demand:
 //
 //	entering column  tab[:,q] = B^{-1} a_q      — one FTRAN
 //	pivot row        tab[r,:] = (B^{-T}e_r)^T A' — one BTRAN + row scatter
@@ -41,7 +42,6 @@ const maxEtas = 64
 const devexResetThresh = 1e12
 
 // revisedState carries everything the revised engine adds to a Solver.
-// The dense tableau s.tab is nil when this is non-nil.
 type revisedState struct {
 	a  *csc     // structural columns of A, immutable, shared by clones
 	lu *basisLU // factorized basis + eta file

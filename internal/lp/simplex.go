@@ -1,13 +1,10 @@
 package lp
 
-import (
-	"math"
-	"time"
+import "math"
 
-	"repro/internal/trace"
-)
-
-// This file contains the pivoting engines. Conventions:
+// This file holds the dense-tableau engine, kept as the reference the
+// revised engine is differentially tested against, and the pricing
+// and certification code both engines share. Conventions:
 //
 // The system is A'z = 0 where z = (x, g): every row i reads
 // a_i·x + g_i = 0 with the logical g_i bounded in [-Hi_i, -Lo_i].
@@ -18,30 +15,31 @@ import (
 // Reduced costs d are maintained incrementally across pivots and stay
 // exact up to roundoff: d_j = c_j - c_B^T tab[:,j].
 
+// newDenseSolver builds the dense-tableau reference solver for p. It
+// supports Solve, SetBound, SetRowBounds, ReOptimize and Farkas capture;
+// SetObj, Clone, Snapshot/Restore and AppendRows need the revised
+// engine.
+func newDenseSolver(p *Problem) (*Solver, error) {
+	s, err := newSolverState(p)
+	if err != nil {
+		return nil, err
+	}
+	s.tab = make([]float64, s.m*s.ntot)
+	s.reset()
+	return s, nil
+}
+
 // primalSimplex iterates while the basis is primal feasible, driving
 // reduced costs to dual feasibility. Entering rule: Dantzig (most
 // negative violation), falling back to Bland's rule after a run of
 // degenerate pivots.
 func (s *Solver) primalSimplex() Status {
 	limit := s.maxIter()
-	// Phase attribution: prof is hoisted so the loop gates each clock
-	// read on one pointer compare; tl is the running lap mark. With
-	// Prof nil the loop contains no time.Now calls and no allocation.
-	prof := s.Prof
-	var tl time.Time
 	for iter := 0; iter < limit; iter++ {
 		if s.expired(iter) {
 			return StatusIterLimit
 		}
-		if prof != nil {
-			tl = time.Now()
-		}
 		q := s.pricePrimal()
-		if prof != nil {
-			now := time.Now()
-			prof.Observe(trace.PhasePricing, now.Sub(tl).Nanoseconds())
-			tl = now
-		}
 		if q < 0 {
 			return StatusOptimal
 		}
@@ -50,11 +48,6 @@ func (s *Solver) primalSimplex() Status {
 			sigma = -1
 		}
 		leave, step, hitUpper, flip := s.ratioPrimal(q, sigma)
-		if prof != nil {
-			now := time.Now()
-			prof.Observe(trace.PhaseRatio, now.Sub(tl).Nanoseconds())
-			tl = now
-		}
 		if math.IsInf(step, 1) {
 			return StatusUnbounded
 		}
@@ -68,15 +61,9 @@ func (s *Solver) primalSimplex() Status {
 			} else {
 				s.vstat[q], s.nbVal[q] = atLower, s.lo[q]
 			}
-			if prof != nil {
-				prof.Observe(trace.PhaseUpdate, time.Since(tl).Nanoseconds())
-			}
 			continue
 		}
 		s.pivot(leave, q, sigma*step, hitUpper)
-		if prof != nil {
-			prof.Observe(trace.PhaseUpdate, time.Since(tl).Nanoseconds())
-		}
 	}
 	return StatusIterLimit
 }
@@ -253,39 +240,18 @@ func (s *Solver) ratioPrimal(q int, sigma float64) (leave int, step float64, hit
 // degeneracy).
 func (s *Solver) dualSimplex() Status {
 	limit := s.maxIter()
-	// same phase-attribution scheme as primalSimplex: one pointer
-	// compare per lap when profiling is off
-	prof := s.Prof
-	var tl time.Time
 	for iter := 0; iter < limit; iter++ {
 		if s.expired(iter) {
 			return StatusIterLimit
 		}
-		if prof != nil {
-			tl = time.Now()
-		}
 		r, below := s.priceDual()
-		if prof != nil {
-			now := time.Now()
-			prof.Observe(trace.PhasePricing, now.Sub(tl).Nanoseconds())
-			tl = now
-		}
 		if r < 0 {
 			return StatusOptimal // primal feasible; dual feasibility maintained
 		}
 		q := s.ratioDual(r, below)
-		if prof != nil {
-			now := time.Now()
-			prof.Observe(trace.PhaseRatio, now.Sub(tl).Nanoseconds())
-			tl = now
-		}
 		if q < 0 {
 			s.Counters.FarkasChecks++
-			certified := s.farkasCertified(r)
-			if prof != nil {
-				prof.Observe(trace.PhaseFarkas, time.Since(tl).Nanoseconds())
-			}
-			if certified {
+			if s.farkasCertified(r) {
 				return StatusInfeasible
 			}
 			s.Counters.FarkasRejected++
@@ -304,9 +270,6 @@ func (s *Solver) dualSimplex() Status {
 		s.Iterations++
 		s.noteDegenerate(math.Abs(delta))
 		s.pivot(r, q, delta, !below)
-		if prof != nil {
-			prof.Observe(trace.PhaseUpdate, time.Since(tl).Nanoseconds())
-		}
 	}
 	return StatusIterLimit
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -51,9 +50,9 @@ func (s Status) String() string {
 // struct, so keeping them always on costs nothing measurable and the
 // trace layer can report them without touching the hot paths.
 type Counters struct {
-	// Refactorizations counts rebuilds of the tableau from the original
-	// row data (initial factorization, Solve resets, and the
-	// certification-failure retries of optimize).
+	// Refactorizations counts resets to the all-logical basis (at
+	// construction, on Solve, and the certification-failure retries of
+	// optimize).
 	Refactorizations int64
 	// FarkasChecks counts infeasibility verdicts submitted to Farkas
 	// certification; FarkasRejected counts the ones that failed it and
@@ -65,7 +64,7 @@ type Counters struct {
 	// the cached candidate list without any window scan.
 	WindowScans   int64
 	CandidateHits int64
-	// Revised-engine counters; all stay zero on the dense engine.
+	// LU counters; all stay zero on the dense reference.
 	// Factorizations counts sparse LU (re)builds of the basis; FTRANs
 	// and BTRANs the forward/backward factor solves; EtaNNZ the
 	// product-form update entries appended over the lifetime (EtaNNZ /
@@ -124,8 +123,8 @@ type Solver struct {
 
 	c      []float64     // costs, logical costs are 0
 	lo, hi []float64     // current bounds, logical bounds encode row ranges
-	tab    []float64     // dense engine: m x ntot tableau, row-major B^{-1}A; nil on revised
-	rev    *revisedState // revised engine: sparse columns + LU basis; nil on dense
+	rev    *revisedState // sparse columns + LU basis; nil on the dense reference
+	tab    []float64     // dense reference only: m x ntot tableau, row-major B^{-1}A
 	beta   []float64     // values of basic variables per row
 	basis  []int         // variable basic in each row
 	inRow  []int         // row of a basic variable, -1 if nonbasic
@@ -160,15 +159,11 @@ type Solver struct {
 	// MaxIter bounds pivots per Solve/ReOptimize call; 0 means the
 	// default of max(20000, 200*(m+n)).
 	MaxIter int
-	// Deadline, when non-zero, aborts a Solve/ReOptimize with
-	// StatusIterLimit once the wall clock passes it. Checked every few
-	// hundred pivots, so overshoot is bounded.
-	Deadline time.Time
-	// Ctx, when non-nil, is polled alongside Deadline in the pivot
-	// loops: a cancelled context aborts the current Solve/ReOptimize
-	// with StatusIterLimit within a bounded number of pivots. This is
-	// the cooperative-cancellation hook the MILP layer (and through it
-	// the solve service) relies on.
+	// Ctx, when non-nil, is polled in the pivot loops: a cancelled or
+	// expired context aborts the current Solve/ReOptimize with
+	// StatusIterLimit within a bounded number of pivots. This is the
+	// cooperative-cancellation and time-limit hook the MILP layer (and
+	// through it the solve service) relies on.
 	Ctx context.Context
 	// Prof, when non-nil, receives per-phase wall-time attribution from
 	// the pivot loops: pricing, ratio tests, pivot updates,
@@ -188,18 +183,22 @@ type Solver struct {
 	farkasRay     []float64
 }
 
-// NewSolver builds a solver for p with the engine chosen per problem
-// (ChooseEngine). The problem must have at least one variable. Row data
-// is copied; the solver is independent of later changes to p.
+// NewSolver builds a revised-simplex solver for p. The problem must
+// have at least one variable. Row data is copied; the solver is
+// independent of later changes to p.
 func NewSolver(p *Problem) (*Solver, error) {
-	return NewSolverEngine(p, EngineAuto)
+	s, err := newSolverState(p)
+	if err != nil {
+		return nil, err
+	}
+	s.rev = newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
+	s.reset()
+	return s, nil
 }
 
-// NewSolverEngine builds a solver for p backed by a specific simplex
-// engine; EngineAuto applies the ChooseEngine heuristic. Both engines
-// honor every Solver contract — the choice trades pivot cost
-// (dense O(m·n) elimination vs sparse factor solves) only.
-func NewSolverEngine(p *Problem, e Engine) (*Solver, error) {
+// newSolverState copies p into the engine-independent solver state; the
+// caller attaches an engine and resets the basis.
+func newSolverState(p *Problem) (*Solver, error) {
 	n, m := p.NumVars(), p.NumRows()
 	if n == 0 {
 		return nil, fmt.Errorf("lp: empty problem")
@@ -231,19 +230,6 @@ func NewSolverEngine(p *Problem, e Engine) (*Solver, error) {
 			return nil, fmt.Errorf("lp: variable %d has empty bound range", j)
 		}
 	}
-	if e == EngineAuto {
-		nnz := 0
-		for i := range s.origRows {
-			nnz += len(s.origRows[i].idx)
-		}
-		e = ChooseEngine(n, m, nnz)
-	}
-	if e == EngineRevised {
-		s.rev = newRevisedState(n, m, buildCSC(n, s.origRows))
-	} else {
-		s.tab = make([]float64, m*s.ntot)
-	}
-	s.reset()
 	return s, nil
 }
 
@@ -253,10 +239,6 @@ func (s *Solver) reset() {
 	if s.rev != nil {
 		s.revReset()
 		return
-	}
-	var t0 time.Time
-	if s.Prof != nil {
-		t0 = time.Now()
 	}
 	s.Counters.Refactorizations++
 	for i := range s.tab {
@@ -287,9 +269,6 @@ func (s *Solver) reset() {
 	s.pCur = 0
 	s.dCand = s.dCand[:0]
 	s.dCur = 0
-	if s.Prof != nil {
-		s.Prof.Observe(trace.PhaseRefactorize, time.Since(t0).Nanoseconds())
-	}
 }
 
 // setNonbasicStart places nonbasic variable j on the bound favoured by
@@ -446,31 +425,11 @@ func (s *Solver) SetObj(j int, c float64) {
 		return
 	}
 	s.c[j] = c
-	if s.vstat[j] != basic {
+	switch {
+	case s.vstat[j] != basic:
 		s.d[j] += dc
-		s.status = StatusUnknown
-		return
-	}
-	// j basic in row r: every reduced cost shifts by -dc * tab[r][·];
-	// d[j] itself nets to zero (+dc from c, -dc from tab[r][j] = 1), and
-	// other basic columns keep their zero since tab[r][basic k≠j] = 0.
-	if s.rev != nil {
-		if !s.revSetObjBasic(j, dc) {
-			s.reset() // singular stale basis; reset rebuilds d from c
-		}
-		s.status = StatusUnknown
-		return
-	}
-	trow := s.tab[s.inRow[j]*s.ntot : (s.inRow[j]+1)*s.ntot]
-	for k := 0; k < s.ntot; k++ {
-		if trow[k] != 0 {
-			s.d[k] -= dc * trow[k]
-		}
-	}
-	// basic reduced costs are zero by definition; pin them rather than
-	// trust the drifted tableau entries of basic columns
-	for i := 0; i < s.m; i++ {
-		s.d[s.basis[i]] = 0
+	case !s.revSetObjBasic(j, dc):
+		s.reset() // singular stale basis; reset rebuilds d from c
 	}
 	s.status = StatusUnknown
 }
@@ -510,17 +469,11 @@ func (s *Solver) shiftNonbasic(j int, delta float64) {
 	}
 }
 
-// expired reports whether the deadline has passed or the context was
-// cancelled; polled cheaply every 128 pivots so cancellation latency
-// stays bounded by a short pivot run.
+// expired reports whether the context was cancelled or its deadline
+// passed; polled cheaply every 128 pivots so cancellation latency stays
+// bounded by a short pivot run.
 func (s *Solver) expired(iter int) bool {
-	if iter%128 != 127 {
-		return false
-	}
-	if !s.Deadline.IsZero() && time.Now().After(s.Deadline) {
-		return true
-	}
-	return s.Ctx != nil && s.Ctx.Err() != nil
+	return iter%128 == 127 && s.Ctx != nil && s.Ctx.Err() != nil
 }
 
 func (s *Solver) maxIter() int {

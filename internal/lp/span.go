@@ -5,9 +5,8 @@ import "repro/internal/trace"
 // AnnotateSpan copies the engine counters onto sp as numeric span
 // attributes — the bridge between the LP engine's internals and the
 // span tree of an observed solve (the root-lp and search spans carry
-// them). Zero counters are skipped so dense-engine spans don't list
-// the revised engine's fields; a nil span (spans off) costs a single
-// pointer compare.
+// them). Zero counters are skipped; a nil span (spans off) costs a
+// single pointer compare.
 func (c *Counters) AnnotateSpan(sp *trace.Span) {
 	if sp == nil {
 		return

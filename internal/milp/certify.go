@@ -105,7 +105,7 @@ func buildCertificate(p *lp.Problem, opt *Options, res *Result, rw rootWitness) 
 		// cut-augmented model it snapshots; the cuts' own validity for
 		// the integer hull is a float-arithmetic separation argument
 		c.Trusted = append(c.Trusted,
-			"validity of the root cutting planes (float-separated Gomory/cover cuts included in the certified model)")
+			"validity of the root cutting planes (float-separated cover cuts included in the certified model)")
 	}
 	if res.X != nil {
 		c.X = exact.FloatVec(res.X)

@@ -11,19 +11,16 @@ import (
 // Cut-generation budgets. A handful of strong cuts tightens the root
 // bound where it matters; large cut loops would bloat every node LP of
 // the search that follows.
-const (
-	maxCoverCuts  = 16
-	maxGomoryCuts = 8
-)
+const maxCoverCuts = 16
 
 // coverCuts separates minimal-cover inequalities from the knapsack-like
 // rows of the problem: for an LE row sum a_j x_j <= b over binary
 // columns with positive coefficients, any minimal set C with
 // sum_{j in C} a_j > b admits the valid cut sum_{j in C} x_j <= |C|-1.
-// Unlike Gomory cuts these are exactly valid by combinatorial argument
-// — no tableau arithmetic involved — so they are certification-safe on
-// any engine. x is the fractional root LP point; only cuts it violates
-// by at least 1e-4 are returned.
+// These are exactly valid by combinatorial argument — no tableau
+// arithmetic involved — so they are certification-safe. x is the
+// fractional root LP point; only cuts it violates by at least 1e-4 are
+// returned.
 func (s *solver) coverCuts(x []float64, limit int) []lp.CutRow {
 	var out []lp.CutRow
 	for i := 0; i < s.prob.NumRows() && len(out) < limit; i++ {
@@ -108,13 +105,12 @@ func (s *solver) coverCuts(x []float64, limit int) []lp.CutRow {
 }
 
 // applyRootCuts strengthens the root relaxation in place: it separates
-// cover cuts from the row data and Gomory fractional cuts from the
-// optimal tableau (dense engine only), appends them to the live solver
-// via lp.AppendRows, re-optimizes, and — on success — swaps s.prob for
-// a cut-augmented clone so every downstream judgement (node
-// feasibility checks, incumbent validation, exact certification) is
-// rendered against the model the search actually runs on. The caller's
-// problem is never mutated.
+// cover cuts from the row data, appends them to the live solver via
+// lp.AppendRows, re-optimizes, and — on success — swaps s.prob for a
+// cut-augmented clone so every downstream judgement (node feasibility
+// checks, incumbent validation, exact certification) is rendered
+// against the model the search actually runs on. The caller's problem
+// is never mutated.
 //
 // On any numerical trouble the cuts are discarded: the solver is
 // rebuilt cold on the original model and 0 is returned. Returns the
@@ -124,7 +120,6 @@ func (s *solver) applyRootCuts() (int, error) {
 	defer o.lap(trace.PhaseCutGen, o.clock())
 	x := s.lps.Solution()
 	cuts := s.coverCuts(x, maxCoverCuts)
-	cuts = append(cuts, s.lps.GomoryCuts(s.isInt, maxGomoryCuts)...) // nil on the revised engine
 	if len(cuts) == 0 {
 		return 0, nil
 	}
@@ -136,7 +131,7 @@ func (s *solver) applyRootCuts() (int, error) {
 	}
 	before := s.lps.Objective()
 	discard := func() error {
-		fresh, err := lp.NewSolverEngine(s.prob, s.opt.Engine)
+		fresh, err := lp.NewSolver(s.prob)
 		if err != nil {
 			return err
 		}

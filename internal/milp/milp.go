@@ -263,15 +263,6 @@ type Options struct {
 	// synchronously; not called when the root is infeasible or hits a
 	// limit.
 	OnRoot func(*lp.Solver)
-	// Engine selects the LP engine for the solver built here (ignored
-	// when Warm supplies one): the zero value lp.EngineAuto applies the
-	// density × size heuristic of lp.ChooseEngine, picking the sparse
-	// revised engine for large sparse models and the dense tableau —
-	// also the differential-fuzz oracle — for small or dense ones.
-	// lp.EngineDense / lp.EngineRevised force either. The engine that
-	// actually ran is reported in Result.LPEngine and on the terminal
-	// status trace event.
-	Engine lp.Engine
 	// ParallelThreshold gates Parallelism behind a cheap root-size
 	// estimate: when the root tableau has fewer than this many cells
 	// (rows × (rows + columns)), or GOMAXPROCS < 2, or the root LP has
@@ -290,11 +281,10 @@ type Options struct {
 	// mode is reported in Result.Mode and on the "plan" trace event.
 	Mode SearchMode
 	// RootCuts enables root-node strengthening: cover cuts separated
-	// from the row data plus Gomory fractional cuts from the optimal
-	// root tableau (dense engine only) are appended to a private clone
-	// of the model and the root is re-optimized before the search. The
-	// caller's Problem is never mutated. Ignored under Warm (the warm
-	// solver's basis describes the un-augmented model).
+	// from the row data are appended to a private clone of the model and
+	// the root is re-optimized before the search. The caller's Problem
+	// is never mutated. Ignored under Warm (the warm solver's basis
+	// describes the un-augmented model).
 	RootCuts bool
 	// Dive enables the root diving heuristic: one root-to-leaf
 	// rounding dive that usually produces an early incumbent, seeding
@@ -351,10 +341,6 @@ type Result struct {
 	// certifiable (limit statuses without an incumbent carry none). It
 	// has already been checked; inspect Certificate.Valid / Err().
 	Certificate *exact.Certificate
-	// LPEngine is the LP engine the search ran on (dense tableau or
-	// sparse revised simplex) — the resolution of Options.Engine's auto
-	// heuristic, or the engine of the Warm solver.
-	LPEngine lp.Engine
 	// Mode is the scheduler that actually ran: the resolution of
 	// Options.Mode (never ModeAuto on a completed solve).
 	Mode SearchMode
@@ -457,7 +443,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		}
 	} else {
 		var err error
-		if lps, err = lp.NewSolverEngine(p, opt.Engine); err != nil {
+		if lps, err = lp.NewSolver(p); err != nil {
 			return nil, err
 		}
 	}
@@ -513,7 +499,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	if err := ctx.Err(); err != nil {
 		// cancelled before any work: report it without touching the
 		// problem (a dead context must not race root-LP infeasibility)
-		res := &Result{BestBound: math.Inf(-1), Status: StatusLimit, LPEngine: lps.EngineKind()}
+		res := &Result{BestBound: math.Inf(-1), Status: StatusLimit}
 		if context.Cause(ctx) == context.Canceled {
 			res.Status = StatusCancelled
 		}
@@ -530,11 +516,10 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	}
 	rootMeta := nodeMeta{col: -1, pivots: int64(lps.Iterations), ns: o.lap(trace.PhaseNodeLP, t0)}
 	rootSpan.SetStr("status", rootStatus.String())
-	rootSpan.SetStr("engine", lps.EngineKind().String())
 	rootSpan.SetNum("pivots", float64(lps.Iterations))
 	lps.Counters.AnnotateSpan(rootSpan)
 	rootSpan.End()
-	res := &Result{BestBound: math.Inf(-1), LPEngine: lps.EngineKind()}
+	res := &Result{BestBound: math.Inf(-1)}
 	switch rootStatus {
 	case lp.StatusUnbounded:
 		return nil, fmt.Errorf("milp: LP relaxation is unbounded")
@@ -956,8 +941,8 @@ func (s *solver) acceptCandidate(xc []float64, nodeBound float64, inNode bool) b
 }
 
 // DefaultParallelThreshold is the root-tableau cell count — rows times
-// (rows + columns), the per-pivot work of the dense engine — below
-// which a parallel request falls back to the serial search when
+// (rows + columns), a cheap proxy for model size — below which a
+// parallel request falls back to the serial search when
 // Options.ParallelThreshold is 0. Recalibrated for the work-stealing
 // scheduler, whose fixed overhead (one LP clone per worker, a mutexed
 // pool) is far smaller than the old static split's: instances under

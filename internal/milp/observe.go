@@ -156,13 +156,11 @@ func (o *observer) lap(p trace.Phase, t0 time.Time) int64 {
 
 func isFinite(v float64) bool { return !math.IsInf(v, 0) && !math.IsNaN(v) }
 
-// lpStatOf summarizes the LP engine that ran — its kind and the
-// factorization/solve counters — for the recording footer and the
-// status event (replay tools derive fill-in and the realized
-// refactorization interval from it offline).
+// lpStatOf summarizes the LP engine's factorization/solve counters for
+// the recording footer and the status event (replay tools derive
+// fill-in and the realized refactorization interval from it offline).
 func lpStatOf(lps *lp.Solver) trace.LPStat {
 	return trace.LPStat{
-		Engine:         lps.EngineKind().String(),
 		Factorizations: lps.Counters.Factorizations,
 		FTRANs:         lps.Counters.FTRANs,
 		BTRANs:         lps.Counters.BTRANs,

@@ -78,7 +78,7 @@ func TestBlackBoxEventSize(t *testing.T) {
 // TestRootTerminalFinish: solves decided by the root LP — infeasible,
 // or stopped by an iteration cap standing in for a deadline — take the
 // same terminal path as a searched solve: exactly one status event and
-// a recording footer naming the LP engine.
+// a recording footer carrying the LP counters.
 func TestRootTerminalFinish(t *testing.T) {
 	infeasible := func() (*lp.Problem, Options) {
 		p := &lp.Problem{}
@@ -124,12 +124,12 @@ func TestRootTerminalFinish(t *testing.T) {
 					status = append(status, e)
 				}
 			}
-			if len(status) != 1 || status[0].Status != c.want.String() || status[0].Engine == "" {
-				t.Fatalf("status events %+v, want one %q event naming the engine", status, c.want)
+			if len(status) != 1 || status[0].Status != c.want.String() || status[0].Factorizations == 0 {
+				t.Fatalf("status events %+v, want one %q event carrying the LP counters", status, c.want)
 			}
 			rec := opt.Record.Snapshot()
-			if rec.Status != c.want.String() || rec.LP == nil || rec.LP.Engine == "" {
-				t.Fatalf("footer status %q lp %+v, want %q with an engine", rec.Status, rec.LP, c.want)
+			if rec.Status != c.want.String() || rec.LP == nil || rec.LP.Factorizations == 0 {
+				t.Fatalf("footer status %q lp %+v, want %q with the LP counters", rec.Status, rec.LP, c.want)
 			}
 			if rec.TotalNodes != 1 || len(rec.Nodes) != 1 || rec.Nodes[0].LP != c.lp || rec.Mode != "" {
 				t.Fatalf("root recording: total %d, nodes %+v, mode %q", rec.TotalNodes, rec.Nodes, rec.Mode)

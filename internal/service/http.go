@@ -481,12 +481,14 @@ func (a *api) decodeRequest(w http.ResponseWriter, r *http.Request) (*Request, b
 }
 
 // removedOptions maps each option name removed from the wire form to
-// its successor, which the "gone" 400 names for an old client.
+// the hint the "gone" 400 gives an old client: its successor, or why
+// it needs none.
 var removedOptions = map[string]string{
-	"parallelism":        "options.search.parallelism",
-	"parallel_threshold": "options.search.threshold",
-	"branch":             "options.search.branch",
-	"fortet":             "options.linearization",
+	"parallelism":        "use options.search.parallelism",
+	"parallel_threshold": "use options.search.threshold",
+	"branch":             "use options.search.branch",
+	"fortet":             "use options.linearization",
+	"lp_engine":          "every solve now runs the revised simplex",
 }
 
 // decodeJSON decodes a request body under the configured size cap,
@@ -511,7 +513,7 @@ func (a *api) decodeJSON(w http.ResponseWriter, r *http.Request, what string, v 
 		// encoding/json names an unknown field only in its message
 		var name string
 		if _, serr := fmt.Sscanf(err.Error(), "json: unknown field %q", &name); serr == nil && removedOptions[name] != "" {
-			code, msg = "gone", fmt.Sprintf("decoding %s: option %q was removed; use %s", what, name, removedOptions[name])
+			code, msg = "gone", fmt.Sprintf("decoding %s: option %q was removed; %s", what, name, removedOptions[name])
 		}
 		writeError(w, http.StatusBadRequest, code, msg)
 		return false

@@ -371,6 +371,8 @@ func TestRemovedOptionSpellings(t *testing.T) {
 		{"parallel_threshold", `{"n":2,"l":2,"parallel_threshold":-1}`, dev, "gone", "options.search.threshold"},
 		{"branch", `{"n":2,"l":2,"branch":"most-fractional"}`, dev, "gone", "options.search.branch"},
 		{"fortet", `{"n":2,"l":2,"fortet":true}`, dev, "gone", "options.linearization"},
+		{"lp_engine dense", `{"n":2,"l":2,"lp_engine":"dense"}`, dev, "gone", "revised simplex"},
+		{"lp_engine auto", `{"n":2,"l":2,"lp_engine":"auto"}`, dev, "gone", "revised simplex"},
 		{"misspelled option", `{"n":2,"l":2,"tightend":true}`, dev, "bad_request", "tightend"},
 		{"misspelled device field", `{"n":2,"l":2}`, `{"capcity_fg":300}`, "bad_request", "capcity_fg"},
 		{"numeric enum", `{"n":2,"l":2,"search":{"mode":2}}`, dev, "bad_request", "mode"},

@@ -239,11 +239,8 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 	if err := opt.Validate(); err != nil {
 		return nil, err
 	}
-	// one key per solve: "auto" is the default engine, a full cut mask
-	// is the zero mask, and an untightened model emits no cut at all
-	if opt.LPEngine == "auto" {
-		opt.LPEngine = ""
-	}
+	// one key per solve: a full cut mask is the zero mask, and an
+	// untightened model emits no cut at all
 	if opt.Cuts == core.CutsAll || !opt.Tightened {
 		opt.Cuts = 0
 	}

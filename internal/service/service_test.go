@@ -534,14 +534,10 @@ func TestCanonicalKeySearchOptions(t *testing.T) {
 		a, b   func(*Request)
 		differ bool
 	}{
-		{name: "lp_engine auto vs omitted",
-			a: func(r *Request) { r.Options.LPEngine = "auto" }, b: func(*Request) {}},
 		{name: "all cut families vs omitted",
 			a: func(r *Request) { r.Options.Cuts = core.CutsAll }, b: func(*Request) {}},
 		{name: "cut mask on an untightened model vs none",
 			a: func(r *Request) { untightened(r); r.Options.Cuts = core.Cut28 }, b: untightened},
-		{name: "a forced engine stays distinct", differ: true,
-			a: func(r *Request) { r.Options.LPEngine = "dense" }, b: func(*Request) {}},
 		{name: "a partial cut mask stays distinct", differ: true,
 			a: func(r *Request) { r.Options.Cuts = core.Cut28 }, b: func(*Request) {}},
 	} {

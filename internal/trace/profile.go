@@ -18,17 +18,15 @@ package trace
 //
 //	pricing       — entering-variable/leaving-row pricing scans
 //	ratio-test    — primal and dual ratio tests
-//	pivot-update  — the pivot's state update (dense tableau elimination,
-//	                or the revised engine's beta/reduced-cost/eta update)
-//	refactorize   — tableau rebuilds from original row data
+//	pivot-update  — the pivot's beta/reduced-cost/devex/eta update
+//	refactorize   — resets to the all-logical basis (Solve, and the
+//	                retry after a rejected infeasibility verdict)
 //	farkas        — Farkas certification of infeasibility verdicts
-//	ftran         — revised engine: forward solves B^{-1} a (entering
-//	                columns, bound-shift column solves)
-//	btran         — revised engine: backward solves B^{-T} e_r and the
-//	                pivot-row scatter they feed
-//	factorize     — revised engine: sparse LU (re)factorizations of the
-//	                basis (the dense engine's rebuilds stay under
-//	                refactorize)
+//	ftran         — forward solves B^{-1} a (entering columns,
+//	                bound-shift column solves)
+//	btran         — backward solves B^{-T} e_r and the pivot-row
+//	                scatter they feed
+//	factorize     — sparse LU (re)factorizations of the basis
 //
 // Root-level phases happen once, before the tree search, and belong to
 // neither group (they are outside the node-level sum):

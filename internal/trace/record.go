@@ -66,12 +66,14 @@ type IncRec struct {
 }
 
 // LPStat is the LP-engine summary stamped into a recording footer (and
-// embedded in the terminal status Event): which engine ran (dense tableau or sparse revised simplex) and, on
-// the revised engine, the factorization/solve counters that let replay
-// analysis derive fill-in (FactorNNZ / BasisNNZ) and the realized
-// refactorization interval (pivots / Factorizations) offline. Mirrors
-// lp.Counters without importing it (lp depends on trace, not the
-// reverse).
+// embedded in the terminal status Event): the factorization/solve
+// counters that let replay analysis derive fill-in (FactorNNZ /
+// BasisNNZ) and the realized refactorization interval (pivots /
+// Factorizations) offline. Mirrors lp.Counters without importing it
+// (lp depends on trace, not the reverse). Engine is set only by
+// recordings from builds that could run a dense-tableau engine ("dense"
+// or "revised"); it is kept so those recordings still decode and
+// re-encode unchanged.
 type LPStat struct {
 	Engine         string `json:"engine,omitempty"`
 	Factorizations int64  `json:"factorizations,omitempty"`

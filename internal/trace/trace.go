@@ -108,8 +108,7 @@ type Event struct {
 	Subproblem   int     `json:"subproblem,omitempty"`
 
 	// Model shape (model events). Density is the constraint-matrix
-	// fill ratio NNZ / (Vars·Rows) — the quantity the LP engine gate
-	// (lp.ChooseEngine) weighs against size.
+	// fill ratio NNZ / (Vars·Rows).
 	Vars     int      `json:"vars,omitempty"`
 	Rows     int      `json:"rows,omitempty"`
 	NNZ      int      `json:"nnz,omitempty"`
@@ -123,9 +122,9 @@ type Event struct {
 	WindowScans      int64 `json:"window_scans,omitempty"`
 	CandidateHits    int64 `json:"candidate_hits,omitempty"`
 
-	// LP-engine summary (status events): the engine that ran and, on the
-	// revised engine, its factorization/solve counters — the same LPStat
-	// a recording footer carries, embedded so its JSON keys stay flat.
+	// LP-engine summary (status events): the factorization/solve
+	// counters — the same LPStat a recording footer carries, embedded so
+	// its JSON keys stay flat.
 	// FillIn is FactorNNZ / BasisNNZ, the LU fill ratio of the last
 	// factorized basis.
 	LPStat
