@@ -271,12 +271,11 @@ func BenchmarkWarmRestart(b *testing.B) {
 	}
 }
 
-// BenchmarkMILPParallel runs the serial-vs-parallel suite behind
-// cmd/tptables -benchmilp: every internal/benchmarks instance with the
+// BenchmarkMILPParallel runs the experiments.MILPBench suite, the
+// instances TestParallelSpeedupFloor gates: every entry with the
 // scheduling probe disabled, solved serially and with parallel workers.
 // On a single CPU the parallel runs measure coordination overhead
-// rather than speedup; BENCH_milp.json records GOMAXPROCS alongside
-// the numbers for that reason.
+// rather than speedup.
 func BenchmarkMILPParallel(b *testing.B) {
 	suite, err := experiments.MILPBench()
 	if err != nil {

@@ -2,7 +2,7 @@
 // load generator that reports client-observed throughput, latency
 // percentiles, shed-rate and warm-hit accounting as one JSON document.
 //
-// Three modes:
+// Two modes:
 //
 //	-mode closed   W workers issue synchronous POST /v1/solve requests
 //	               back to back (closed loop: a worker waits for its
@@ -14,22 +14,19 @@
 //	               POST /v1/jobs submissions regardless of completions
 //	               (open loop), for probing admission behavior beyond
 //	               the service's drain rate.
-//	-mode compare  the batch/warm-chain benchmark: a neighboring-
-//	               instance workload (one graph, a device-capacity
-//	               ladder) is solved twice — individually cold, then as
-//	               one POST /v1/batch warm chain — and the summed
-//	               per-request solve times are compared. The speedup is
-//	               the number the BENCH_trajectory.json series tracks.
 //
 // Every response is validated against the API contract: 2xx bodies
 // must parse, 429s must carry a typed envelope code and a positive
 // integral Retry-After. Violations count as malformed (a healthy
 // server reports 0).
 //
+// tpload exists to drive admission and shedding: the benchmark
+// (bash bench/run.sh) counts a 429 as a failure.
+//
 // Usage:
 //
 //	tpload -addr http://127.0.0.1:8080 -mode closed -requests 200 -workers 8
-//	tpload -addr http://127.0.0.1:8080 -mode compare -requests 8 -trajectory BENCH_trajectory.json
+//	tpload -addr http://127.0.0.1:8080 -mode open -rps 100 -duration 10s
 package main
 
 import (
@@ -40,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -49,20 +45,18 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/service"
 )
 
 func main() {
 	var (
-		addr       = flag.String("addr", "http://127.0.0.1:8080", "tpserve base URL")
-		mode       = flag.String("mode", "closed", "closed | open | compare")
-		requests   = flag.Int("requests", 100, "total requests (closed/compare) ")
-		workers    = flag.Int("workers", 8, "concurrent client workers (closed mode)")
-		rps        = flag.Float64("rps", 50, "request rate (open mode)")
-		duration   = flag.Duration("duration", 5*time.Second, "run length (open mode)")
-		out        = flag.String("out", "", "also write the JSON report to this file")
-		trajectory = flag.String("trajectory", "", "append a dated distillation to this JSON series (e.g. BENCH_trajectory.json)")
+		addr     = flag.String("addr", "http://127.0.0.1:8080", "tpserve base URL")
+		mode     = flag.String("mode", "closed", "closed | open")
+		requests = flag.Int("requests", 100, "total requests (closed mode)")
+		workers  = flag.Int("workers", 8, "concurrent client workers (closed mode)")
+		rps      = flag.Float64("rps", 50, "request rate (open mode)")
+		duration = flag.Duration("duration", 5*time.Second, "run length (open mode)")
+		out      = flag.String("out", "", "also write the JSON report to this file")
 	)
 	flag.Parse()
 
@@ -78,8 +72,6 @@ func main() {
 		rep, err = runClosed(c, *requests, *workers)
 	case "open":
 		rep, err = runOpen(c, *rps, *duration)
-	case "compare":
-		rep, err = runCompare(c, *requests)
 	default:
 		err = fmt.Errorf("unknown -mode %q", *mode)
 	}
@@ -106,20 +98,6 @@ func main() {
 			fail(err)
 		}
 	}
-	if *trajectory != "" {
-		date := time.Now().Format("2006-01-02")
-		load := experiments.LoadTrajectory{
-			Mode: rep.Mode, Requests: rep.Requests, Workers: rep.Workers,
-			RPS: rep.RPS, P50MS: rep.P50MS, P90MS: rep.P90MS, P99MS: rep.P99MS,
-			Shed: rep.Shed, Malformed: rep.Malformed,
-			Warm: rep.Warm, Reuse: rep.Reuse, Cold: rep.Cold,
-			ColdMS: rep.ColdMS, BatchMS: rep.BatchMS, Speedup: rep.Speedup,
-		}
-		if err := experiments.AppendLoadTrajectory(*trajectory, date, runtime.GOMAXPROCS(0), load); err != nil {
-			fail(err)
-		}
-		fmt.Fprintf(os.Stderr, "tpload: trajectory entry for %s appended to %s\n", date, *trajectory)
-	}
 	if rep.Malformed > 0 {
 		fail(fmt.Errorf("%d malformed responses", rep.Malformed))
 	}
@@ -132,8 +110,7 @@ type report struct {
 	Workers    int     `json:"workers"`
 	DurationMS float64 `json:"duration_ms"`
 	RPS        float64 `json:"rps"`
-	// latency percentiles over accepted requests (client round trip in
-	// closed/open mode; per-job solve time in compare mode)
+	// client round-trip latency percentiles over accepted requests
 	P50MS float64 `json:"p50_ms"`
 	P90MS float64 `json:"p90_ms"`
 	P99MS float64 `json:"p99_ms"`
@@ -146,12 +123,6 @@ type report struct {
 	Warm  int `json:"warm"`
 	Reuse int `json:"reuse"`
 	Cold  int `json:"cold"`
-
-	// compare mode: summed per-request solve time, individually cold vs
-	// batch warm-chained, over the same neighboring-instance workload
-	ColdMS  float64 `json:"cold_ms,omitempty"`
-	BatchMS float64 `json:"batch_ms,omitempty"`
-	Speedup float64 `json:"speedup,omitempty"`
 }
 
 type client struct {
@@ -218,11 +189,9 @@ func (c *client) post(path string, body []byte, wantStatus int, outp any) (ok, s
 	}
 }
 
-// workload builds request i of a neighboring-instance family: one
-// graph (renamed per family so separate runs and phases never share
-// cache identity) on an ascending α ladder — the same neighboring-
-// instance shape the design-space sweep scans, where each step
-// tightens the capacity row and a warm chain pays off.
+// workload builds request i: the diffeq graph renamed to family, so
+// requests under distinct family names never share cache identity, at
+// step i mod 10 of the α ladder 0.55, 0.60, …, 1.00.
 func workload(family string, i int) *service.Request {
 	g := strings.Replace(benchmarks.Diffeq().String(), "graph diffeq", "graph "+family, 1)
 	return &service.Request{
@@ -352,127 +321,6 @@ func runOpen(c *client, rps float64, duration time.Duration) (report, error) {
 	}
 	rep.P50MS, rep.P90MS, rep.P99MS = percentiles(latencies)
 	return rep, nil
-}
-
-// runCompare solves one neighboring-instance workload twice: phase 1
-// submits every instance individually (each solves cold — no batch, no
-// shared lineage), phase 2 submits the same ladder under a fresh graph
-// name as one batch, which the server chains through the delta engine
-// in sweep order. The phases are renamed copies of one graph, so they
-// are equally hard but share no cache identity; the comparison is the
-// summed per-job solve time.
-func runCompare(c *client, requests int) (report, error) {
-	if requests < 2 {
-		requests = 8
-	}
-	start := time.Now()
-	// a per-run nonce in the family names: successive compare runs
-	// against one server must not dedup against each other's cache
-	nonce := strconv.FormatInt(start.UnixNano(), 36)
-
-	// phase 1: individual cold submissions
-	ids := make([]string, 0, requests)
-	for i := 0; i < requests; i++ {
-		body, err := json.Marshal(workload("loadcold"+nonce, i))
-		if err != nil {
-			return report{}, err
-		}
-		var info service.JobInfo
-		ok, sh, _ := c.post("/v1/jobs", body, http.StatusAccepted, &info)
-		if !ok {
-			return report{}, fmt.Errorf("cold submission %d rejected (shed=%v); compare mode needs an uncontended server", i, sh)
-		}
-		ids = append(ids, info.ID)
-	}
-	var coldMS float64
-	var latencies []float64
-	for _, id := range ids {
-		info, err := c.waitJob(id, 5*time.Minute)
-		if err != nil {
-			return report{}, err
-		}
-		if info.Status != "done" {
-			return report{}, fmt.Errorf("cold job %s: %s (%s)", id, info.Status, info.Error)
-		}
-		coldMS += info.SolveMS
-		latencies = append(latencies, info.SolveMS)
-	}
-
-	// phase 2: the same ladder as one batch warm chain
-	items := make([]*service.Request, requests)
-	for i := range items {
-		items[i] = workload("loadbatch"+nonce, i)
-	}
-	body, err := json.Marshal(service.BatchRequest{Items: items})
-	if err != nil {
-		return report{}, err
-	}
-	var bi service.BatchInfo
-	if ok, sh, _ := c.post("/v1/batch", body, http.StatusAccepted, &bi); !ok {
-		return report{}, fmt.Errorf("batch submission rejected (shed=%v)", sh)
-	}
-	deadline := time.Now().Add(5 * time.Minute)
-	for !bi.Done {
-		if time.Now().After(deadline) {
-			return report{}, fmt.Errorf("batch %s never finished", bi.ID)
-		}
-		time.Sleep(20 * time.Millisecond)
-		resp, err := c.hc.Get(c.base + "/v1/batch/" + bi.ID)
-		if err != nil {
-			return report{}, err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&bi)
-		resp.Body.Close()
-		if err != nil {
-			return report{}, err
-		}
-	}
-	var batchMS float64
-	for _, ji := range bi.Jobs {
-		if ji.Status != "done" {
-			return report{}, fmt.Errorf("batch job %s: %s (%s)", ji.ID, ji.Status, ji.Error)
-		}
-		batchMS += ji.SolveMS
-		latencies = append(latencies, ji.SolveMS)
-	}
-
-	elapsed := time.Since(start)
-	rep := report{
-		Requests: 2 * requests, Workers: 1,
-		DurationMS: float64(elapsed) / 1e6,
-		RPS:        float64(2*requests) / elapsed.Seconds(),
-		Accepted:   2 * requests,
-		ColdMS:     coldMS,
-		BatchMS:    batchMS,
-	}
-	if batchMS > 0 {
-		rep.Speedup = coldMS / batchMS
-	}
-	rep.P50MS, rep.P90MS, rep.P99MS = percentiles(latencies)
-	return rep, nil
-}
-
-func (c *client) waitJob(id string, timeout time.Duration) (service.JobInfo, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		var info service.JobInfo
-		resp, err := c.hc.Get(c.base + "/v1/jobs/" + id)
-		if err != nil {
-			return info, err
-		}
-		err = json.NewDecoder(resp.Body).Decode(&info)
-		resp.Body.Close()
-		if err != nil {
-			return info, err
-		}
-		if info.Status.Finished() {
-			return info, nil
-		}
-		if time.Now().After(deadline) {
-			return info, fmt.Errorf("job %s still %s after %v", id, info.Status, timeout)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }
 
 func percentiles(ms []float64) (p50, p90, p99 float64) {

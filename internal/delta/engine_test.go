@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/benchmarks"
 	"repro/internal/core"
+	"repro/internal/graph"
 	"repro/internal/library"
 	"repro/internal/randgraph"
 )
@@ -160,47 +162,69 @@ func TestEngineReuse(t *testing.T) {
 	}
 }
 
-// TestEngineSweepChain walks an α sweep where each point amends the
-// previous one — the access pattern of /v1/sweep — and checks every
-// point agrees with a cold solve while staying off the cold path.
+// TestEngineSweepChain walks α ladders where each point amends the
+// previous one — the access pattern of a /v1/batch chain — and checks
+// that every point agrees with a cold solve and every successor is a
+// bounds edit that stays off the cold path.
 func TestEngineSweepChain(t *testing.T) {
-	alloc := testAlloc(t)
-	opt := testOpt(false)
 	ctx := context.Background()
-
-	g, err := randgraph.Tiny(7)
+	tiny, err := randgraph.Tiny(7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := NewEngine(64)
-	alphas := []float64{0.7, 0.8, 0.9, 1.0}
-	prevKey := ""
-	fast := 0
-	for i, a := range alphas {
-		key := fmt.Sprintf("pt-%d", i)
-		inst := core.Instance{Graph: g, Alloc: alloc,
-			Device: library.Device{Name: "d", CapacityFG: 400, Alpha: a, ScratchMem: 64}}
-		got, info, err := eng.Solve(ctx, key, prevKey, inst, opt)
-		if err != nil {
-			t.Fatalf("alpha %v: %v", a, err)
-		}
-		want, err := core.SolveInstance(inst, opt)
-		if err != nil {
-			t.Fatalf("alpha %v cold: %v", a, err)
-		}
-		sameVerdict(t, fmt.Sprintf("alpha %v", a), got, want)
-		if i > 0 {
-			if info.Class != "bounds" {
-				t.Fatalf("alpha %v: classified %q, want bounds", a, info.Class)
-			}
-			if info.Path != PathCold {
-				fast++
-			}
-		}
-		prevKey = key
+	diffeqAlloc, err := library.NewAllocation(library.DefaultLibrary(),
+		map[string]int{"add16": 1, "sub16": 1, "mul16": 2, "cmp16": 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if fast != len(alphas)-1 {
-		t.Fatalf("only %d/%d sweep points stayed warm", fast, len(alphas)-1)
+	for _, tc := range []struct {
+		name   string
+		g      *graph.Graph
+		alloc  *library.Allocation
+		dev    library.Device
+		opt    core.Options
+		alphas []float64
+	}{
+		{"tiny", tiny, testAlloc(t),
+			library.Device{Name: "d", CapacityFG: 400, ScratchMem: 64},
+			testOpt(false), []float64{0.7, 0.8, 0.9, 1.0}},
+		// diffeq on the XC4010: the ladder crosses from feasible to
+		// proved infeasible (α ≥ 0.85)
+		{"diffeq", benchmarks.Diffeq(), diffeqAlloc, library.XC4010(),
+			core.Options{N: 2, L: 2, Tightened: true, DisableProbe: true, TimeLimit: 30 * time.Second},
+			[]float64{0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := NewEngine(64)
+			paths := map[string]int{}
+			prevKey := ""
+			for i, a := range tc.alphas {
+				key := fmt.Sprintf("pt-%d", i)
+				dev := tc.dev
+				dev.Alpha = a
+				inst := core.Instance{Graph: tc.g, Alloc: tc.alloc, Device: dev}
+				got, info, err := eng.Solve(ctx, key, prevKey, inst, tc.opt)
+				if err != nil {
+					t.Fatalf("alpha %v: %v", a, err)
+				}
+				want, err := core.SolveInstance(inst, tc.opt)
+				if err != nil {
+					t.Fatalf("alpha %v cold: %v", a, err)
+				}
+				sameVerdict(t, fmt.Sprintf("alpha %v", a), got, want)
+				if i > 0 {
+					if info.Class != "bounds" {
+						t.Fatalf("alpha %v: classified %q, want bounds", a, info.Class)
+					}
+					if info.Path == PathCold {
+						t.Fatalf("alpha %v: successor solved cold", a)
+					}
+					paths[info.Path]++
+				}
+				prevKey = key
+			}
+			t.Logf("successor paths %v", paths)
+		})
 	}
 }
 

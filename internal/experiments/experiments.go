@@ -2,7 +2,9 @@
 // table and figure of the paper's evaluation, plus the ablations
 // DESIGN.md calls out. The same row definitions drive cmd/tptables and
 // the root-level testing.B benchmarks, so EXPERIMENTS.md numbers are
-// reproducible from either entry point.
+// reproducible from either entry point. MILPBench is the
+// branch-and-bound suite that bench/tpbench runs as its suite workload
+// and TestParallelSpeedupFloor gates.
 //
 // The paper ran lp_solve on a 175 MHz UltraSparc; absolute runtimes are
 // not comparable. What the rows preserve is the paper's shape: which

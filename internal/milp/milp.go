@@ -267,8 +267,8 @@ type Options struct {
 	// estimate: when the root tableau has fewer than this many cells
 	// (rows × (rows + columns)), or GOMAXPROCS < 2, or the root LP has
 	// too few fractional integers to split a meaningful tree, the solve
-	// falls back to the serial search — measurements (BENCH_milp.json)
-	// show the clone/split overhead hurting small instances. The
+	// falls back to the serial search — the clone/split overhead hurts
+	// small instances more than parallel search helps them. The
 	// decision either way is emitted as a "plan" trace event. 0 means
 	// DefaultParallelThreshold; negative disables the gate entirely so
 	// a parallel request is always honored.

@@ -255,7 +255,8 @@ func TestBatchRateAdmission(t *testing.T) {
 
 // TestV1BatchHTTP drives POST /v1/batch and GET /v1/batch/{id} end to
 // end: 202 with the batch view, per-item job records reachable under
-// /v1/jobs, and the typed 400/404 envelopes.
+// /v1/jobs, the chain's successor leaving the cold path as reported by
+// GET /v1/stats, and the typed 400/404 envelopes.
 func TestV1BatchHTTP(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 2})
 
@@ -299,6 +300,18 @@ func TestV1BatchHTTP(t *testing.T) {
 			t.Fatalf("batch %s never finished: %+v", bi.ID, cur)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	var st struct {
+		Delta struct {
+			Warm  uint64 `json:"warm"`
+			Reuse uint64 `json:"reuse"`
+		} `json:"delta"`
+	}
+	if resp := getJSON(t, ts.URL+"/v1/stats", &st); resp.StatusCode != http.StatusOK {
+		t.Fatalf("stats: status %d", resp.StatusCode)
+	}
+	if st.Delta.Warm+st.Delta.Reuse < 1 {
+		t.Fatalf("batch successor stayed cold: delta %+v", st.Delta)
 	}
 
 	// typed failures: empty batch, null item, unknown batch id
