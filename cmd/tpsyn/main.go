@@ -23,7 +23,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/library"
-	"repro/internal/milp"
 	"repro/internal/rpsim"
 	"repro/internal/rtl"
 	"repro/internal/trace"
@@ -48,7 +47,6 @@ func main() {
 		perProd  = flag.Bool("wperproduct", false, "exact per-product w linearization (eqs. 4-5)")
 		timeout  = flag.Duration("timeout", 60*time.Second, "solver time limit (matches the tpserve default)")
 		parallel = flag.Int("parallel", 0, "branch-and-bound workers (0 or 1 = serial)")
-		mode     = flag.String("search-mode", "auto", "parallel search mode: auto, serial, steal or portfolio")
 		cuts     = flag.String("cuts", "auto", "root cover-cut strengthening: auto, on or off")
 		dive     = flag.String("dive", "auto", "root diving heuristic for an early incumbent: auto, on or off")
 		traceOut = flag.String("trace", "", "stream solver events as NDJSON to this file (- for stderr)")
@@ -99,8 +97,6 @@ func main() {
 	opt.Linearization, err = core.ParseLinearization(*lin)
 	fail(err)
 	opt.Search.Branch, err = core.ParseBranchRule(*branch)
-	fail(err)
-	opt.Search.Mode, err = milp.ParseSearchMode(*mode)
 	fail(err)
 	opt.Search.Cuts, err = core.ParseToggle(*cuts)
 	fail(err)

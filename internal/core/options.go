@@ -205,7 +205,7 @@ type Options struct {
 	// time_limit_ms so JSON clients never deal in nanoseconds.
 	TimeLimit time.Duration `json:"-"`
 	// Search groups every branch-and-bound search knob (workers, gate
-	// threshold, mode, branching rule, root cuts, diving), serialized
+	// threshold, branching rule, root cuts, diving), serialized
 	// as options.search. The zero value is the paper's serial search.
 	Search SearchOptions `json:"search"`
 	// Certify enables the exact-arithmetic audit mode: the MILP verdict

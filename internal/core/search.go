@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"repro/internal/milp"
-)
+import "fmt"
 
 // Toggle is a three-state switch: auto (defer to the solver's policy),
 // on, or off. The zero value is auto, so omitted JSON fields inherit
@@ -75,11 +71,9 @@ type SearchOptions struct {
 	// milp.Options.ParallelThreshold: instances whose root tableau
 	// falls under it run serially even when Parallelism > 1 (the
 	// decision is emitted as a "plan" trace event). 0 applies
-	// milp.DefaultParallelThreshold; negative disables the gate.
+	// milp.DefaultParallelThreshold; negative disables the gate, so
+	// Parallelism > 1 always runs the work-stealing search.
 	Threshold int `json:"threshold,omitempty"`
-	// Mode picks serial, work-stealing or portfolio search; auto (the
-	// zero value) lets the size gate decide.
-	Mode milp.SearchMode `json:"mode,omitempty"`
 	// Branch selects the branching rule; the zero value is the paper's
 	// rule, BranchPaper.
 	Branch BranchRule `json:"branch,omitempty"`
@@ -91,13 +85,15 @@ type SearchOptions struct {
 	Dive Toggle `json:"dive,omitempty"`
 }
 
+// MaxParallelism is the largest SearchOptions.Parallelism any layer
+// accepts: every worker owns a clone of the LP solver, so the worker
+// count must stay a small multiple of the cores a machine can have.
+const MaxParallelism = 256
+
 // Validate checks the search options for values no layer accepts.
 func (s SearchOptions) Validate() error {
-	if s.Parallelism < 0 {
-		return fmt.Errorf("core: negative search parallelism %d", s.Parallelism)
-	}
-	if s.Mode < milp.ModeAuto || s.Mode > milp.ModePortfolio {
-		return fmt.Errorf("core: unknown search mode %d", s.Mode)
+	if s.Parallelism < 0 || s.Parallelism > MaxParallelism {
+		return fmt.Errorf("core: search parallelism %d outside [0, %d]", s.Parallelism, MaxParallelism)
 	}
 	if s.Branch < BranchPaper || s.Branch > BranchMostFrac {
 		return fmt.Errorf("core: unknown branch rule %d", s.Branch)

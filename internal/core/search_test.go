@@ -3,8 +3,6 @@ package core
 import (
 	"encoding/json"
 	"testing"
-
-	"repro/internal/milp"
 )
 
 // TestSearchOptionsJSONRoundTrip: the wire form serializes enums by
@@ -12,14 +10,14 @@ import (
 // are rejected.
 func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 	opt := Options{N: 2, Search: SearchOptions{
-		Parallelism: 4, Mode: milp.ModeSteal, Branch: BranchMostFrac,
+		Parallelism: 4, Branch: BranchMostFrac,
 		Cuts: ToggleOn, Dive: ToggleOff,
 	}}
 	b, err := json.Marshal(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := `{"n":2,"search":{"parallelism":4,"mode":"steal","branch":"most-fractional","cuts":"on","dive":"off"}}`
+	want := `{"n":2,"search":{"parallelism":4,"branch":"most-fractional","cuts":"on","dive":"off"}}`
 	if string(b) != want {
 		t.Fatalf("marshal = %s, want %s", b, want)
 	}
@@ -31,15 +29,14 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip = %+v, want %+v", back.Search, opt.Search)
 	}
 	var fromNames SearchOptions
-	if err := json.Unmarshal([]byte(`{"mode":"portfolio","cuts":"off","dive":"auto"}`), &fromNames); err != nil {
+	if err := json.Unmarshal([]byte(`{"branch":"first-fractional","cuts":"off","dive":"auto"}`), &fromNames); err != nil {
 		t.Fatal(err)
 	}
-	if fromNames.Mode != milp.ModePortfolio || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
+	if fromNames.Branch != BranchFirstFrac || fromNames.Cuts != ToggleOff || fromNames.Dive != ToggleAuto {
 		t.Fatalf("name decode = %+v", fromNames)
 	}
 	// each enum has one spelling: its name
 	for _, body := range []string{
-		`{"search":{"mode":2}}`,
 		`{"search":{"branch":1}}`,
 		`{"search":{"cuts":1}}`,
 		`{"search":{"dive":2}}`,
@@ -50,9 +47,6 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 			t.Errorf("numeric enum %s decoded to %+v", body, o)
 		}
 	}
-	if _, err := milp.ParseSearchMode("warp"); err == nil {
-		t.Fatal("ParseSearchMode accepted garbage")
-	}
 	if _, err := ParseToggle("maybe"); err == nil {
 		t.Fatal("ParseToggle accepted garbage")
 	}
@@ -61,13 +55,13 @@ func TestSearchOptionsJSONRoundTrip(t *testing.T) {
 // TestSearchOptionsValidate: Options.Validate must reject out-of-range
 // search fields through the embedded group.
 func TestSearchOptionsValidate(t *testing.T) {
-	good := Options{Search: SearchOptions{Parallelism: 2, Mode: milp.ModePortfolio}}
+	good := Options{Search: SearchOptions{Parallelism: MaxParallelism}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid search options rejected: %v", err)
 	}
 	bad := []Options{
 		{Search: SearchOptions{Parallelism: -1}},
-		{Search: SearchOptions{Mode: milp.SearchMode(99)}},
+		{Search: SearchOptions{Parallelism: 1 << 50}},
 		{Search: SearchOptions{Branch: BranchRule(7)}},
 		{Search: SearchOptions{Cuts: Toggle(5)}},
 		{Search: SearchOptions{Dive: Toggle(-2)}},

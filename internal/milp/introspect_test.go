@@ -10,7 +10,7 @@ import (
 )
 
 // hardKnapsack returns a knapsack instance large enough to force a real
-// branch-and-bound tree (tens of nodes) under any search mode.
+// branch-and-bound tree (tens of nodes) under either scheduler.
 func hardKnapsack(seed int64) ([]float64, []float64, float64) {
 	r := rand.New(rand.NewSource(seed))
 	n := 16
@@ -36,8 +36,7 @@ func TestPanicNodeFlushesBlackBox(t *testing.T) {
 		opt  Options
 	}{
 		{"serial", Options{}},
-		{"steal", Options{Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal}},
-		{"portfolio", Options{Parallelism: 3, ParallelThreshold: -1, Mode: ModePortfolio}},
+		{"steal", Options{Parallelism: 4, ParallelThreshold: -1}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			values, weights, capacity := hardKnapsack(7)
@@ -97,7 +96,7 @@ func TestSearchStatusSnapshotLive(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		_, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal,
+			Parallelism: 4, ParallelThreshold: -1,
 			Status: st, NodeDelay: 2 * time.Millisecond})
 		done <- err
 	}()
@@ -146,7 +145,7 @@ func TestSpanTreeFromSolve(t *testing.T) {
 	sc := trace.NewSpans("")
 	root := sc.Root("solve")
 	_, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
-		Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal, Span: root})
+		Parallelism: 4, ParallelThreshold: -1, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,8 +7,8 @@
 // a pluggable branching rule. The paper's contribution — branching on
 // fractional y_tp variables in topological priority order with the
 // 1-branch explored first, then on u_pk — is provided by the core
-// package as a PriorityBrancher; this package also ships naive rules
-// used as ablation baselines.
+// package as a BrancherFunc; this package also ships naive rules used
+// as ablation baselines.
 package milp
 
 import (
@@ -79,24 +79,20 @@ func (s Status) Stopped() bool {
 // intTol is the integrality tolerance.
 const intTol = 1e-6
 
-// SearchMode selects the scheduler of a parallel solve.
+// SearchMode names the scheduler that ran a solve. It is reported,
+// never requested: Options.Parallelism and Options.ParallelThreshold
+// decide it (see Result.Mode).
 type SearchMode int
 
 const (
-	// ModeAuto lets the solver pick: the root-size gate (see
-	// ParallelThreshold) decides between the serial search and the
-	// work-stealing pool.
+	// ModeAuto means the scheduler is not decided yet, or the root LP
+	// decided the solve before any search ran.
 	ModeAuto SearchMode = iota
-	// ModeSerial forces the serial depth-first search regardless of
-	// Parallelism.
+	// ModeSerial is the serial depth-first search.
 	ModeSerial
-	// ModeSteal runs the work-stealing node pool: per-worker deques,
+	// ModeSteal is the work-stealing node pool: per-worker deques,
 	// adaptive second-child donation, best-bound victim selection.
 	ModeSteal
-	// ModePortfolio races Parallelism complete searches with diverse
-	// branching strategies over the same tree, sharing incumbents; the
-	// first to exhaust its pruned tree proves the verdict.
-	ModePortfolio
 )
 
 func (m SearchMode) String() string {
@@ -105,41 +101,9 @@ func (m SearchMode) String() string {
 		return "serial"
 	case ModeSteal:
 		return "steal"
-	case ModePortfolio:
-		return "portfolio"
 	default:
 		return "auto"
 	}
-}
-
-// ParseSearchMode parses a search-mode name; "" means auto.
-func ParseSearchMode(s string) (SearchMode, error) {
-	switch s {
-	case "", "auto":
-		return ModeAuto, nil
-	case "serial":
-		return ModeSerial, nil
-	case "steal":
-		return ModeSteal, nil
-	case "portfolio":
-		return ModePortfolio, nil
-	}
-	return 0, fmt.Errorf("milp: unknown search mode %q (want auto, serial, steal or portfolio)", s)
-}
-
-// MarshalText encodes the search mode by name.
-func (m SearchMode) MarshalText() ([]byte, error) {
-	return []byte(m.String()), nil
-}
-
-// UnmarshalText decodes a search-mode name.
-func (m *SearchMode) UnmarshalText(b []byte) error {
-	v, err := ParseSearchMode(string(b))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
 }
 
 // Brancher selects the variable to branch on. x is the structural LP
@@ -200,14 +164,13 @@ type Options struct {
 	Probe func(x []float64, bound func(col int) (lo, hi float64)) (xc []float64, exhausted bool)
 	// Parallelism sets the number of branch-and-bound workers. 0 or 1
 	// keeps today's serial depth-first search, pivot for pivot. Higher
-	// values run that many goroutines — a work-stealing node pool, or
-	// racing complete searches in portfolio mode (see Mode) — each
-	// owning a clone of the LP solver and pruning against a shared
+	// values run that many goroutines over a work-stealing node pool,
+	// each owning a clone of the LP solver and pruning against a shared
 	// atomic incumbent. The returned Objective, X feasibility and
 	// Status are identical to the serial solve — only Nodes,
-	// LPIterations and the traversal order may differ. Stateful
-	// Branchers must implement Forker to get a per-worker instance;
-	// Probe and Complete hooks must be concurrency-safe.
+	// LPIterations and the traversal order may differ. The Brancher,
+	// Probe and Complete hooks are shared by every worker and must be
+	// safe for concurrent use.
 	Parallelism int
 	// Trace receives structured search events: the root bound, sampled
 	// node progress (every Trace.SampleEvery() nodes), incumbent
@@ -271,15 +234,9 @@ type Options struct {
 	// small instances more than parallel search helps them. The
 	// decision either way is emitted as a "plan" trace event. 0 means
 	// DefaultParallelThreshold; negative disables the gate entirely so
-	// a parallel request is always honored.
+	// a parallel request is always honored. The resolved scheduler is
+	// reported in Result.Mode.
 	ParallelThreshold int
-	// Mode selects the parallel scheduler. The zero value ModeAuto
-	// applies the ParallelThreshold gate and picks work-stealing;
-	// ModeSteal and ModePortfolio bypass the gate (an explicit request
-	// is honored, like a negative ParallelThreshold); ModeSerial forces
-	// the serial search. Ignored when Parallelism <= 1. The resolved
-	// mode is reported in Result.Mode and on the "plan" trace event.
-	Mode SearchMode
 	// RootCuts enables root-node strengthening: cover cuts separated
 	// from the row data are appended to a private clone of the model and
 	// the root is re-optimized before the search. The caller's Problem
@@ -341,11 +298,11 @@ type Result struct {
 	// certifiable (limit statuses without an incumbent carry none). It
 	// has already been checked; inspect Certificate.Valid / Err().
 	Certificate *exact.Certificate
-	// Mode is the scheduler that actually ran: the resolution of
-	// Options.Mode (never ModeAuto on a completed solve).
+	// Mode is the scheduler that ran: ModeSerial or ModeSteal, or
+	// ModeAuto when the root LP decided the solve.
 	Mode SearchMode
 	// Steals counts subproblems taken from another worker's deque
-	// (work-stealing mode only).
+	// (zero for the serial search).
 	Steals int64
 	// CutsApplied counts the root-strengthening cuts appended to the
 	// search's model (0 when RootCuts is off or nothing violated).
@@ -385,7 +342,6 @@ type solver struct {
 	isInt    []bool
 	sh       *shared
 	brancher Brancher
-	boundObs BoundObserver
 	local    int // nodes explored by this worker (drives ctx-poll cadence)
 	reason   stopReason
 	worker   int // 0 for the serial search, 1-based for parallel workers
@@ -393,8 +349,8 @@ type solver struct {
 	// curNode is the global index (the recorder id) of the node this
 	// goroutine is currently exploring, so incumbent installs from
 	// candidate hooks and recovered panics are attributed to the right
-	// node. span is the search-stage span under which parallel modes
-	// open their per-worker children (nil when off).
+	// node. span is the search-stage span under which the steal pool
+	// opens its per-worker children (nil when off).
 	curNode int64
 	span    *trace.Span
 
@@ -480,7 +436,6 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	s.sh = newShared(upper, &opt, start)
 	o := &s.sh.obs
 	s.brancher = opt.Brancher
-	s.boundObs = boundObserverOf(opt.Brancher)
 	lps.Ctx = ctx // bound individual LP solves too
 	lps.Prof = o.prof
 	if opt.Status != nil {
@@ -492,7 +447,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 			nw = 1
 		}
 		s.sh.wphase = make([]atomic.Int32, nw+1)
-		opt.Status.attach(&liveSearch{sh: s.sh, mode: opt.Mode, workers: nw, start: start})
+		opt.Status.attach(&liveSearch{sh: s.sh, workers: nw, start: start})
 		defer opt.Status.finish()
 	}
 
@@ -596,7 +551,7 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	res.Mode = mode
 	if opt.Status != nil {
 		nw := 1
-		if mode == ModeSteal || mode == ModePortfolio {
+		if mode == ModeSteal {
 			nw = opt.Parallelism
 		}
 		opt.Status.attach(&liveSearch{sh: s.sh, mode: mode, workers: nw, start: start})
@@ -613,12 +568,9 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	searchSpan := opt.Span.Child("search")
 	searchSpan.SetStr("mode", mode.String())
 	s.span = searchSpan
-	switch mode {
-	case ModeSteal:
+	if mode == ModeSteal {
 		s.solveSteal(res, rootMeta)
-	case ModePortfolio:
-		s.solvePortfolio(rootMeta)
-	default:
+	} else {
 		s.sh.setPhase(0, wpSearch)
 		s.guard(func() { s.branch(lp.StatusOptimal, 0, rootMeta) })
 		s.sh.setPhase(0, wpDone)
@@ -871,9 +823,6 @@ func (s *solver) branch(st lp.Status, depth int, meta nodeMeta) {
 		t0, piv0 := o.clock(), s.lps.Iterations
 		cst := s.lps.ReOptimize()
 		cm.ns, cm.pivots = o.lap(trace.PhaseNodeLP, t0), int64(s.lps.Iterations-piv0)
-		if s.boundObs != nil && cst == lp.StatusOptimal {
-			s.boundObs.Observe(col, v >= 0.5, z, s.lps.Objective())
-		}
 		s.branch(cst, depth+1, cm)
 		s.path = s.path[:len(s.path)-1]
 		s.lps.SetBound(col, lo, hi)
@@ -943,28 +892,19 @@ func (s *solver) acceptCandidate(xc []float64, nodeBound float64, inNode bool) b
 // DefaultParallelThreshold is the root-tableau cell count — rows times
 // (rows + columns), a cheap proxy for model size — below which a
 // parallel request falls back to the serial search when
-// Options.ParallelThreshold is 0. Recalibrated for the work-stealing
-// scheduler, whose fixed overhead (one LP clone per worker, a mutexed
-// pool) is far smaller than the old static split's: instances under
-// this size solve in under a millisecond, where even a clone is not
-// worth it. The old static-split threshold was 1<<19.
+// Options.ParallelThreshold is 0. The work-stealing scheduler's fixed
+// overhead is one LP clone per worker and a mutexed pool: instances
+// under this size solve in under a millisecond, where even a clone is
+// not worth it.
 const DefaultParallelThreshold = 1 << 16
 
 // planMode resolves the scheduler for this solve: the serial search
-// for Parallelism <= 1 or an explicit ModeSerial, the requested mode
-// for an explicit ModeSteal/ModePortfolio (an explicit request bypasses
-// the gate, like a negative ParallelThreshold), and the gate's verdict
-// — work-stealing or the serial fallback — for ModeAuto. The returned
-// reason is non-empty when a Parallelism > 1 request falls back.
+// for Parallelism <= 1 or when the gate falls back, work stealing
+// otherwise. The returned reason is non-empty when a Parallelism > 1
+// request falls back.
 func (s *solver) planMode() (SearchMode, string) {
 	if s.opt.Parallelism <= 1 {
 		return ModeSerial, ""
-	}
-	switch s.opt.Mode {
-	case ModeSerial:
-		return ModeSerial, "serial mode requested"
-	case ModeSteal, ModePortfolio:
-		return s.opt.Mode, ""
 	}
 	if why := s.serialFallback(); why != "" {
 		return ModeSerial, why
@@ -975,10 +915,7 @@ func (s *solver) planMode() (SearchMode, string) {
 // serialFallback decides the parallel gate: it returns a non-empty
 // human-readable reason when a Parallelism > 1 request should run the
 // serial search instead, and "" to honor the parallel request. Called
-// with the root LP solved to optimality. The old gate also required a
-// minimum number of fractional integers at the root; the work-stealing
-// pool splits adaptively wherever the tree actually branches, so a
-// thin root no longer matters.
+// with the root LP solved to optimality.
 func (s *solver) serialFallback() string {
 	th := s.opt.ParallelThreshold
 	if th < 0 {
@@ -1074,26 +1011,6 @@ func MostFractional(cols []int) Brancher {
 			return -1, true
 		}
 		return best, x[best] >= 0.5
-	})
-}
-
-// PriorityBrancher branches on the first fractional variable in tiers:
-// tier order first, then position within the tier, always taking the
-// 1-branch first — the generalization of the paper's y-then-u rule.
-func PriorityBrancher(tiers ...[]int) Brancher {
-	copied := make([][]int, len(tiers))
-	for i, t := range tiers {
-		copied[i] = append([]int(nil), t...)
-	}
-	return BrancherFunc(func(x []float64, _ func(int) (float64, float64)) (int, bool) {
-		for _, tier := range copied {
-			for _, j := range tier {
-				if isFrac(x[j]) {
-					return j, true // paper: always explore the 1-branch first
-				}
-			}
-		}
-		return -1, true
 	})
 }
 

@@ -106,11 +106,9 @@ func TestAllBranchersAgree(t *testing.T) {
 	want := bruteKnapsack(values, weights, 9)
 	p, cols := knapsack(values, weights, 9)
 	branchers := map[string]Brancher{
-		"default(nil)":   nil,
-		"first-frac":     FirstFractional(cols),
-		"most-frac":      MostFractional(cols),
-		"priority":       PriorityBrancher(cols),
-		"priority-tiers": PriorityBrancher(cols[:3], cols[3:]),
+		"default(nil)": nil,
+		"first-frac":   FirstFractional(cols),
+		"most-frac":    MostFractional(cols),
 	}
 	for name, br := range branchers {
 		res, err := Solve(p, Options{IntVars: cols, Brancher: br, ObjIntegral: true})
@@ -332,31 +330,6 @@ func TestProbeRejectsBadCandidate(t *testing.T) {
 	// the bogus candidate must be ignored; branching finds the optimum
 	if res.Status != StatusOptimal || math.Abs(res.Objective-(-1)) > 1e-9 {
 		t.Fatalf("status=%v obj=%v", res.Status, res.Objective)
-	}
-}
-
-func TestPseudoCostBrancher(t *testing.T) {
-	values := []float64{10, 13, 8, 21, 5, 7}
-	weights := []float64{2, 3, 2, 5, 1, 2}
-	want := bruteKnapsack(values, weights, 8)
-	p, cols := knapsack(values, weights, 8)
-	pc := NewPseudoCost(cols)
-	res, err := Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusOptimal || math.Abs(-res.Objective-want) > 1e-6 {
-		t.Fatalf("status=%v obj=%v want %v", res.Status, -res.Objective, want)
-	}
-	// learning improves estimates without breaking optimality
-	pc.Observe(cols[0], true, -30, -25)
-	pc.Observe(cols[0], false, -30, -28)
-	res, err = Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusOptimal || math.Abs(-res.Objective-want) > 1e-6 {
-		t.Fatalf("after learning: status=%v obj=%v", res.Status, -res.Objective)
 	}
 }
 

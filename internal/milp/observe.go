@@ -69,11 +69,15 @@ func (o *observer) incumbent(worker int, node int64, obj float64) {
 
 // progress streams a search-progress event carrying the global node
 // count, the incumbent (when one exists), the display bound and the
-// relative gap. No-op when tracing is off.
+// relative gap. The figures are read and emitted under shared.emitMu,
+// so the streamed bound never goes backwards across workers. No-op
+// when tracing is off.
 func (o *observer) progress(kind trace.Kind, worker int) {
 	if o.tr == nil {
 		return
 	}
+	o.sh.emitMu.Lock()
+	defer o.sh.emitMu.Unlock()
 	e := trace.Event{Kind: kind, Nodes: o.sh.nodes.Load(), Worker: worker}
 	if inc := o.sh.incumbent(); isFinite(inc) {
 		e.HasIncumbent, e.Incumbent = true, inc

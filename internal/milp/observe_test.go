@@ -153,7 +153,7 @@ func TestStealIncumbentAttribution(t *testing.T) {
 		bb := trace.NewBlackBox(1 << 16)
 		rec := trace.NewRecorder(0)
 		if _, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal,
+			Parallelism: 4, ParallelThreshold: -1,
 			BlackBox: bb, Record: rec}); err != nil {
 			t.Fatal(err)
 		}

@@ -35,6 +35,12 @@ type shared struct {
 	// never regress even though per-subtree LP bounds move both ways.
 	obs      observer
 	dispBits atomic.Uint64
+	// emitMu serializes observer.progress: reading the display bound
+	// and emitting it happen under it, so two workers' events reach
+	// the tracer in the order of the (monotone) bounds they carry.
+	// Taken only while a tracer is attached; the tracer's sinks run
+	// under it, so a sink must not call back into the solve.
+	emitMu sync.Mutex
 
 	// First-incumbent bookkeeping for the time-to-first-solution
 	// experiment columns: firstInc flips once, on the first install that
@@ -160,6 +166,12 @@ func (sh *shared) setPhase(worker int, p int32) {
 	sh.wphase[worker].Store(p)
 }
 
+// reasonPanic is raised when a worker goroutine panicked and was
+// recovered (see recordPanic): the search stops everywhere and
+// SolveContext converts the solve into an error, so it never surfaces
+// as a Result status.
+const reasonPanic = reasonCtx + 1
+
 // recordPanic captures a recovered worker panic at the worker's current
 // node (the global count when it had none yet): the first one wins
 // the terminal error, every one lands in the black box (with the
@@ -193,10 +205,10 @@ func (sh *shared) panicked() (msg string, node int64, ok bool) {
 // guard runs fn, converting a panic into a recorded anomaly: the
 // shared state remembers it, the black box flushes, the search stops
 // everywhere and the pool (if any) aborts so no worker blocks on the
-// crashed one's unfinished subproblem. This wraps every worker
-// goroutine of the parallel modes and the serial dispatch, so a
-// programming error in a brancher, probe or the solver itself fails
-// the one solve instead of the process.
+// crashed one's unfinished subproblem. This wraps every steal-pool
+// worker goroutine and the serial dispatch, so a programming error in
+// a brancher, probe or the solver itself fails the one solve instead
+// of the process.
 func (w *solver) guard(fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -241,41 +253,4 @@ type subproblem struct {
 	fixes  []fix
 	bound  float64
 	parent int64
-}
-
-// Forker is implemented by stateful Branchers that can produce an
-// independent instance per parallel worker. Under
-// Options.Parallelism > 1 the solver forks the configured Brancher for
-// every worker through this interface; a stateful brancher (such as
-// *PseudoCost) that does not implement it would be shared across
-// goroutines and must not be used in a parallel solve. Stateless
-// branchers (BrancherFunc closures over immutable data, like
-// FirstFractional or PriorityBrancher) are safe to share and need not
-// implement Forker.
-type Forker interface {
-	Fork() Brancher
-}
-
-func forkBrancher(b Brancher) Brancher {
-	if f, ok := b.(Forker); ok {
-		return f.Fork()
-	}
-	return b
-}
-
-// BoundObserver is implemented by branchers that learn from LP bound
-// degradations (pseudo-cost branching). When the configured Brancher
-// implements it, the solver reports every branch it takes: col and up
-// identify the child, parent and child are the LP objectives before
-// and after the branching fix. Observations stay within one worker —
-// each forked brancher sees only its own subtree's bounds.
-type BoundObserver interface {
-	Observe(col int, up bool, parent, child float64)
-}
-
-func boundObserverOf(b Brancher) BoundObserver {
-	if o, ok := b.(BoundObserver); ok {
-		return o
-	}
-	return nil
 }

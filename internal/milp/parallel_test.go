@@ -214,52 +214,19 @@ func TestParallelInitialUpperPrunes(t *testing.T) {
 	}
 }
 
-func TestParallelPseudoCostForks(t *testing.T) {
+// TestParallelSharedBrancher: every steal worker branches with the one
+// configured Brancher, so a shared rule must still reach the optimum
+// (and, under -race, be read without a data race).
+func TestParallelSharedBrancher(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 4, 11, 6}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1, 4, 2}
 	want := bruteKnapsack(values, weights, 12)
 	p, cols := knapsack(values, weights, 12)
-	pc := NewPseudoCost(cols)
-	res, err := Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
+	res, err := Solve(p, Options{IntVars: cols, Brancher: MostFractional(cols), ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Status != StatusOptimal || math.Abs(-res.Objective-want) > 1e-6 {
 		t.Fatalf("status=%v obj=%v want %v", res.Status, -res.Objective, want)
-	}
-}
-
-// TestObserveWiredIntoSearch checks the satellite fix: the solver now
-// feeds branch outcomes to a BoundObserver brancher, so a serial solve
-// with a PseudoCost brancher accumulates statistics by itself.
-func TestObserveWiredIntoSearch(t *testing.T) {
-	values := []float64{10, 13, 8, 21, 5, 7}
-	weights := []float64{2, 3, 2, 5, 1, 2}
-	p, cols := knapsack(values, weights, 8)
-	pc := NewPseudoCost(cols)
-	res, err := Solve(p, Options{IntVars: cols, Brancher: pc, ObjIntegral: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusOptimal {
-		t.Fatalf("status = %v", res.Status)
-	}
-	if res.Nodes > 1 && len(pc.upCount) == 0 && len(pc.downCount) == 0 {
-		t.Fatal("PseudoCost.Observe never called during the search")
-	}
-}
-
-func TestPseudoCostForkIsIndependent(t *testing.T) {
-	pc := NewPseudoCost([]int{0, 1})
-	pc.lastCol, pc.lastFrac = 0, 0.5
-	pc.Observe(0, true, -10, -8)
-	fork := pc.Fork().(*PseudoCost)
-	if fork.upCount[0] != 1 {
-		t.Fatalf("fork lost learned stats: %v", fork.upCount)
-	}
-	fork.lastCol, fork.lastFrac = 1, 0.5
-	fork.Observe(1, false, -10, -9)
-	if pc.downCount[1] != 0 {
-		t.Fatal("fork writes leaked into the parent brancher")
 	}
 }

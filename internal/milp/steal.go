@@ -212,7 +212,6 @@ func (s *solver) solveSteal(res *Result, rootMeta nodeMeta) {
 	s.sh.pool.Store(pl) // publish for live snapshots
 	ws := make([]*solver, workers)
 	for w := range ws {
-		b := forkBrancher(s.brancher)
 		ws[w] = &solver{
 			lps:      s.lps.Clone(), // clone carries Prof: workers share the profile
 			prob:     s.prob,
@@ -220,8 +219,7 @@ func (s *solver) solveSteal(res *Result, rootMeta nodeMeta) {
 			ctx:      s.ctx,
 			isInt:    s.isInt,
 			sh:       s.sh,
-			brancher: b,
-			boundObs: boundObserverOf(b),
+			brancher: s.brancher,
 			worker:   w + 1,
 			wslot:    w,
 			pool:     pl,

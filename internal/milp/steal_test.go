@@ -29,7 +29,7 @@ func TestPropertyStealMatchesSerialWithStrengthening(t *testing.T) {
 			return false
 		}
 		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModeSteal,
+			Parallelism: 4, ParallelThreshold: -1,
 			RootCuts: true, Dive: true})
 		if err != nil {
 			return false
@@ -59,10 +59,10 @@ func TestPropertyStealMatchesSerialWithStrengthening(t *testing.T) {
 	}
 }
 
-// TestPortfolioDeterministicOptimum runs the portfolio race repeatedly
-// on one instance: the reported optimum must equal the serial one on
-// every run, no matter which seat wins the race.
-func TestPortfolioDeterministicOptimum(t *testing.T) {
+// TestStealDeterministicOptimum runs the work-stealing search
+// repeatedly on one instance: the reported optimum must equal the
+// serial one on every run, however the workers interleave.
+func TestStealDeterministicOptimum(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 4, 11, 6, 3, 14}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1, 4, 2, 1, 4}
 	p0, cols0 := knapsack(values, weights, 14)
@@ -73,12 +73,12 @@ func TestPortfolioDeterministicOptimum(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		p, cols := knapsack(values, weights, 14)
 		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
-			Parallelism: 4, ParallelThreshold: -1, Mode: ModePortfolio})
+			Parallelism: 4, ParallelThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Mode != ModePortfolio {
-			t.Fatalf("run %d: mode %v, want portfolio", run, res.Mode)
+		if res.Mode != ModeSteal {
+			t.Fatalf("run %d: mode %v, want steal", run, res.Mode)
 		}
 		if res.Status != StatusOptimal || math.Abs(res.Objective-serial.Objective) > 1e-9 {
 			t.Fatalf("run %d: status=%v obj=%v, want optimal %v",
@@ -90,14 +90,18 @@ func TestPortfolioDeterministicOptimum(t *testing.T) {
 	}
 }
 
-// TestPortfolioProvesInfeasibility: each seat explores the full tree,
-// so the race must also prove pure infeasibility.
-func TestPortfolioProvesInfeasibility(t *testing.T) {
+// TestStealProvesInfeasibility: with an odd worker count the pool must
+// still hand off and finish every subtree before it reports that no
+// integer point exists.
+func TestStealProvesInfeasibility(t *testing.T) {
 	p, cols := parityTrap(13)
 	res, err := Solve(p, Options{IntVars: cols, Parallelism: 3,
-		ParallelThreshold: -1, Mode: ModePortfolio})
+		ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if res.Mode != ModeSteal {
+		t.Fatalf("mode %v, want steal", res.Mode)
 	}
 	if res.Status != StatusInfeasible {
 		t.Fatalf("status = %v, want %v", res.Status, StatusInfeasible)
@@ -116,7 +120,7 @@ func TestStealStormCancel(t *testing.T) {
 			cancel()
 		}(time.Duration(4+5*trial) * time.Millisecond)
 		res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 8,
-			ParallelThreshold: -1, Mode: ModeSteal})
+			ParallelThreshold: -1})
 		cancel()
 		if err != nil {
 			t.Fatal(err)
@@ -140,7 +144,7 @@ func TestStealEmitsStealEvents(t *testing.T) {
 	p, cols := parityTrap(17)
 	ring := trace.NewRing(4096)
 	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4,
-		ParallelThreshold: -1, Mode: ModeSteal, Trace: trace.New(ring)})
+		ParallelThreshold: -1, Trace: trace.New(ring)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -489,6 +489,7 @@ var removedOptions = map[string]string{
 	"branch":             "use options.search.branch",
 	"fortet":             "use options.linearization",
 	"lp_engine":          "every solve now runs the revised simplex",
+	"mode":               "set options.search.parallelism (1 = serial) and options.search.threshold (-1 = always work stealing)",
 }
 
 // decodeJSON decodes a request body under the configured size cap,

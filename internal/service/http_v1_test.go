@@ -330,9 +330,9 @@ func TestRemovedAliases(t *testing.T) {
 // TestRemovedOptionSpellings checks strict decoding on all five body
 // decoders (solve, jobs, batch items, amend, sweep): a removed option
 // name is a 400 "gone" naming its successor, a misspelled field — in
-// the options or inside an object device — and a numeric enum are 400
-// bad_request, and the option set of the CI introspection step still
-// decodes.
+// the options or inside an object device — a numeric enum and an
+// out-of-range worker count are 400 bad_request, and the option set of
+// the CI introspection step still decodes.
 func TestRemovedOptionSpellings(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	var base JobInfo
@@ -361,6 +361,8 @@ func TestRemovedOptionSpellings(t *testing.T) {
 			`{%[1]s,"device":%[3]s,"options":%[2]s,"sweep":{"alpha":[0.9]}}`},
 	}
 	const dev = `{"name":"xc4010"}`
+	// search.mode names both knobs that replace it
+	const modeGone = "options.search.parallelism (1 = serial) and options.search.threshold"
 	cases := []struct {
 		name, options, device string
 		// code "" expects the path's success status; otherwise a 400
@@ -375,7 +377,12 @@ func TestRemovedOptionSpellings(t *testing.T) {
 		{"lp_engine auto", `{"n":2,"l":2,"lp_engine":"auto"}`, dev, "gone", "revised simplex"},
 		{"misspelled option", `{"n":2,"l":2,"tightend":true}`, dev, "bad_request", "tightend"},
 		{"misspelled device field", `{"n":2,"l":2}`, `{"capcity_fg":300}`, "bad_request", "capcity_fg"},
-		{"numeric enum", `{"n":2,"l":2,"search":{"mode":2}}`, dev, "bad_request", "mode"},
+		{"search.mode serial", `{"n":2,"l":2,"search":{"mode":"serial"}}`, dev, "gone", modeGone},
+		{"search.mode steal", `{"n":2,"l":2,"search":{"mode":"steal"}}`, dev, "gone", modeGone},
+		{"search.mode portfolio", `{"n":2,"l":2,"search":{"mode":"portfolio","parallelism":4}}`, dev, "gone", modeGone},
+		{"search.mode number", `{"n":2,"l":2,"search":{"mode":2}}`, dev, "gone", modeGone},
+		{"numeric enum", `{"n":2,"l":2,"search":{"cuts":1}}`, dev, "bad_request", "cuts"},
+		{"parallelism 2^50", `{"n":2,"l":2,"search":{"parallelism":1125899906842624}}`, dev, "bad_request", "parallelism"},
 		{"ci introspection body",
 			`{"n":2,"l":2,"base":true,"disable_probe":true,"search":{"parallelism":4},"time_limit_ms":60000}`,
 			dev, "", ""},

@@ -264,10 +264,10 @@ func (r *Request) compile(defaultTimeout time.Duration, defaultParallelism int) 
 // compile, which has already cleared the per-job hooks. The search
 // worker count and gate threshold are deliberately excluded: a
 // parallel solve returns the same result as a serial one, so requests
-// differing only in worker count or gating deduplicate. The mode,
-// branch rule and strengthening toggles stay in the key — they cannot
-// change the optimum, but they can change which of several tied
-// optimal assignments is reported.
+// differing only in worker count or gating deduplicate. The branch
+// rule and strengthening toggles stay in the key — they cannot change
+// the optimum, but they can change which of several tied optimal
+// assignments is reported.
 func canonicalKey(g *graph.Graph, alloc *library.Allocation, dev library.Device, opt core.Options) string {
 	opt.Search.Parallelism = 0
 	opt.Search.Threshold = 0

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/benchmarks"
 	"repro/internal/core"
-	"repro/internal/milp"
 	"repro/internal/randgraph"
 )
 
@@ -515,9 +514,8 @@ func TestCanonicalKeySearchOptions(t *testing.T) {
 		t.Fatal("search parallelism lost in compilation")
 	}
 
-	// mode, branch rule and the strengthening toggles are part of it
+	// the branch rule and the strengthening toggles are part of it
 	for i, mut := range []func(*Request){
-		func(r *Request) { r.Options.Search = core.SearchOptions{Mode: milp.ModePortfolio} },
 		func(r *Request) { r.Options.Search = core.SearchOptions{Branch: core.BranchMostFrac} },
 		func(r *Request) { r.Options.Search = core.SearchOptions{Cuts: core.ToggleOn} },
 		func(r *Request) { r.Options.Search = core.SearchOptions{Dive: core.ToggleOff} },

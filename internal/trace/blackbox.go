@@ -102,6 +102,12 @@ func (b *BlackBox) Record(e BBEvent) {
 	if b == nil {
 		return
 	}
+	b.mu.Lock()
+	b.recordLocked(e)
+	b.mu.Unlock()
+}
+
+func (b *BlackBox) recordLocked(e BBEvent) {
 	if !isFinite(e.Obj) {
 		e.Obj = 0
 	}
@@ -111,7 +117,6 @@ func (b *BlackBox) Record(e BBEvent) {
 	if !isFinite(e.Incumbent) {
 		e.Incumbent = 0
 	}
-	b.mu.Lock()
 	e.TMS = float64(time.Since(b.start)) / float64(time.Millisecond)
 	b.buf[b.next] = e
 	b.next++
@@ -119,15 +124,14 @@ func (b *BlackBox) Record(e BBEvent) {
 		b.next = 0
 	}
 	b.total++
-	b.mu.Unlock()
 }
 
-// Anomaly records e and flushes the box under reason: the one call
-// every anomaly site makes (worker panic, deadline or cancellation,
-// failed certification, watchdog stall). No-op on nil.
+// Anomaly records e and flushes the box under reason in one critical
+// section, so a dump it freezes always ends with e: the one call every
+// anomaly site makes (worker panic, deadline or cancellation, failed
+// certification, watchdog stall). No-op on nil.
 func (b *BlackBox) Anomaly(e BBEvent, reason string) {
-	b.Record(e)
-	b.Flush(reason)
+	b.flush(&e, reason)
 }
 
 // Flush freezes the current ring contents under reason. Only the first
@@ -135,10 +139,19 @@ func (b *BlackBox) Anomaly(e BBEvent, reason string) {
 // it. The OnFlush hook, when set, is invoked with the frozen dump
 // outside the lock. No-op (false) on nil.
 func (b *BlackBox) Flush(reason string) bool {
+	return b.flush(nil, reason)
+}
+
+// flush records e, when non-nil, and freezes the ring under the same
+// lock.
+func (b *BlackBox) flush(e *BBEvent, reason string) bool {
 	if b == nil {
 		return false
 	}
 	b.mu.Lock()
+	if e != nil {
+		b.recordLocked(*e)
+	}
 	if b.flushed {
 		b.mu.Unlock()
 		return false

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -60,6 +62,41 @@ func TestBlackBoxFlushFreezesFirstWins(t *testing.T) {
 	}
 	if len(hooked) != 1 || hooked[0].Reason != "worker-panic" {
 		t.Fatalf("hook calls = %+v", hooked)
+	}
+}
+
+// TestBlackBoxAnomalyEndsDump: node events racing an anomaly never land
+// between the anomaly's event and the freeze, so the frozen dump always
+// ends with the event that froze it.
+func TestBlackBoxAnomalyEndsDump(t *testing.T) {
+	for run := 0; run < 50; run++ {
+		b := NewBlackBox(8)
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for w := 1; w <= 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						b.Record(BBEvent{Kind: BBNode, Worker: w})
+					}
+				}
+			}(w)
+		}
+		for b.Total() < 16 {
+			runtime.Gosched()
+		}
+		b.Anomaly(BBEvent{Kind: BBPanic, Msg: "boom"}, "worker-panic")
+		close(stop)
+		wg.Wait()
+		d := b.Dump()
+		if last := d.Events[len(d.Events)-1]; last.Kind != BBPanic {
+			t.Fatalf("run %d: frozen dump ends with %+v, want the panic", run, last)
+		}
 	}
 }
 

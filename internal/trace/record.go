@@ -239,7 +239,7 @@ func (r *Recorder) Cut(c CutRec) {
 }
 
 // SetSearchStats stamps the search-scheduler summary onto the footer:
-// the scheduler mode that ran (serial/steal/portfolio), the number of
+// the scheduler mode that ran (serial or steal), the number of
 // subproblem steals, and when the first incumbent landed (global node
 // count and nanoseconds since the solve started; zero when no incumbent
 // was found). No-op on nil.

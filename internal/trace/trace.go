@@ -26,9 +26,9 @@ import (
 //	node      — sampled branch-and-bound progress (every SampleEvery nodes)
 //	incumbent — a new best integer-feasible solution was installed
 //	bound     — the proved lower bound moved (parallel best-bound ratchet)
-//	plan      — the solver chose its search strategy (work-stealing,
-//	            portfolio or the serial fallback of the root-size gate);
-//	            Msg names the chosen mode and explains a fallback
+//	plan      — the solver chose its scheduler (work stealing or the
+//	            serial fallback of the root-size gate); Msg names the
+//	            chosen mode and explains a fallback
 //	worker    — a parallel worker picked up a subproblem
 //	steal     — a work-stealing worker stole a subproblem from a victim
 //	            (Worker is the thief; Msg names the victim)
