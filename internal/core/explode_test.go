@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/graph"
@@ -43,7 +44,7 @@ func TestOperationGranularityPartitioning(t *testing.T) {
 
 	// op-granularity: explode and re-solve; adds go to segment 1,
 	// muls to segment 2, paying 2 units of communication
-	eg := g.Explode(1)
+	eg := explode(g, 1)
 	if err := eg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -61,4 +62,48 @@ func TestOperationGranularityPartitioning(t *testing.T) {
 	if eres.Solution.Comm != 2 {
 		t.Fatalf("comm = %d, want 2 (one unit per add->mul edge)", eres.Solution.Comm)
 	}
+}
+
+func TestExplode(t *testing.T) {
+	g := graph.New("chain3")
+	a := g.AddOp(g.AddTask("t0"), graph.OpAdd, "a")
+	b := g.AddOp(g.AddTask("t1"), graph.OpMul, "b")
+	c := g.AddOp(g.AddTask("t2"), graph.OpSub, "c")
+	g.Connect(a, b, 4)
+	g.Connect(b, c, 7)
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	e := explode(g, 2)
+	if e.NumTasks() != g.NumOps() {
+		t.Fatalf("exploded tasks = %d, want %d", e.NumTasks(), g.NumOps())
+	}
+	if e.NumOps() != g.NumOps() {
+		t.Fatalf("exploded ops = %d, want %d", e.NumOps(), g.NumOps())
+	}
+	if err := e.Validate(); err != nil {
+		t.Fatalf("exploded Validate: %v", err)
+	}
+	// Every original op edge must be a task edge with bw 2.
+	for _, oe := range g.OpEdges() {
+		if bw := e.Bandwidth(oe.From, oe.To); bw != 2 {
+			t.Errorf("exploded bandwidth %d->%d = %d, want 2", oe.From, oe.To, bw)
+		}
+	}
+}
+
+// explode returns a copy of g in which every operation has been
+// promoted to its own single-operation task, the operation-granularity
+// modeling of the paper's Section 3. Each op edge becomes a task edge
+// of bandwidth bw.
+func explode(g *graph.Graph, bw int) *graph.Graph {
+	out := graph.New(g.Name + "/exploded")
+	for _, op := range g.Ops() {
+		out.AddOp(out.AddTask(fmt.Sprintf("op%d", op.ID)), op.Kind, op.Label)
+	}
+	for _, e := range g.OpEdges() {
+		out.AddOpEdge(e.From, e.To)
+		out.AddTaskEdge(e.From, e.To, bw)
+	}
+	return out
 }

@@ -227,10 +227,6 @@ func (g *Graph) rebuild() {
 	g.dirty = false
 }
 
-// TaskSucc returns the IDs of tasks directly dependent on task t,
-// sorted ascending.
-func (g *Graph) TaskSucc(t int) []int { g.rebuild(); return g.taskSucc[t] }
-
 // TaskPred returns the IDs of tasks task t directly depends on,
 // sorted ascending.
 func (g *Graph) TaskPred(t int) []int { g.rebuild(); return g.taskPred[t] }
@@ -333,28 +329,6 @@ func (g *Graph) Validate() error {
 		}
 	}
 	return nil
-}
-
-// Explode returns a copy of g in which every operation has been promoted
-// to its own single-operation task, enabling operation-granularity
-// temporal partitioning (Section 3 of the paper: "each operation in the
-// specification may be modeled as a task"). Cross-operation edges become
-// task edges; the bandwidth of each new task edge is bw (data units per
-// dependency), defaulting to 1 when bw <= 0.
-func (g *Graph) Explode(bw int) *Graph {
-	if bw <= 0 {
-		bw = 1
-	}
-	out := New(g.Name + "/exploded")
-	for _, op := range g.ops {
-		t := out.AddTask(fmt.Sprintf("op%d", op.ID))
-		out.AddOp(t, op.Kind, op.Label)
-	}
-	for _, e := range g.opEdge {
-		out.AddOpEdge(e.From, e.To)
-		out.AddTaskEdge(e.From, e.To, bw)
-	}
-	return out
 }
 
 // OpKinds returns the set of operation kinds present, sorted.

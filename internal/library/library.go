@@ -106,10 +106,6 @@ func MustLibrary(types ...FUType) *Library {
 	return lib
 }
 
-// Types returns the FU types sorted by name. Callers must not mutate
-// the returned slice.
-func (l *Library) Types() []FUType { return l.types }
-
 // Type returns the FU type with the given name.
 func (l *Library) Type(name string) (FUType, bool) {
 	for _, ft := range l.types {

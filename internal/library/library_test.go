@@ -139,7 +139,7 @@ func TestAddSubServesBothKinds(t *testing.T) {
 
 func TestDefaultLibraryNamesSorted(t *testing.T) {
 	lib := DefaultLibrary()
-	types := lib.Types()
+	types := lib.types
 	for i := 1; i < len(types); i++ {
 		if !(types[i-1].Name < types[i].Name) {
 			t.Fatalf("types not sorted: %s before %s", types[i-1].Name, types[i].Name)

@@ -105,11 +105,11 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 		rv.wts[j] = 1 // devex frame reseeded for the new dimensions
 	}
 	rv.stale = true // factorize lazily from the extended basis
-	s.rev = rv
+	s.rev, s.eng = rv, rv
 	s.status = StatusUnknown
 	s.pCand, s.dCand = s.pCand[:0], s.dCand[:0]
 	s.pCur, s.dCur = 0, 0
-	s.nzbuf, s.fbuf = nil, nil
+	s.fbuf = nil
 	s.farkasRay = nil
 	return nil
 }

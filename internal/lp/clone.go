@@ -43,7 +43,7 @@ func (s *Solver) Clone() *Solver {
 	copy(rv.wts, s.rev.wts)
 	rv.devexReset = s.rev.devexReset
 	rv.stale = true // factorize lazily at first use
-	c.rev = rv
+	c.rev, c.eng = rv, rv
 	return c
 }
 

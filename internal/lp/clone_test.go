@@ -209,7 +209,7 @@ func TestPropertyPartialPricingCertifiesOptimality(t *testing.T) {
 		if !s.primalFeasible() || !s.dualFeasible() {
 			return false
 		}
-		return s.Residual() <= 1e-6
+		return residual(s) <= 1e-6
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

@@ -51,8 +51,8 @@ func TestDriftedInfeasibleVerdictRecovers(t *testing.T) {
 				t.Fatal("no structural basic variable to corrupt")
 			}
 			b := s.basis[r]
-			if s.tab != nil {
-				trow := s.tab[r*s.ntot : (r+1)*s.ntot]
+			if e, ok := s.eng.(*denseEngine); ok {
+				trow := e.tab[r*s.ntot : (r+1)*s.ntot]
 				for j := range trow {
 					trow[j] = 0
 				}
@@ -117,11 +117,12 @@ func TestFarkasCertifiedRejectsZeroMultipliers(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Solve()
-	trow := s.tab[0*s.ntot : 1*s.ntot]
+	e := s.eng.(*denseEngine)
+	trow := e.tab[0*s.ntot : 1*s.ntot]
 	for j := range trow {
 		trow[j] = 0
 	}
-	if s.farkasCertified(0) {
+	if e.farkasCertified(s, 0) {
 		t.Fatal("trivial aggregation certified infeasibility")
 	}
 }

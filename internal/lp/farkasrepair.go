@@ -3,7 +3,6 @@ package lp
 import (
 	"fmt"
 	"math"
-	"math/big"
 )
 
 // FarkasRepair re-derives a Farkas ray for an LP the solver judged
@@ -139,78 +138,4 @@ func separationMargin(p *Problem, y []float64) float64 {
 		w2 += b
 	}
 	return math.Max(r1-w2, w1-r2)
-}
-
-// RationalizeRay renders a float ray as exact rational strings for the
-// exact-certification layer, snapping each multiplier to the nearest
-// rational with denominator at most maxDen when one lies within a
-// relative 1e-9 of the float value (continued-fraction best
-// approximation). Optimal duals of an LP with small-rational data ARE
-// small rationals; the float solve only reports them to roundoff, and
-// replaying the rounded values verbatim can leave residual ~1e-16
-// coefficients on unbounded variables that widen the replayed interval
-// to ±inf, hiding a perfectly good proof. Snapping restores the exact
-// cancellation. This is candidate generation only — the exact replay
-// downstream remains the judge, so a bad snap can never fabricate a
-// proof. Entries with no nearby small rational pass through as the
-// exact value of the float.
-func RationalizeRay(y []float64, maxDen int64) []string {
-	out := make([]string, len(y))
-	for i, v := range y {
-		out[i] = rationalize(v, maxDen)
-	}
-	return out
-}
-
-func rationalize(v float64, maxDen int64) string {
-	if v == 0 {
-		return "0"
-	}
-	if !math.IsInf(v, 0) && !math.IsNaN(v) && math.Abs(v) < 1e15 {
-		if num, den, ok := ratApprox(v, maxDen); ok {
-			if approx := float64(num) / float64(den); math.Abs(approx-v) <= 1e-9*(1+math.Abs(v)) {
-				return fmt.Sprintf("%d/%d", num, den)
-			}
-		}
-	}
-	r := new(big.Rat).SetFloat64(v)
-	if r == nil {
-		return "0"
-	}
-	return r.RatString()
-}
-
-// ratApprox computes the best rational approximation num/den of x with
-// den <= maxDen by continued fractions.
-func ratApprox(x float64, maxDen int64) (num, den int64, ok bool) {
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	var h0, k0, h1, k1 int64 = 0, 1, 1, 0
-	f := x
-	for i := 0; i < 64; i++ {
-		fa := math.Floor(f)
-		if fa > float64(math.MaxInt64)/2 {
-			break
-		}
-		a := int64(fa)
-		h2, k2 := a*h1+h0, a*k1+k0
-		if k2 > maxDen || k2 < 0 || h2 < 0 {
-			break
-		}
-		h0, k0, h1, k1 = h1, k1, h2, k2
-		frac := f - fa
-		if frac < 1e-12 {
-			break
-		}
-		f = 1 / frac
-	}
-	if k1 == 0 {
-		return 0, 0, false
-	}
-	if neg {
-		h1 = -h1
-	}
-	return h1, k1, true
 }

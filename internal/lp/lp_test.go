@@ -521,14 +521,15 @@ func TestDualValues(t *testing.T) {
 	if s.Status() != StatusOptimal {
 		t.Fatal(s.Status())
 	}
-	if d := s.Dual(0); math.Abs(d-(-1)) > 1e-6 {
+	duals := s.Duals()
+	if d := duals[0]; math.Abs(d-(-1)) > 1e-6 {
 		t.Errorf("dual(cap) = %v, want -1", d)
 	}
-	if d := s.Dual(1); math.Abs(d-(-1)) > 1e-6 {
+	if d := duals[1]; math.Abs(d-(-1)) > 1e-6 {
 		t.Errorf("dual(ycap) = %v, want -1", d)
 	}
 	// x is basic at 2: reduced cost ~ 0... x at 2 with bound 3: basic.
-	if rc := s.ReducedCost(x); math.Abs(rc) > 1e-6 {
+	if rc := s.d[x]; math.Abs(rc) > 1e-6 {
 		t.Errorf("rc(x) = %v, want 0", rc)
 	}
 }
@@ -547,7 +548,7 @@ func TestPropertyDualSigns(t *testing.T) {
 			return false
 		}
 		for j := 0; j < p.NumVars(); j++ {
-			rc := s.ReducedCost(j)
+			rc := s.d[j]
 			lo, hi := p.Bounds(j)
 			v := s.X(j)
 			switch {
@@ -599,7 +600,32 @@ func TestResidualStaysSmall(t *testing.T) {
 	if st := s.ReOptimize(); st != StatusOptimal {
 		t.Fatalf("status %v after toggles", st)
 	}
-	if res := s.Residual(); res > 1e-6 {
+	if res := residual(s); res > 1e-6 {
 		t.Fatalf("residual %g after 400 re-optimizations", res)
 	}
+}
+
+// residual returns the maximum violation of the original row equations
+// by the solver's current solution — a direct measure of the numerical
+// drift accumulated by incremental basis updates. A healthy solve stays
+// within a few orders of magnitude of machine epsilon times the
+// problem's coefficient magnitude.
+func residual(s *Solver) float64 {
+	worst := 0.0
+	for i := 0; i < s.m; i++ {
+		r := s.origRows[i]
+		v := 0.0
+		for k, j := range r.idx {
+			v += r.val[k] * s.value(j)
+		}
+		// row value must lie in [lo, hi]
+		lo, hi := s.RowBounds(i)
+		if v < lo && lo-v > worst {
+			worst = lo - v
+		}
+		if v > hi && v-hi > worst {
+			worst = v - hi
+		}
+	}
+	return worst
 }

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -128,192 +126,4 @@ func mpsName(name string, j int) string {
 		clean = clean[:6]
 	}
 	return fmt.Sprintf("%s_%d", clean, j)
-}
-
-// ReadMPS parses a problem written by WriteMPS (fixed MPS with the
-// COST objective row, RHS/RANGES/BOUNDS sections). It is not a fully
-// general MPS reader; it accepts the dialect this package writes,
-// which is enough for round-tripping and external-solver interchange.
-func ReadMPS(r io.Reader) (*Problem, error) {
-	sc := bufio.NewScanner(r)
-	p := &Problem{}
-	type rowSpec struct {
-		typ byte
-		rhs float64
-		rng float64
-	}
-	rowIdx := map[string]int{}
-	var rowSpecs []rowSpec
-	var rowNames []string
-	colIdx := map[string]int{}
-	colEntries := map[int]map[int]float64{} // col -> row -> coef
-	colObj := map[int]float64{}
-	colLo := map[int]float64{}
-	colHi := map[int]float64{}
-	section := ""
-	lineno := 0
-	for sc.Scan() {
-		lineno++
-		line := sc.Text()
-		if line == "" || strings.HasPrefix(line, "*") {
-			continue
-		}
-		if line[0] != ' ' && line[0] != '\t' {
-			f := strings.Fields(line)
-			section = f[0]
-			continue
-		}
-		f := strings.Fields(line)
-		fail := func(msg string) error { return fmt.Errorf("lp: mps line %d: %s", lineno, msg) }
-		switch section {
-		case "ROWS":
-			if len(f) != 2 {
-				return nil, fail("want: <type> <name>")
-			}
-			if f[1] == "COST" {
-				continue
-			}
-			rowIdx[f[1]] = len(rowSpecs)
-			rowSpecs = append(rowSpecs, rowSpec{typ: f[0][0]})
-			rowNames = append(rowNames, f[1])
-		case "COLUMNS":
-			if len(f) < 3 || len(f)%2 == 0 {
-				return nil, fail("want: <col> (<row> <val>)+")
-			}
-			col, ok := colIdx[f[0]]
-			if !ok {
-				col = len(colIdx)
-				colIdx[f[0]] = col
-				colEntries[col] = map[int]float64{}
-			}
-			for k := 1; k < len(f); k += 2 {
-				v, err := strconv.ParseFloat(f[k+1], 64)
-				if err != nil {
-					return nil, fail("bad value " + f[k+1])
-				}
-				if f[k] == "COST" {
-					colObj[col] = v
-					continue
-				}
-				ri, ok := rowIdx[f[k]]
-				if !ok {
-					return nil, fail("unknown row " + f[k])
-				}
-				colEntries[col][ri] += v
-			}
-		case "RHS":
-			for k := 1; k < len(f); k += 2 {
-				ri, ok := rowIdx[f[k]]
-				if !ok {
-					return nil, fail("unknown row " + f[k])
-				}
-				v, err := strconv.ParseFloat(f[k+1], 64)
-				if err != nil {
-					return nil, fail("bad rhs")
-				}
-				rowSpecs[ri].rhs = v
-			}
-		case "RANGES":
-			for k := 1; k < len(f); k += 2 {
-				ri, ok := rowIdx[f[k]]
-				if !ok {
-					return nil, fail("unknown row " + f[k])
-				}
-				v, err := strconv.ParseFloat(f[k+1], 64)
-				if err != nil {
-					return nil, fail("bad range")
-				}
-				rowSpecs[ri].rng = v
-			}
-		case "BOUNDS":
-			if len(f) < 3 {
-				return nil, fail("short bound")
-			}
-			col, ok := colIdx[f[2]]
-			if !ok {
-				return nil, fail("unknown column " + f[2])
-			}
-			var v float64
-			if len(f) > 3 {
-				var err error
-				if v, err = strconv.ParseFloat(f[3], 64); err != nil {
-					return nil, fail("bad bound")
-				}
-			}
-			switch f[0] {
-			case "FR":
-				colLo[col], colHi[col] = math.Inf(-1), Inf
-			case "MI":
-				colLo[col] = math.Inf(-1)
-			case "FX":
-				colLo[col], colHi[col] = v, v
-			case "LO":
-				colLo[col] = v
-			case "UP":
-				colHi[col] = v
-			default:
-				return nil, fail("unsupported bound type " + f[0])
-			}
-		case "ENDATA":
-		default:
-			return nil, fail("unknown section " + section)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	// materialize columns in first-seen order
-	names := make([]string, len(colIdx))
-	for n, j := range colIdx {
-		names[j] = n
-	}
-	for j := 0; j < len(names); j++ {
-		lo, hi := 0.0, Inf
-		if v, ok := colLo[j]; ok {
-			lo = v
-		}
-		if v, ok := colHi[j]; ok {
-			hi = v
-		}
-		p.AddVar(names[j], colObj[j], lo, hi)
-	}
-	// rows
-	for ri, spec := range rowSpecs {
-		var idx []int
-		var coef []float64
-		cols := make([]int, 0)
-		for col := range colEntries {
-			if _, ok := colEntries[col][ri]; ok {
-				cols = append(cols, col)
-			}
-		}
-		sort.Ints(cols)
-		for _, col := range cols {
-			idx = append(idx, col)
-			coef = append(coef, colEntries[col][ri])
-		}
-		var lo, hi float64
-		switch spec.typ {
-		case 'E':
-			lo, hi = spec.rhs, spec.rhs
-		case 'L':
-			lo, hi = math.Inf(-1), spec.rhs
-			if spec.rng != 0 {
-				lo = spec.rhs - math.Abs(spec.rng)
-			}
-		case 'G':
-			lo, hi = spec.rhs, Inf
-			if spec.rng != 0 {
-				hi = spec.rhs + math.Abs(spec.rng)
-			}
-		case 'N':
-			lo, hi = math.Inf(-1), Inf
-		default:
-			return nil, fmt.Errorf("lp: mps: unknown row type %c", spec.typ)
-		}
-		if err := p.AddRow(rowNames[ri], idx, coef, lo, hi); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
 }

@@ -12,8 +12,9 @@
 //
 // The constraint matrix is kept in sparse column form and the basis as
 // a sparse LU factorization updated by an eta file (revised.go, lu.go).
-// A dense-tableau engine (simplex.go) survives only as the reference
-// the package's differential tests compare the revised engine against.
+// A dense-tableau engine (dense_test.go) survives only as the reference
+// the package's differential tests compare the revised engine against,
+// plugged into the same Solver through its engine seam.
 package lp
 
 import (

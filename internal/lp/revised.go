@@ -7,30 +7,28 @@ import (
 	"repro/internal/trace"
 )
 
-// This file is the revised simplex engine every solve runs: the same
-// bounded-variable primal/dual pivoting rules as the dense reference in
-// simplex.go, but with the basis kept as a sparse LU factorization
-// (lu.go) instead of a dense tableau. The quantities a pivot needs are
-// recomputed on demand:
+// This file is the revised simplex engine every solve runs, the only
+// production implementation of the Solver's engine seam: bounded-variable
+// primal/dual pivoting with the basis kept as a sparse LU factorization
+// (lu.go) instead of a dense tableau B^{-1}A'. The tableau quantities a
+// pivot needs are recomputed on demand:
 //
 //	entering column  tab[:,q] = B^{-1} a_q      — one FTRAN
 //	pivot row        tab[r,:] = (B^{-T}e_r)^T A' — one BTRAN + row scatter
 //
-// so a pivot costs O(factor nnz touched + pivot-row nnz) instead of the
-// dense engine's O(m·ntot) elimination. Pricing gains devex reference
-// weights on the primal side, layered on the same candidate-list /
-// rotating-window scheme (and the same full-wrap optimality
-// certificate) as the dense engine; the dual side keeps the
-// largest-violation rule, whose per-pivot cost was never
-// tableau-dependent.
+// so a pivot costs O(factor nnz touched + pivot-row nnz) instead of a
+// dense tableau's O(m·ntot) elimination. Primal pricing uses devex
+// reference weights over a candidate list refilled by rotating windows,
+// declaring optimality only after a full wrap; the dual side prices by
+// largest violation (priceDual, simplex.go).
 //
-// Contract parity with the dense engine is deliberate and test-enforced
+// lp's differential tests hold this engine to a dense-tableau reference
 // (FuzzDifferential): identical statuses, objectives agreeing within
 // feasTol, the same Farkas certification of infeasibility verdicts
-// (certifyRay — the revised engine's ray is the BTRAN'd unit vector
-// itself), the same degeneracy → Bland escalation, and deterministic
+// (certifyRay — this engine's ray is the BTRAN'd unit vector itself),
+// the same degeneracy → Bland escalation, and deterministic
 // tie-breaking (ratio tests scan candidates in ascending index order,
-// with the dense engine's exact tie rules).
+// with the reference's exact tie rules).
 
 // maxEtas bounds the eta file length before the basis is refactorized;
 // the eta-nnz trigger below refactorizes earlier when updates fill in
@@ -109,13 +107,12 @@ func (s *Solver) revFactorize() bool {
 	return ok
 }
 
-// revEnsure brings the factorization (and, if deferred, the basic
-// values) in sync with the logical state — the lazy half of the
+// ensure brings the factorization (and, if deferred, the basic values)
+// in sync with the logical state — the lazy half of the
 // Clone/Snapshot/Restore contract, which copies only logical state and
 // marks the factors stale. Returns false when the recorded basis turns
 // out numerically singular; the caller falls back to reset().
-func (s *Solver) revEnsure() bool {
-	rv := s.rev
+func (rv *revisedState) ensure(s *Solver) bool {
 	if rv.stale {
 		if !s.revFactorize() {
 			return false
@@ -128,42 +125,16 @@ func (s *Solver) revEnsure() bool {
 	return true
 }
 
-// revReset is reset() for the revised engine: all-logical basis (whose
-// factorization is the identity and cannot fail), devex weights
-// reseeded, reduced costs d = c.
-func (s *Solver) revReset() {
-	var t0 time.Time
-	if s.Prof != nil {
-		t0 = time.Now()
-	}
-	s.Counters.Refactorizations++
-	for i := 0; i < s.m; i++ {
-		s.basis[i] = s.n + i
-		s.inRow[s.n+i] = i
-		s.vstat[s.n+i] = basic
-	}
-	for j := 0; j < s.n; j++ {
-		s.inRow[j] = -1
-		s.setNonbasicStart(j)
-	}
-	copy(s.d, s.c)
-	s.status = StatusUnknown
-	s.bland = false
-	s.degRun = 0
-	s.pCand = s.pCand[:0]
-	s.pCur = 0
-	s.dCand = s.dCand[:0]
-	s.dCur = 0
-	rv := s.rev
+// reset factorizes the all-logical basis Solver.reset installed (the
+// identity: always succeeds), reseeds the devex weights and recomputes
+// the basic values.
+func (rv *revisedState) reset(s *Solver) {
 	for j := range rv.wts {
 		rv.wts[j] = 1
 	}
 	rv.devexReset = false
 	rv.betaStale = false
-	if s.Prof != nil {
-		s.Prof.Observe(trace.PhaseRefactorize, time.Since(t0).Nanoseconds())
-	}
-	s.revFactorize() // identity basis: always succeeds
+	s.revFactorize()
 	s.revRecomputeBeta()
 }
 
@@ -258,12 +229,11 @@ func (s *Solver) revRecomputeBeta() {
 	copy(s.beta, x)
 }
 
-// revShiftNonbasic adjusts basic values after nonbasic j moved by
-// delta: beta -= delta · B^{-1} a_j. While the factors are stale (bound
-// edits right after Clone/Restore), the whole recomputation is deferred
-// to revEnsure — one FTRAN for the batch instead of one per edit.
-func (s *Solver) revShiftNonbasic(j int, delta float64) {
-	rv := s.rev
+// shiftNonbasic adjusts basic values after nonbasic j moved by delta:
+// beta -= delta · B^{-1} a_j. While the factors are stale (bound edits
+// right after Clone/Restore), the whole recomputation is deferred to
+// ensure — one FTRAN for the batch instead of one per edit.
+func (rv *revisedState) shiftNonbasic(s *Solver, j int, delta float64) {
 	if rv.stale || rv.betaStale {
 		rv.betaStale = true
 		return
@@ -282,7 +252,7 @@ func (s *Solver) revShiftNonbasic(j int, delta float64) {
 // scatter. Returns false when the stale factors cannot be rebuilt (the
 // caller resets instead).
 func (s *Solver) revSetObjBasic(j int, dc float64) bool {
-	if s.rev.stale && !s.revEnsure() {
+	if s.rev.stale && !s.rev.ensure(s) {
 		return false
 	}
 	s.revPivotRow(s.inRow[j])
@@ -300,10 +270,9 @@ func (s *Solver) revSetObjBasic(j int, dc float64) bool {
 	return true
 }
 
-// revRestoreDuals recomputes d = c - c_B^T B^{-1} [A|I] from scratch
+// restoreDuals recomputes d = c - c_B^T B^{-1} [A|I] from scratch
 // (phase-1 exit): y = B^{-T} c_B by one BTRAN, then a row scatter.
-func (s *Solver) revRestoreDuals() {
-	rv := s.rev
+func (rv *revisedState) restoreDuals(s *Solver) {
 	y := rv.rho
 	any := false
 	for i := 0; i < s.m; i++ {
@@ -358,10 +327,11 @@ func (s *Solver) revRefactorDue() bool {
 
 // revPricePrimal selects the entering variable under devex pricing:
 // among columns whose reduced cost is violated (primalViol > optTol),
-// pick the largest viol²/weight. Candidate-list and rotating-window
-// structure — and the full-wrap optimality certificate — are identical
-// to the dense engine's pricePrimal; Bland's rule bypasses weights
-// entirely.
+// pick the largest viol²/weight. The candidate list is re-validated
+// first; only when it is empty are rotating windows of columns scanned,
+// and optimality is declared only after a full wrap finds no violation.
+// Bland's rule bypasses weights entirely with the exact lowest-index
+// full scan its anti-cycling argument requires.
 func (s *Solver) revPricePrimal() int {
 	if s.bland {
 		for j := 0; j < s.ntot; j++ {
@@ -422,10 +392,11 @@ func (s *Solver) revPricePrimal() int {
 	return -1 // full wrap, nothing violated: optimal
 }
 
-// revRatioPrimal is ratioPrimal reading the FTRAN'd entering column
-// instead of a tableau column; rows are scanned in ascending order with
-// the dense engine's exact tie rules, so leaving-row selection is
-// deterministic.
+// revRatioPrimal runs the bounded-variable ratio test for entering
+// variable q moving in direction sigma over the FTRAN'd entering column.
+// It returns the leaving row, the step length, whether the leaving basic
+// variable hits its upper bound, and whether the move is a bound flip of
+// q itself. Rows are scanned in ascending order.
 func (s *Solver) revRatioPrimal(q int, sigma float64) (leave int, step float64, hitUpper, flip bool) {
 	col := s.rev.col
 	step = math.Inf(1)
@@ -466,11 +437,17 @@ func (s *Solver) revRatioPrimal(q int, sigma float64) (leave int, step float64, 
 		case r < step-tieTol:
 			better = true
 		case r < step+tieTol && leave < 0:
-			better = true
+			better = true // beats the bound-flip limit on a tie
 		case r < step+tieTol && leave >= 0:
 			if s.bland {
 				better = s.basis[i] < s.basis[leave]
 			} else {
+				// Tie: prefer a decisively larger pivot for stability,
+				// but when pivot magnitudes tie too, break toward the
+				// lowest basis index. Near-equal magnitudes must not
+				// decide — float noise in |a| would then order pivots
+				// differently in a cloned worker's refactorized basis,
+				// and serial vs parallel solves would diverge.
 				aa := math.Abs(a)
 				switch {
 				case aa > bestPiv+tieTol:
@@ -486,14 +463,17 @@ func (s *Solver) revRatioPrimal(q int, sigma float64) (leave int, step float64, 
 		}
 	}
 	if leave < 0 && flip {
+		// the entering variable's own bound range is the binding limit
 		return -1, step, false, true
 	}
 	return leave, step, hitUpper, false
 }
 
-// revRatioDual is ratioDual reading the scattered pivot row alpha; the
-// column scan stays a full ascending sweep (exactly the dense cost), so
-// entering-column selection is deterministic.
+// revRatioDual selects the entering variable for leaving row r from the
+// scattered pivot row alpha; below indicates the leaving basic variable
+// violates its lower bound (needs to increase). It returns -1 when the
+// row proves infeasibility. The column scan is a full ascending sweep,
+// so entering-column selection is deterministic.
 func (s *Solver) revRatioDual(r int, below bool) int {
 	rv := s.rev
 	q := -1
@@ -507,11 +487,13 @@ func (s *Solver) revRatioDual(r int, below bool) int {
 		if a > -pivTol && a < pivTol {
 			continue
 		}
+		// eligibility: moving j within its free direction must push
+		// beta[r] toward the violated bound (d beta[r]/d x_j = -a).
 		eligible := false
 		switch s.vstat[j] {
-		case atLower:
+		case atLower: // x_j may increase
 			eligible = (below && a < 0) || (!below && a > 0)
-		case atUpper:
+		case atUpper: // x_j may decrease
 			eligible = (below && a > 0) || (!below && a < 0)
 		case atFree:
 			eligible = true
@@ -526,6 +508,10 @@ func (s *Solver) revRatioDual(r int, below bool) int {
 			}
 			continue
 		}
+		// a tied ratio only displaces the incumbent on a decisively
+		// larger pivot magnitude; a near-equal magnitude keeps the
+		// earlier (lowest-index) column, for the same determinism as
+		// revRatioPrimal's tie rule
 		aa := math.Abs(a)
 		switch {
 		case ratio < bestRatio-tieTol:
@@ -603,8 +589,10 @@ func (s *Solver) revPivot(r, q int, delta float64, hitUpper bool) {
 	s.Counters.EtaNNZ += int64(rv.lu.appendEta(r, col))
 }
 
-// revPrimalSimplex is primalSimplex on the revised basis representation.
-func (s *Solver) revPrimalSimplex() Status {
+// primal iterates while the basis is primal feasible, driving reduced
+// costs to dual feasibility. Entering rule: devex (revPricePrimal),
+// falling back to Bland's rule after a run of degenerate pivots.
+func (rv *revisedState) primal(s *Solver) Status {
 	limit := s.maxIter()
 	prof := s.Prof
 	var tl time.Time
@@ -646,7 +634,7 @@ func (s *Solver) revPrimalSimplex() Status {
 		if flip {
 			s.Iterations++
 			s.noteDegenerate(step)
-			col := s.rev.col
+			col := rv.col
 			delta := sigma * step
 			for i := 0; i < s.m; i++ {
 				if col[i] != 0 {
@@ -669,7 +657,7 @@ func (s *Solver) revPrimalSimplex() Status {
 			prof.Observe(trace.PhaseBTRAN, now.Sub(tl).Nanoseconds())
 			tl = now
 		}
-		if !s.revPivotAgree(leave, q) && s.rev.lu.nEtas() > 0 {
+		if !s.revPivotAgree(leave, q) && rv.lu.nEtas() > 0 {
 			// eta file has drifted: rebuild exact factors and redo the
 			// iteration from them
 			if !s.revFactorize() {
@@ -690,12 +678,13 @@ func (s *Solver) revPrimalSimplex() Status {
 	return StatusIterLimit
 }
 
-// revDualSimplex is dualSimplex on the revised basis representation.
-// Row pricing is shared with the dense engine (priceDual never touches
-// the tableau); the pivot row comes from one BTRAN, and an
-// infeasibility verdict's multipliers are the BTRAN'd unit vector
-// itself, certified by the shared certifyRay.
-func (s *Solver) revDualSimplex() Status {
+// dual iterates while reduced costs are dual feasible, driving basic
+// values into their bounds. Leaving rule: largest bound violation
+// (priceDual); entering rule: the dual ratio test (Bland fallback on
+// degeneracy). The pivot row comes from one BTRAN, and an infeasibility
+// verdict's multipliers are the BTRAN'd unit vector itself, certified
+// against the original rows by certifyRay.
+func (rv *revisedState) dual(s *Solver) Status {
 	limit := s.maxIter()
 	prof := s.Prof
 	var tl time.Time
@@ -728,7 +717,7 @@ func (s *Solver) revDualSimplex() Status {
 			tl = now
 		}
 		if q < 0 {
-			if s.rev.lu.nEtas() > 0 {
+			if rv.lu.nEtas() > 0 {
 				// never conclude infeasibility off eta-file arithmetic:
 				// rebuild exact factors and re-derive the row first
 				if !s.revFactorize() {
@@ -737,7 +726,7 @@ func (s *Solver) revDualSimplex() Status {
 				continue
 			}
 			s.Counters.FarkasChecks++
-			certified := s.certifyRay(s.rev.rho)
+			certified := s.certifyRay(rv.rho)
 			if prof != nil {
 				prof.Observe(trace.PhaseFarkas, time.Since(tl).Nanoseconds())
 			}
@@ -753,7 +742,7 @@ func (s *Solver) revDualSimplex() Status {
 			prof.Observe(trace.PhaseFTRAN, now.Sub(tl).Nanoseconds())
 			tl = now
 		}
-		if !s.revPivotAgree(r, q) && s.rev.lu.nEtas() > 0 {
+		if !s.revPivotAgree(r, q) && rv.lu.nEtas() > 0 {
 			if !s.revFactorize() {
 				return StatusIterLimit
 			}
@@ -766,7 +755,7 @@ func (s *Solver) revDualSimplex() Status {
 		} else {
 			target = s.hi[b]
 		}
-		a := s.rev.col[r]
+		a := rv.col[r]
 		delta := (s.beta[r] - target) / a
 		s.Iterations++
 		s.noteDegenerate(math.Abs(delta))

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"time"
 
 	"repro/internal/trace"
 )
@@ -64,7 +65,7 @@ type Counters struct {
 	// the cached candidate list without any window scan.
 	WindowScans   int64
 	CandidateHits int64
-	// LU counters; all stay zero on the dense reference.
+	// LU counters; all stay zero on the dense test reference.
 	// Factorizations counts sparse LU (re)builds of the basis; FTRANs
 	// and BTRANs the forward/backward factor solves; EtaNNZ the
 	// product-form update entries appended over the lifetime (EtaNNZ /
@@ -121,19 +122,22 @@ type Solver struct {
 	m    int // rows
 	ntot int // n + m (structural + logical)
 
-	c      []float64     // costs, logical costs are 0
-	lo, hi []float64     // current bounds, logical bounds encode row ranges
-	rev    *revisedState // sparse columns + LU basis; nil on the dense reference
-	tab    []float64     // dense reference only: m x ntot tableau, row-major B^{-1}A
-	beta   []float64     // values of basic variables per row
-	basis  []int         // variable basic in each row
-	inRow  []int         // row of a basic variable, -1 if nonbasic
-	vstat  []varStatus
-	nbVal  []float64 // value of nonbasic variables
-	d      []float64 // reduced costs
+	c      []float64 // costs, logical costs are 0
+	lo, hi []float64 // current bounds, logical bounds encode row ranges
+	// eng runs the basis-dependent steps (see engine). Outside lp's
+	// differential tests it is always rev, the sparse revised engine;
+	// the operations only that engine supports (SetObj on a basic
+	// variable, Clone, Snapshot/Restore, AppendRows) use rev directly.
+	eng   engine
+	rev   *revisedState
+	beta  []float64 // values of basic variables per row
+	basis []int     // variable basic in each row
+	inRow []int     // row of a basic variable, -1 if nonbasic
+	vstat []varStatus
+	nbVal []float64 // value of nonbasic variables
+	d     []float64 // reduced costs
 
 	origRows []row     // for rebuilds
-	nzbuf    []int32   // scratch: pivot-row nonzero support
 	fbuf     []float64 // scratch: Farkas certificate aggregation
 
 	// Candidate-list partial pricing state. The cached candidates are a
@@ -183,6 +187,29 @@ type Solver struct {
 	farkasRay     []float64
 }
 
+// engine is the seam between a Solver and its basis representation:
+// exactly the steps whose implementation depends on how B^{-1} is held.
+// The revised engine (revisedState) is the only implementation solves
+// run; lp's differential tests plug in a dense-tableau reference.
+type engine interface {
+	// reset rebuilds the representation of the all-logical basis that
+	// Solver.reset has just installed, including the basic values.
+	reset(s *Solver)
+	// shiftNonbasic adjusts the basic values after nonbasic variable j
+	// moved by delta.
+	shiftNonbasic(s *Solver, j int, delta float64)
+	// ensure brings deferred state up to date before a solve; false
+	// means the recorded basis is singular and the caller must reset.
+	ensure(s *Solver) bool
+	// primal and dual run the primal and dual simplex from the current
+	// basis to a verdict.
+	primal(s *Solver) Status
+	dual(s *Solver) Status
+	// restoreDuals recomputes the reduced costs d = c - c_B^T B^{-1} A'
+	// from scratch (phase-1 exit).
+	restoreDuals(s *Solver)
+}
+
 // NewSolver builds a revised-simplex solver for p. The problem must
 // have at least one variable. Row data is copied; the solver is
 // independent of later changes to p.
@@ -192,6 +219,7 @@ func NewSolver(p *Problem) (*Solver, error) {
 		return nil, err
 	}
 	s.rev = newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
+	s.eng = s.rev
 	s.reset()
 	return s, nil
 }
@@ -234,23 +262,16 @@ func newSolverState(p *Problem) (*Solver, error) {
 }
 
 // reset restores the all-logical basis with nonbasic structural
-// variables at cost-favourable bounds.
+// variables at cost-favourable bounds, then has the engine rebuild its
+// representation of that basis (whose factorization is the identity
+// and cannot fail).
 func (s *Solver) reset() {
-	if s.rev != nil {
-		s.revReset()
-		return
+	var t0 time.Time
+	if s.Prof != nil {
+		t0 = time.Now()
 	}
 	s.Counters.Refactorizations++
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
 	for i := 0; i < s.m; i++ {
-		r := s.origRows[i]
-		trow := s.tab[i*s.ntot : (i+1)*s.ntot]
-		for k, j := range r.idx {
-			trow[j] = r.val[k]
-		}
-		trow[s.n+i] = 1
 		s.basis[i] = s.n + i
 		s.inRow[s.n+i] = i
 		s.vstat[s.n+i] = basic
@@ -259,7 +280,6 @@ func (s *Solver) reset() {
 		s.inRow[j] = -1
 		s.setNonbasicStart(j)
 	}
-	s.recomputeBeta()
 	// basis costs are all zero (logicals), so d = c
 	copy(s.d, s.c)
 	s.status = StatusUnknown
@@ -269,6 +289,10 @@ func (s *Solver) reset() {
 	s.pCur = 0
 	s.dCand = s.dCand[:0]
 	s.dCur = 0
+	if s.Prof != nil {
+		s.Prof.Observe(trace.PhaseRefactorize, time.Since(t0).Nanoseconds())
+	}
+	s.eng.reset(s)
 }
 
 // setNonbasicStart places nonbasic variable j on the bound favoured by
@@ -287,20 +311,6 @@ func (s *Solver) setNonbasicStart(j int) {
 		s.vstat[j], s.nbVal[j] = atLower, s.lo[j]
 	default:
 		s.vstat[j], s.nbVal[j] = atFree, 0
-	}
-}
-
-// recomputeBeta recomputes all basic values from nonbasic values.
-func (s *Solver) recomputeBeta() {
-	for i := 0; i < s.m; i++ {
-		trow := s.tab[i*s.ntot : (i+1)*s.ntot]
-		v := 0.0
-		for j := 0; j < s.ntot; j++ {
-			if s.vstat[j] != basic && s.nbVal[j] != 0 && trow[j] != 0 {
-				v += trow[j] * s.nbVal[j]
-			}
-		}
-		s.beta[i] = -v
 	}
 }
 
@@ -357,7 +367,7 @@ func (s *Solver) SetBound(j int, lo, hi float64) {
 // factorized state consistent so ReOptimize can warm-start. Row ranges
 // are owned by the logical variables (row i holds a_i·x + g_i = 0 with
 // g_i in [-hi, -lo]), which every consumer of row ranges — the dual
-// ratio test, Farkas certification, Residual — already treats as
+// ratio test, Farkas certification, RowBounds — already treats as
 // authoritative, so a range edit needs no tableau rebuild: it is the
 // row-side twin of SetBound, the primitive the delta re-solve layer
 // uses to morph a solved root into a neighboring instance (rhs edits:
@@ -406,7 +416,7 @@ func (s *Solver) setBoundAny(j int, lo, hi float64) {
 		s.vstat[j], s.nbVal[j] = atUpper, hi
 	}
 	if delta := s.nbVal[j] - old; delta != 0 {
-		s.shiftNonbasic(j, delta)
+		s.eng.shiftNonbasic(s, j, delta)
 	}
 	s.status = StatusUnknown
 }
@@ -455,20 +465,6 @@ func (s *Solver) RowBounds(i int) (lo, hi float64) {
 // at NewSolver time.
 func (s *Solver) Dims() (vars, rows int) { return s.n, s.m }
 
-// shiftNonbasic adjusts basic values after nonbasic variable j moved by
-// delta.
-func (s *Solver) shiftNonbasic(j int, delta float64) {
-	if s.rev != nil {
-		s.revShiftNonbasic(j, delta)
-		return
-	}
-	for i := 0; i < s.m; i++ {
-		if a := s.tab[i*s.ntot+j]; a != 0 {
-			s.beta[i] -= a * delta
-		}
-	}
-}
-
 // expired reports whether the context was cancelled or its deadline
 // passed; polled cheaply every 128 pivots so cancellation latency stays
 // bounded by a short pivot run.
@@ -511,7 +507,7 @@ func (s *Solver) optimize() Status {
 	if s.CaptureFarkas {
 		s.farkasRay = s.farkasRay[:0]
 	}
-	if s.rev != nil && !s.revEnsure() {
+	if !s.eng.ensure(s) {
 		// a Clone/Restore recorded a basis the factorization now rejects
 		// as singular (pure-roundoff pathology); restart cold
 		s.reset()
@@ -545,32 +541,16 @@ func (s *Solver) runSimplex() Status {
 	case primalOK && dualOK:
 		st = StatusOptimal
 	case dualOK:
-		st = s.dualLoop()
+		st = s.eng.dual(s)
 	case primalOK:
-		st = s.primalLoop()
+		st = s.eng.primal(s)
 	default:
 		st = s.phase1()
 		if st == StatusOptimal {
-			st = s.primalLoop()
+			st = s.eng.primal(s)
 		}
 	}
 	return st
-}
-
-// primalLoop and dualLoop dispatch a pivoting run to the engine backing
-// this solver.
-func (s *Solver) primalLoop() Status {
-	if s.rev != nil {
-		return s.revPrimalSimplex()
-	}
-	return s.primalSimplex()
-}
-
-func (s *Solver) dualLoop() Status {
-	if s.rev != nil {
-		return s.revDualSimplex()
-	}
-	return s.dualSimplex()
 }
 
 func (s *Solver) primalFeasible() bool {
@@ -610,52 +590,9 @@ func (s *Solver) phase1() Status {
 	for j := range s.d {
 		s.d[j] = 0
 	}
-	st := s.dualLoop()
-	if s.rev != nil {
-		s.revRestoreDuals()
-		return st
-	}
-	// restore d = c - c_B^T (B^{-1} A)
-	copy(s.d, s.c)
-	for i := 0; i < s.m; i++ {
-		cb := s.c[s.basis[i]]
-		if cb == 0 {
-			continue
-		}
-		trow := s.tab[i*s.ntot : (i+1)*s.ntot]
-		for j := 0; j < s.ntot; j++ {
-			if trow[j] != 0 {
-				s.d[j] -= cb * trow[j]
-			}
-		}
-	}
-	for i := 0; i < s.m; i++ {
-		s.d[s.basis[i]] = 0
-	}
+	st := s.eng.dual(s)
+	s.eng.restoreDuals(s)
 	return st
-}
-
-// ReducedCost returns the current reduced cost of structural variable
-// j (meaningful after an optimal solve: nonnegative for variables at
-// lower bound, nonpositive at upper bound, ~0 for basic ones).
-func (s *Solver) ReducedCost(j int) float64 {
-	if j < 0 || j >= s.n {
-		panic(fmt.Sprintf("lp: ReducedCost: bad variable %d", j))
-	}
-	return s.d[j]
-}
-
-// Dual returns the dual value (shadow price) of row i at the current
-// basis: the rate of change of the objective per unit increase of the
-// row's binding bound. Derived from the reduced cost of the row's
-// logical variable.
-func (s *Solver) Dual(i int) float64 {
-	if i < 0 || i >= s.m {
-		panic(fmt.Sprintf("lp: Dual: bad row %d", i))
-	}
-	// the logical variable of row i has cost 0 and column e_i, so its
-	// reduced cost is -y_i
-	return -s.d[s.n+i]
 }
 
 // FarkasRay returns a copy of the row multipliers behind the last
@@ -673,11 +610,14 @@ func (s *Solver) FarkasRay() []float64 {
 	return append([]float64(nil), s.farkasRay...)
 }
 
-// Duals returns a copy of all row dual values at the current basis
-// (see Dual).
+// Duals returns a copy of all row dual values (shadow prices) at the
+// current basis: y_i is the rate of change of the objective per unit
+// increase of row i's binding bound.
 func (s *Solver) Duals() []float64 {
 	y := make([]float64, s.m)
 	for i := 0; i < s.m; i++ {
+		// the logical variable of row i has cost 0 and column e_i, so
+		// its reduced cost is -y_i
 		y[i] = -s.d[s.n+i]
 	}
 	return y
@@ -699,29 +639,4 @@ func (s *Solver) VarPositions() []int8 {
 		out[j] = int8(st)
 	}
 	return out
-}
-
-// Residual returns the maximum violation of the original row equations
-// by the solver's current solution — a direct measure of the numerical
-// drift accumulated by incremental tableau updates. A healthy solve
-// stays within a few orders of magnitude of machine epsilon times the
-// problem's coefficient magnitude.
-func (s *Solver) Residual() float64 {
-	worst := 0.0
-	for i := 0; i < s.m; i++ {
-		r := s.origRows[i]
-		v := 0.0
-		for k, j := range r.idx {
-			v += r.val[k] * s.value(j)
-		}
-		// row value must lie in [lo, hi]
-		lo, hi := -s.hi[s.n+i], -s.lo[s.n+i]
-		if v < lo && lo-v > worst {
-			worst = lo - v
-		}
-		if v > hi && v-hi > worst {
-			worst = v - hi
-		}
-	}
-	return worst
 }

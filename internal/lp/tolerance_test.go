@@ -183,7 +183,7 @@ func TestCloneWarmStartPivotsMatchSerial(t *testing.T) {
 // TestCertifyOffSteadyStateAllocs pins the acceptance criterion that
 // the certification hooks add no allocations when certification is
 // off: warm-started re-optimization cycles that cross an infeasibility
-// verdict — the path that exercises farkasCertified's capture gate —
+// verdict — the path that exercises certifyRay's capture gate —
 // stay allocation-free with CaptureFarkas at its default false.
 func TestCertifyOffSteadyStateAllocs(t *testing.T) {
 	s := buildReoptProblem(t)

@@ -139,7 +139,7 @@ func TestWarmEditMatchesCold(t *testing.T) {
 			if math.Abs(wo-co) > 1e-7*(1+math.Abs(co)) {
 				t.Fatalf("trial %d: warm objective %v, cold %v", trial, wo, co)
 			}
-			if r := s.Residual(); r > 1e-6 {
+			if r := residual(s); r > 1e-6 {
 				t.Fatalf("trial %d: warm residual %v", trial, r)
 			}
 			if s.Iterations <= cold.Iterations {

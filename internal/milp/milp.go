@@ -70,12 +70,6 @@ func (s Status) String() string {
 	}
 }
 
-// Stopped reports whether a limit or cancellation cut the search short
-// before it could prove optimality or infeasibility.
-func (s Status) Stopped() bool {
-	return s == StatusFeasible || s == StatusLimit || s == StatusNodeLimit || s == StatusCancelled
-}
-
 // intTol is the integrality tolerance.
 const intTol = 1e-6
 

@@ -204,32 +204,3 @@ func TestPropertyLowering(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestVerilogEmission(t *testing.T) {
-	g, alloc, sol := fixture(t)
-	n, err := Build(g, alloc, sol, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := n.Verilog()
-	for _, want := range []string{
-		"module fx_seg1", "endmodule",
-		"add16 u_add16_0();",
-		"reg [15:0] r0;",
-		"always @(posedge clk)",
-		"done <= (step == 3);",
-	} {
-		if !strings.Contains(v, want) {
-			t.Errorf("Verilog missing %q:\n%s", want, v)
-		}
-	}
-}
-
-func TestStepBits(t *testing.T) {
-	cases := map[int]int{1: 1, 2: 2, 3: 2, 4: 3, 7: 3, 8: 4, 15: 4, 16: 5}
-	for steps, want := range cases {
-		if got := stepBits(steps); got != want {
-			t.Errorf("stepBits(%d) = %d, want %d", steps, got, want)
-		}
-	}
-}

@@ -48,9 +48,6 @@ func TestWindowsDiamond(t *testing.T) {
 			t.Errorf("ALAP[%d] = %d, want %d", o, w.ALAP[o], want)
 		}
 	}
-	if m := w.Mobility(b); m != 0 {
-		t.Errorf("mobility(b) = %d", m)
-	}
 }
 
 func TestWindowsSlack(t *testing.T) {

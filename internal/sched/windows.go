@@ -98,7 +98,3 @@ func (w *Windows) Steps(i, L int) []int {
 
 // MaxStep returns the last usable control step with relaxation L.
 func (w *Windows) MaxStep(L int) int { return w.CriticalPath + L }
-
-// Mobility returns ALAP(i)-ASAP(i), the slack of operation i without
-// relaxation.
-func (w *Windows) Mobility(i int) int { return w.ALAP[i] - w.ASAP[i] }

@@ -99,15 +99,11 @@ type tokenBucket struct {
 	last   time.Time
 }
 
-// take refills by the elapsed wall time and consumes one token,
-// reporting the wait until a token would be available on failure.
-func (tb *tokenBucket) take(now time.Time) (bool, time.Duration) {
-	return tb.takeN(now, 1)
-}
-
-// takeN consumes n tokens atomically — all or none, so a batch is
-// admitted or shed as a unit. n beyond the bucket depth can never
-// succeed; the reported wait is then the full-refill time.
+// takeN refills by the elapsed wall time and consumes n tokens
+// atomically — all or none, so a batch is admitted or shed as a unit —
+// reporting the wait until they would be available on failure. n beyond
+// the bucket depth can never succeed; the reported wait is then the
+// full-refill time.
 func (tb *tokenBucket) takeN(now time.Time, n float64) (bool, time.Duration) {
 	if !tb.last.IsZero() {
 		tb.tokens += now.Sub(tb.last).Seconds() * tb.rate

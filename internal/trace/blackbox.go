@@ -43,12 +43,11 @@ type BlackBox struct {
 const DefaultBlackBoxCap = 256
 
 // Black-box event kinds. These deliberately mirror the Kind taxonomy
-// where events overlap (node, incumbent, bound, stall, panic) and add
+// where events overlap (node, incumbent, stall, panic) and add
 // ring-only kinds for flush triggers.
 const (
 	BBNode      = "node"
 	BBIncumbent = "incumbent"
-	BBBound     = "bound"
 	BBPanic     = "panic"
 	BBStall     = "stall"
 	BBDeadline  = "deadline"

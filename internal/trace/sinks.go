@@ -1,10 +1,8 @@
 package trace
 
 import (
-	"context"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"sync"
 )
 
@@ -27,59 +25,6 @@ func (s *WriterSink) Emit(e Event) {
 	s.mu.Lock()
 	_ = s.enc.Encode(&e)
 	s.mu.Unlock()
-}
-
-// SlogSink forwards events to a structured slog.Logger at Info level,
-// with the event kind as the message and the non-zero fields as
-// attributes.
-type SlogSink struct {
-	l *slog.Logger
-}
-
-// NewSlogSink returns a sink logging through l (nil uses the default
-// logger).
-func NewSlogSink(l *slog.Logger) *SlogSink {
-	if l == nil {
-		l = slog.Default()
-	}
-	return &SlogSink{l: l}
-}
-
-// Emit implements Sink.
-func (s *SlogSink) Emit(e Event) {
-	attrs := make([]slog.Attr, 0, 12)
-	attrs = append(attrs,
-		slog.Uint64("seq", e.Seq),
-		slog.Float64("t_ms", e.TMS),
-	)
-	if e.Nodes != 0 {
-		attrs = append(attrs, slog.Int64("nodes", e.Nodes))
-	}
-	if e.Pivots != 0 {
-		attrs = append(attrs, slog.Int64("pivots", e.Pivots))
-	}
-	if e.HasIncumbent {
-		attrs = append(attrs, slog.Float64("incumbent", e.Incumbent))
-	}
-	if e.Bound != 0 {
-		attrs = append(attrs, slog.Float64("bound", e.Bound))
-	}
-	if e.Gap != 0 {
-		attrs = append(attrs, slog.Float64("gap", e.Gap))
-	}
-	if e.Worker != 0 {
-		attrs = append(attrs, slog.Int("worker", e.Worker))
-	}
-	if e.Vars != 0 {
-		attrs = append(attrs, slog.Int("vars", e.Vars), slog.Int("rows", e.Rows), slog.Int("nnz", e.NNZ))
-	}
-	if e.Status != "" {
-		attrs = append(attrs, slog.String("status", e.Status))
-	}
-	if e.Msg != "" {
-		attrs = append(attrs, slog.String("msg", e.Msg))
-	}
-	s.l.LogAttrs(context.Background(), slog.LevelInfo, string(e.Kind), attrs...)
 }
 
 // Fanout replicates events to a dynamic set of sinks. Sinks may be

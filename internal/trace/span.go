@@ -4,8 +4,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -133,17 +131,6 @@ func (sc *Spans) Open() int64 {
 		return 0
 	}
 	return sc.open.Load()
-}
-
-// WriteNDJSON writes the finished spans one JSON object per line.
-func (sc *Spans) WriteNDJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	for _, r := range sc.Snapshot() {
-		if err := enc.Encode(&r); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 func (sc *Spans) finish(rec SpanRec) {

@@ -2,7 +2,7 @@
 // single flat Event type emitted by the LP engine, the branch-and-bound
 // search, the model builder and the solve service, fanned out to
 // pluggable Sinks (an in-memory ring for live SSE streaming, an NDJSON
-// writer for offline analysis, a slog adapter for operational logs).
+// writer for offline analysis, a fanout over several sinks).
 //
 // The layer is designed to cost nothing when disabled: a nil *Tracer is
 // the valid "off" state, every method has a nil-receiver guard, and the
@@ -105,7 +105,6 @@ type Event struct {
 	Bound        float64 `json:"bound,omitempty"`
 	Gap          float64 `json:"gap,omitempty"`
 	Worker       int     `json:"worker,omitempty"`
-	Subproblem   int     `json:"subproblem,omitempty"`
 
 	// Model shape (model events). Density is the constraint-matrix
 	// fill ratio NNZ / (Vars·Rows).

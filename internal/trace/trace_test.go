@@ -3,7 +3,6 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"log/slog"
 	"math"
 	"strings"
 	"sync"
@@ -168,19 +167,6 @@ func TestFanoutAddDuringEmit(t *testing.T) {
 	}
 	if evs := b.Snapshot(); evs[0].Kind != KindStatus {
 		t.Fatalf("late sink first event = %+v", evs[0])
-	}
-}
-
-func TestSlogSinkSmoke(t *testing.T) {
-	var buf bytes.Buffer
-	l := slog.New(slog.NewJSONHandler(&buf, nil))
-	tr := New(NewSlogSink(l))
-	tr.Emit(Event{Kind: KindIncumbent, HasIncumbent: true, Incumbent: 4, Nodes: 9})
-	out := buf.String()
-	for _, want := range []string{`"msg":"incumbent"`, `"incumbent":4`, `"nodes":9`} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("slog output %q missing %q", out, want)
-		}
 	}
 }
 
