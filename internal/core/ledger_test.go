@@ -1,0 +1,236 @@
+package core
+
+import (
+	"bufio"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/library"
+	"repro/internal/randgraph"
+)
+
+// ledgerRow is one row of the paper's Tables 3 and 4 under the options
+// of those tables (tightened model, exact sweep).
+type ledgerRow struct {
+	label             string
+	graph, n, l       int
+	adders, muls, sub int
+	// open rows never close: the ledger takes a prefix of their
+	// assignments at a reduced budget instead of the sweep's set
+	open bool
+}
+
+var ledgerRows = []ledgerRow{
+	{"T3 g1 N3 L0", 1, 3, 0, 2, 2, 1, false},
+	{"T3 g1 N2 L4", 1, 2, 4, 2, 2, 1, false},
+	{"T4 g4 N2 L1", 4, 2, 1, 2, 2, 2, false},
+	{"T4 g4 N3 L0", 4, 3, 0, 2, 2, 2, false},
+	{"T4 g5 N3 L0", 5, 3, 0, 2, 2, 2, false},
+	{"T4 g5 N2 L2", 5, 2, 2, 2, 2, 2, false},
+	{"T4 g6 N3 L0", 6, 3, 0, 2, 2, 2, false},
+	{"T4 g6 N2 L1", 6, 2, 1, 2, 2, 2, false},
+	{"T3 g1 N3 L3", 1, 3, 3, 2, 2, 1, true},
+	{"T3 g1 N2 L3", 1, 2, 3, 2, 2, 1, true},
+	{"T4 g2 N4 L2", 2, 4, 2, 3, 2, 2, true},
+	{"T4 g3 N3 L2", 3, 3, 2, 2, 2, 2, true},
+}
+
+// Open rows: how many assignments the ledger takes, and the step
+// budget of each exact search.
+const (
+	ledgerOpenPrefix = 100
+	ledgerOpenBudget = 20_000
+)
+
+func buildLedgerModel(t testing.TB, r ledgerRow) *Model {
+	t.Helper()
+	g, err := randgraph.Paper(r.graph)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := library.PaperAllocation(library.DefaultLibrary(), r.adders, r.muls, r.sub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := Instance{Graph: g, Alloc: alloc, Device: library.XC4010()}
+	m, err := Build(inst, Options{N: r.n, L: r.l, Tightened: true, ExactSweep: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// sweptAssignments runs the exact sweep on a fresh model, as a solve
+// runs it, and returns every assignment it handed to the scheduler,
+// sorted by their probe-cache keys.
+func sweptAssignments(t testing.TB, m *Model) [][]int {
+	t.Helper()
+	sw := m.exactSweep(m.heuristicIncumbent(), time.Time{})
+	if sw.unresolved != 0 {
+		t.Fatalf("sweep left %d assignments unresolved", sw.unresolved)
+	}
+	keys := make([]string, 0, len(m.probeCache))
+	for k := range m.probeCache {
+		keys = append(keys, k)
+	}
+	if len(keys) != sw.enumerated {
+		t.Fatalf("probe cache holds %d assignments, sweep enumerated %d", len(keys), sw.enumerated)
+	}
+	sort.Strings(keys)
+	parts := make([][]int, len(keys))
+	for i, k := range keys {
+		for _, f := range strings.Fields(strings.Trim(k, "[]")) {
+			p, err := strconv.Atoi(f)
+			if err != nil {
+				t.Fatalf("probe cache key %q: %v", k, err)
+			}
+			parts[i] = append(parts[i], p)
+		}
+	}
+	return parts
+}
+
+// orderValidPrefix returns the first limit assignments the sweep's
+// enumeration visits (topological task order, partitions ascending,
+// no task before a predecessor's partition), with no cost bound.
+func orderValidPrefix(g *graph.Graph, n, limit int) [][]int {
+	order, _ := g.TopoTasks()
+	assign := make([]int, g.NumTasks())
+	var out [][]int
+	var rec func(idx int)
+	rec = func(idx int) {
+		if len(out) == limit {
+			return
+		}
+		if idx == len(order) {
+			out = append(out, append([]int(nil), assign...))
+			return
+		}
+		t := order[idx]
+		lo := 1
+		for _, pr := range g.TaskPred(t) {
+			if assign[pr] > lo {
+				lo = assign[pr]
+			}
+		}
+		for p := lo; p <= n; p++ {
+			assign[t] = p
+			rec(idx + 1)
+		}
+		assign[t] = 0
+	}
+	rec(0)
+	return out
+}
+
+// ledgerLine runs exactSchedule and listWitness on each assignment of
+// the row and summarizes their decisions: the assignment count, the
+// exact scheduler's found/infeasible/budget counts, the witness count,
+// and an FNV-64a digest over every (status, step, unit) and
+// (ok, step, unit) record.
+func ledgerLine(t testing.TB, r ledgerRow) string {
+	t.Helper()
+	m := buildLedgerModel(t, r)
+	budget := probeBudgetFull
+	var parts [][]int
+	if r.open {
+		budget = ledgerOpenBudget
+		parts = orderValidPrefix(m.Inst.Graph, m.N, ledgerOpenPrefix)
+	} else {
+		parts = sweptAssignments(t, m)
+	}
+	var counts [3]int
+	witnessed := 0
+	h := fnv.New64a()
+	for _, part := range parts {
+		ent := m.exactSchedule(part, budget, time.Time{})
+		counts[ent.status]++
+		step, unit, ok := m.listWitness(part)
+		if ok {
+			witnessed++
+		}
+		fmt.Fprintf(h, "%v %d %v %v %t %v %v\n", part, ent.status, ent.step, ent.unit, ok, step, unit)
+	}
+	return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%016x",
+		r.label, len(parts), counts[schedFound], counts[schedInfeasible], counts[schedBudget], witnessed, h.Sum64())
+}
+
+// TestExactScheduleLedger pins every decision of the exact sweep's two
+// schedulers on the paper's rows: each closed row's swept assignments
+// at the full budget, and a prefix of each open row's assignments at a
+// reduced budget. testdata/schedule_ledger.txt records the decisions
+// of the map-based schedulers these replaced; a scheduler change that
+// alters any status, step or unit fails here.
+func TestExactScheduleLedger(t *testing.T) {
+	want := map[string]string{}
+	f, err := os.Open(filepath.Join("testdata", "schedule_ledger.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if line == "" || strings.HasPrefix(line, "#") {
+			continue
+		}
+		label, _, _ := strings.Cut(line, "\t")
+		want[label] = line
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range ledgerRows {
+		if got := ledgerLine(t, r); got != want[r.label] {
+			t.Errorf("ledger differs:\n got %s\nwant %s", got, want[r.label])
+		}
+	}
+}
+
+// exactScheduleMaxAllocs bounds the allocations of one exactSchedule
+// call: the schedule's two slices, the search state and its two backing
+// arrays, and kindCoverFits' two count arrays. The count does not grow
+// with the number of placements tried.
+const exactScheduleMaxAllocs = 7
+
+// TestExactScheduleSteadyStateAllocs runs exactSchedule on every
+// assignment the exact sweep enumerates on T4 g5 N3 L0 and checks that
+// no call allocates more than exactScheduleMaxAllocs times. All of them
+// are unschedulable, and most proofs try many placements, so an
+// allocation per placement would show.
+func TestExactScheduleSteadyStateAllocs(t *testing.T) {
+	var row ledgerRow
+	for _, r := range ledgerRows {
+		if r.label == "T4 g5 N3 L0" {
+			row = r
+		}
+	}
+	m := buildLedgerModel(t, row)
+	parts := sweptAssignments(t, m)
+	if len(parts) == 0 {
+		t.Fatal("the sweep enumerated no assignments")
+	}
+	worst := 0.0
+	for _, part := range parts {
+		// several runs, so that an allocation elsewhere in the process
+		// (a goroutine an earlier test left winding down) averages out
+		a := testing.AllocsPerRun(5, func() {
+			_ = m.exactSchedule(part, probeBudgetFull, time.Time{})
+		})
+		worst = math.Max(worst, a)
+	}
+	if worst > exactScheduleMaxAllocs {
+		t.Fatalf("exactSchedule allocates up to %.0f times per call over %d assignments, want at most %d",
+			worst, len(parts), exactScheduleMaxAllocs)
+	}
+	t.Logf("%d assignments, at most %.0f allocations per call", len(parts), worst)
+}

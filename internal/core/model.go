@@ -46,6 +46,8 @@ type Model struct {
 	// fu(i): compatible unit IDs per op; cs(i): candidate start steps.
 	fu [][]int
 	cs [][]int
+	// sched holds the exact scheduler's read-only tables.
+	sched *schedTables
 	// occ lists, for every x column, the control steps it occupies.
 	occ map[int][]int
 	// oPairs[t] lists unit IDs k with an o_tk variable, ascending.
@@ -121,6 +123,7 @@ func Build(inst Instance, opt Options) (*Model, error) {
 	}
 	buildSpan := opt.Span.Child("build") // nil-safe when spans are off
 	m.computeRanks()
+	m.buildSchedTables()
 	m.computeDomains()
 	m.createVariables()
 	if err := m.emitConstraints(); err != nil {
@@ -169,14 +172,15 @@ func (m *Model) latOf(k int) int {
 	return m.Inst.Alloc.Unit(k).Type.Latency
 }
 
-// computeDomains fills fu, cs, oPairs and cSteps.
+// computeDomains fills fu (from the scheduler tables), cs, oPairs and
+// cSteps.
 func (m *Model) computeDomains() {
-	g, alloc := m.Inst.Graph, m.Inst.Alloc
+	g := m.Inst.Graph
 	no, nt := g.NumOps(), g.NumTasks()
 	m.fu = make([][]int, no)
 	m.cs = make([][]int, no)
 	for i := 0; i < no; i++ {
-		m.fu[i] = alloc.UnitsFor(g.Op(i).Kind)
+		m.fu[i] = m.sched.kindUnits[m.sched.kindOf[i]]
 		m.cs[i] = m.Win.Steps(i, m.Opt.L)
 	}
 	m.oPairs = make([][]int, nt)

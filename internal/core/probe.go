@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/library"
 	"repro/internal/sched"
 )
 
@@ -189,11 +188,81 @@ func (m *Model) listWitness(part []int) (step, unit []int, ok bool) {
 	return asg.Step, asg.Unit, true
 }
 
+// schedTables holds the exact scheduler's read-only inputs in dense
+// form, built once per model: operation kinds become small integers
+// and every per-unit and per-kind fact the search reads sits in a
+// slice.
+type schedTables struct {
+	// order lists the ops most-constrained-first: ALAP ascending, which
+	// is still a topological order (a predecessor's ALAP is strictly
+	// below its successor's) and makes the backtracking fail early
+	// instead of deep.
+	order  []int
+	kindOf []int // op -> kind index
+	// kindUnits[kind] lists the units able to execute the kind, by ID;
+	// minFG[kind] is the cheapest of them.
+	kindUnits [][]int
+	minFG     []int
+	// per unit: FG cost, latency under the active mode, pipelining, and
+	// the lower-ID units of the same type
+	fg        []int
+	lat       []int
+	pipelined []bool
+	twins     [][]int
+}
+
+// buildSchedTables fills m.sched; the instance was validated, so its
+// operation graph is acyclic.
+func (m *Model) buildSchedTables() {
+	g, alloc := m.Inst.Graph, m.Inst.Alloc
+	order, _ := g.TopoOps()
+	sort.SliceStable(order, func(a, b int) bool {
+		return m.Win.ALAP[order[a]] < m.Win.ALAP[order[b]]
+	})
+	kinds := g.OpKinds()
+	index := make(map[graph.OpKind]int, len(kinds))
+	for c, kind := range kinds {
+		index[kind] = c
+	}
+	nu := alloc.NumUnits()
+	t := &schedTables{
+		order:     order,
+		kindOf:    make([]int, g.NumOps()),
+		kindUnits: make([][]int, len(kinds)),
+		minFG:     make([]int, len(kinds)),
+		fg:        make([]int, nu),
+		lat:       make([]int, nu),
+		pipelined: make([]bool, nu),
+		twins:     make([][]int, nu),
+	}
+	for i := range t.kindOf {
+		t.kindOf[i] = index[g.Op(i).Kind]
+	}
+	for k := 0; k < nu; k++ {
+		typ := alloc.Unit(k).Type
+		t.fg[k], t.lat[k], t.pipelined[k] = typ.FG, m.latOf(k), typ.Pipelined
+		for u := 0; u < k; u++ {
+			if alloc.Unit(u).Type.Name == typ.Name {
+				t.twins[k] = append(t.twins[k], u)
+			}
+		}
+	}
+	for c, kind := range kinds {
+		t.kindUnits[c] = alloc.UnitsFor(kind)
+		for _, u := range t.kindUnits[c] {
+			if t.minFG[c] == 0 || t.fg[u] < t.minFG[c] {
+				t.minFG[c] = t.fg[u]
+			}
+		}
+	}
+	m.sched = t
+}
+
 // exactSchedule backtracks over (step, unit) placements for a fixed
 // task assignment, honoring mobility windows, step ownership, FU
 // occupancy (incl. multicycle/pipelined) and per-partition area.
 func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeEntry {
-	g, alloc, dev := m.Inst.Graph, m.Inst.Alloc, m.Inst.Device
+	g, dev := m.Inst.Graph, m.Inst.Device
 	// y-level sanity: order and memory (normally guaranteed by the LP)
 	for _, e := range g.TaskEdges() {
 		if part[e.From] > part[e.To] {
@@ -208,206 +277,241 @@ func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeE
 	if !m.kindCoverFits(part) {
 		return probeEntry{status: schedInfeasible}
 	}
-	order, err := g.TopoOps()
-	if err != nil {
-		return probeEntry{status: schedInfeasible}
+	s := newExactSearch(m, part, budget, deadline)
+	if st := s.place(0); st != schedFound {
+		return probeEntry{status: st}
 	}
-	// most-constrained-first: ALAP ascending is still a topological
-	// order (a predecessor's ALAP is strictly below its successor's)
-	// and makes the backtracking fail early instead of deep.
-	sort.SliceStable(order, func(a, b int) bool {
-		return m.Win.ALAP[order[a]] < m.Win.ALAP[order[b]]
-	})
-	no := g.NumOps()
+	return probeEntry{status: schedFound, step: s.step, unit: s.unit}
+}
+
+// exactSearch is the mutable state of one exactSchedule call. Steal
+// workers probe one model concurrently, so every call owns its own.
+// Two-dimensional tables are flattened: (step, unit) as step*nu+unit,
+// (partition, unit) as p*nu+unit and (partition, kind) as p*nk+kind.
+type exactSearch struct {
+	m        *Model
+	t        *schedTables
+	part     []int
+	budget   int
+	deadline time.Time
+	maxStep  int
+	nu, nk   int
+
+	step, unit []int  // the schedule under construction, per op
+	endOf      []int  // last step each placed op occupies
+	stepOwner  []int  // step -> partition owning it, 0 = free
+	busy       []bool // (step, unit) -> occupied
+	usedSlots  []int  // unit -> occupied slots
+	usedFG     []int  // partition -> FG of the units opened there
+	opened     []bool // (partition, unit) -> unit opened there
+	// kind-capacity pruning state: unplaced ops per kind, and per
+	// partition and kind. Capacity is overcounted (units are counted
+	// even for partitions they cannot join), which keeps the prune
+	// sound.
+	remaining   []int
+	remainingPK []int
+	// owned is the undo stack of steps placements claimed; top is its
+	// height.
+	owned []int
+	top   int
+}
+
+func newExactSearch(m *Model, part []int, budget int, deadline time.Time) *exactSearch {
+	g, t := m.Inst.Graph, m.sched
+	no, nu, nk := g.NumOps(), len(t.fg), len(t.minFG)
 	maxStep := m.Win.MaxStep(m.Opt.L)
-	step := make([]int, no)
-	unit := make([]int, no)
-	endOf := make([]int, no)
-	stepOwner := make([]int, maxStep+2) // 0 = free
-	type slot struct{ j, k int }
-	busy := map[slot]bool{}
-	usedFG := make([]int, m.N+1)
-	partUnits := make([]map[int]bool, m.N+1)
-	for i := range partUnits {
-		partUnits[i] = map[int]bool{}
+	s := &exactSearch{
+		m: m, t: t, part: part, budget: budget, deadline: deadline,
+		maxStep: maxStep, nu: nu, nk: nk,
+		step: make([]int, no),
+		unit: make([]int, no),
 	}
-	// kind-capacity pruning state: remaining unplaced ops per kind and
-	// occupied slots per unit. Capacity is overcounted (units are
-	// counted even for partitions they cannot join), which keeps the
-	// prune sound.
-	remaining := map[graph.OpKind]int{}
+	// one backing array for the int state, one for the flags
+	ints := make([]int, no+(maxStep+2)+nu+(m.N+1)+nk+(m.N+1)*nk+(maxStep+1))
+	carve := func(n int) []int {
+		c := ints[:n:n]
+		ints = ints[n:]
+		return c
+	}
+	s.endOf = carve(no)
+	s.stepOwner = carve(maxStep + 2)
+	s.usedSlots = carve(nu)
+	s.usedFG = carve(m.N + 1)
+	s.remaining = carve(nk)
+	s.remainingPK = carve((m.N + 1) * nk)
+	s.owned = carve(maxStep + 1)
+	flags := make([]bool, (maxStep+1)*nu+(m.N+1)*nu)
+	s.busy, s.opened = flags[:(maxStep+1)*nu], flags[(maxStep+1)*nu:]
 	for i := 0; i < no; i++ {
-		remaining[g.Op(i).Kind]++
+		c := t.kindOf[i]
+		s.remaining[c]++
+		s.remainingPK[part[g.Op(i).Task]*nk+c]++
 	}
-	usedSlots := make([]int, alloc.NumUnits())
-	// remainingPK[p][kind]: unplaced ops of each kind per partition
-	remainingPK := make([]map[graph.OpKind]int, m.N+1)
-	for p := 1; p <= m.N; p++ {
-		remainingPK[p] = map[graph.OpKind]int{}
-	}
-	for i := 0; i < no; i++ {
-		remainingPK[part[g.Op(i).Task]][g.Op(i).Kind]++
-	}
-	// cheapest unit FG per kind, for the area prune
-	minFG := map[graph.OpKind]int{}
-	for kind := range remaining {
-		for _, u := range alloc.UnitsFor(kind) {
-			if fg := alloc.Unit(u).Type.FG; minFG[kind] == 0 || fg < minFG[kind] {
-				minFG[kind] = fg
-			}
+	return s
+}
+
+// kindFits is the search's capacity prune: every kind still to place
+// must fit the free slots of its units, and every kind a partition
+// still needs must have a serving unit there or room to open one.
+func (s *exactSearch) kindFits() bool {
+	t, dev := s.t, s.m.Inst.Device
+	// global slot capacity per kind (overcounted, hence sound)
+	for c, need := range s.remaining {
+		if need == 0 {
+			continue
+		}
+		free := 0
+		for _, u := range t.kindUnits[c] {
+			free += s.maxStep - s.usedSlots[u]
+		}
+		if free < need {
+			return false
 		}
 	}
-	kindFits := func() bool {
-		// global slot capacity per kind (overcounted, hence sound)
-		for kind, need := range remaining {
+	for p := 1; p <= s.m.N; p++ {
+		for c, need := range s.remainingPK[p*s.nk : (p+1)*s.nk] {
 			if need == 0 {
 				continue
 			}
-			free := 0
-			for _, u := range alloc.UnitsFor(kind) {
-				free += maxStep - usedSlots[u]
+			served := false
+			for _, u := range t.kindUnits[c] {
+				if s.opened[p*s.nu+u] {
+					served = true
+					break
+				}
 			}
-			if free < need {
+			if !served && !dev.Fits(s.usedFG[p]+t.minFG[c]) {
 				return false
 			}
 		}
-		// per-partition area: every kind still needed by a partition
-		// must have a serving unit there or room to add one
-		for p := 1; p <= m.N; p++ {
-			for kind, need := range remainingPK[p] {
-				if need == 0 {
-					continue
-				}
-				served := false
-				for u := range partUnits[p] {
-					if alloc.Unit(u).Type.CanExecute(kind) {
-						served = true
-						break
-					}
-				}
-				if !served && !dev.Fits(usedFG[p]+minFG[kind]) {
-					return false
-				}
-			}
-		}
-		return true
 	}
-	var rec func(n int) schedStatus
-	rec = func(n int) schedStatus {
-		if n == no {
-			return schedFound
+	return true
+}
+
+// hasUnusedTwin reports whether a lower-ID unit of the same type as k
+// is still completely unused — in that case opening k first would be a
+// symmetric duplicate of opening the twin.
+func (s *exactSearch) hasUnusedTwin(k int) bool {
+	for _, u := range s.t.twins[k] {
+		if s.usedSlots[u] == 0 {
+			return true
 		}
-		if !kindFits() {
-			return schedInfeasible
-		}
-		i := order[n]
-		p := part[g.Op(i).Task]
-		lo := m.Win.ASAP[i]
-		for _, pr := range g.OpPred(i) {
-			if endOf[pr]+1 > lo {
-				lo = endOf[pr] + 1
-			}
-		}
-		for j := lo; j <= m.Win.ALAP[i]+m.Opt.L; j++ {
-			for _, k := range m.fu[i] {
-				// symmetry breaking: identical units are interchangeable
-				// (same type everywhere in the model), so only the
-				// lowest-ID unused unit of a type may be "opened"
-				if usedSlots[k] == 0 && hasUnusedTwin(alloc, usedSlots, k) {
-					continue
-				}
-				lat := m.latOf(k)
-				if j+lat-1 > maxStep {
-					continue
-				}
-				if budget--; budget <= 0 {
-					return schedBudget
-				}
-				if budget%4096 == 0 {
-					// poll the wall clock and the solve context so a
-					// deep backtracking run cannot outlive either
-					if m.cancelled() || (!deadline.IsZero() && time.Now().After(deadline)) {
-						return schedBudget
-					}
-				}
-				ownOK := true
-				for jj := j; jj <= j+lat-1; jj++ {
-					if stepOwner[jj] != 0 && stepOwner[jj] != p {
-						ownOK = false
-						break
-					}
-				}
-				if !ownOK {
-					continue
-				}
-				pipelined := alloc.Unit(k).Type.Pipelined
-				occLo, occHi := j, j+lat-1
-				if pipelined {
-					occHi = j // issue slot only
-				}
-				conflict := false
-				for jj := occLo; jj <= occHi; jj++ {
-					if busy[slot{jj, k}] {
-						conflict = true
-						break
-					}
-				}
-				if conflict {
-					continue
-				}
-				newUnit := !partUnits[p][k]
-				if newUnit && !dev.Fits(usedFG[p]+alloc.Unit(k).Type.FG) {
-					continue
-				}
-				// place
-				step[i], unit[i], endOf[i] = j, k, j+lat-1
-				remaining[g.Op(i).Kind]--
-				remainingPK[p][g.Op(i).Kind]--
-				usedSlots[k] += occHi - occLo + 1
-				var owned []int
-				for jj := j; jj <= j+lat-1; jj++ {
-					if stepOwner[jj] == 0 {
-						stepOwner[jj] = p
-						owned = append(owned, jj)
-					}
-				}
-				for jj := occLo; jj <= occHi; jj++ {
-					busy[slot{jj, k}] = true
-				}
-				if newUnit {
-					partUnits[p][k] = true
-					usedFG[p] += alloc.Unit(k).Type.FG
-				}
-				st := rec(n + 1)
-				// undo
-				remaining[g.Op(i).Kind]++
-				remainingPK[p][g.Op(i).Kind]++
-				usedSlots[k] -= occHi - occLo + 1
-				if newUnit {
-					delete(partUnits[p], k)
-					usedFG[p] -= alloc.Unit(k).Type.FG
-				}
-				for jj := occLo; jj <= occHi; jj++ {
-					delete(busy, slot{jj, k})
-				}
-				for _, jj := range owned {
-					stepOwner[jj] = 0
-				}
-				if st != schedInfeasible {
-					return st
-				}
-			}
-		}
+	}
+	return false
+}
+
+// place schedules the n-th op of the order and everything after it,
+// trying start steps ascending and units by ID, and undoes each
+// placement that leads nowhere.
+func (s *exactSearch) place(n int) schedStatus {
+	if n == len(s.step) {
+		return schedFound
+	}
+	if !s.kindFits() {
 		return schedInfeasible
 	}
-	switch rec(0) {
-	case schedFound:
-		return probeEntry{status: schedFound, step: step, unit: unit}
-	case schedBudget:
-		return probeEntry{status: schedBudget}
-	default:
-		return probeEntry{status: schedInfeasible}
+	m, t, nu := s.m, s.t, s.nu
+	g, dev := m.Inst.Graph, m.Inst.Device
+	i := t.order[n]
+	p := s.part[g.Op(i).Task]
+	c := t.kindOf[i]
+	lo := m.Win.ASAP[i]
+	for _, pr := range g.OpPred(i) {
+		if s.endOf[pr]+1 > lo {
+			lo = s.endOf[pr] + 1
+		}
 	}
+	for j := lo; j <= m.Win.ALAP[i]+m.Opt.L; j++ {
+		for _, k := range m.fu[i] {
+			// symmetry breaking: identical units are interchangeable
+			// (same type everywhere in the model), so only the
+			// lowest-ID unused unit of a type may be "opened"
+			if s.usedSlots[k] == 0 && s.hasUnusedTwin(k) {
+				continue
+			}
+			lat := t.lat[k]
+			if j+lat-1 > s.maxStep {
+				continue
+			}
+			if s.budget--; s.budget <= 0 {
+				return schedBudget
+			}
+			if s.budget%4096 == 0 {
+				// poll the wall clock and the solve context so a
+				// deep backtracking run cannot outlive either
+				if m.cancelled() || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
+					return schedBudget
+				}
+			}
+			ownOK := true
+			for jj := j; jj <= j+lat-1; jj++ {
+				if s.stepOwner[jj] != 0 && s.stepOwner[jj] != p {
+					ownOK = false
+					break
+				}
+			}
+			if !ownOK {
+				continue
+			}
+			occLo, occHi := j, j+lat-1
+			if t.pipelined[k] {
+				occHi = j // issue slot only
+			}
+			conflict := false
+			for jj := occLo; jj <= occHi; jj++ {
+				if s.busy[jj*nu+k] {
+					conflict = true
+					break
+				}
+			}
+			if conflict {
+				continue
+			}
+			newUnit := !s.opened[p*nu+k]
+			if newUnit && !dev.Fits(s.usedFG[p]+t.fg[k]) {
+				continue
+			}
+			// place
+			s.step[i], s.unit[i], s.endOf[i] = j, k, j+lat-1
+			s.remaining[c]--
+			s.remainingPK[p*s.nk+c]--
+			s.usedSlots[k] += occHi - occLo + 1
+			mark := s.top
+			for jj := j; jj <= j+lat-1; jj++ {
+				if s.stepOwner[jj] == 0 {
+					s.stepOwner[jj] = p
+					s.owned[s.top] = jj
+					s.top++
+				}
+			}
+			for jj := occLo; jj <= occHi; jj++ {
+				s.busy[jj*nu+k] = true
+			}
+			if newUnit {
+				s.opened[p*nu+k] = true
+				s.usedFG[p] += t.fg[k]
+			}
+			st := s.place(n + 1)
+			// undo
+			s.remaining[c]++
+			s.remainingPK[p*s.nk+c]++
+			s.usedSlots[k] -= occHi - occLo + 1
+			if newUnit {
+				s.opened[p*nu+k] = false
+				s.usedFG[p] -= t.fg[k]
+			}
+			for jj := occLo; jj <= occHi; jj++ {
+				s.busy[jj*nu+k] = false
+			}
+			for ; s.top > mark; s.top-- {
+				s.stepOwner[s.owned[s.top-1]] = 0
+			}
+			if st != schedInfeasible {
+				return st
+			}
+		}
+	}
+	return schedInfeasible
 }
 
 // kindCoverFits checks, for every partition of the assignment, that
@@ -415,40 +519,49 @@ func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeE
 // within the device area — a cheap necessary condition that disposes
 // of most area-infeasible assignments without any backtracking.
 func (m *Model) kindCoverFits(part []int) bool {
-	g, alloc, dev := m.Inst.Graph, m.Inst.Alloc, m.Inst.Device
-	nu := alloc.NumUnits()
+	g, dev, t := m.Inst.Graph, m.Inst.Device, m.sched
+	nu, nk := len(t.fg), len(t.minFG)
 	if nu > 16 {
 		return true // subset enumeration too large; let the search decide
 	}
 	budget := m.Win.MaxStep(m.Opt.L) // steps available to any partition
-	countOf := make([]map[graph.OpKind]int, m.N+1)
+	// count[p*nk+kind]: ops of each kind in partition p
+	count := make([]int, (m.N+1)*nk)
 	for i := 0; i < g.NumOps(); i++ {
-		p := part[g.Op(i).Task]
-		if countOf[p] == nil {
-			countOf[p] = map[graph.OpKind]int{}
-		}
-		countOf[p][g.Op(i).Kind]++
+		count[part[g.Op(i).Task]*nk+t.kindOf[i]]++
 	}
+	// covered[p]: partition p is empty or some subset serves it
+	covered := make([]bool, m.N+1)
+	pending := 0
 	for p := 1; p <= m.N; p++ {
-		if len(countOf[p]) == 0 {
+		covered[p] = true
+		for _, n := range count[p*nk : (p+1)*nk] {
+			if n > 0 {
+				covered[p] = false
+				pending++
+				break
+			}
+		}
+	}
+	for mask := 1; mask < 1<<nu && pending > 0; mask++ {
+		fg := 0
+		for u := 0; u < nu; u++ {
+			if mask&(1<<u) != 0 {
+				fg += t.fg[u]
+			}
+		}
+		if !dev.Fits(fg) {
 			continue
 		}
-		ok := false
-		for mask := 1; mask < 1<<nu && !ok; mask++ {
-			fg := 0
-			for u := 0; u < nu; u++ {
-				if mask&(1<<u) != 0 {
-					fg += alloc.Unit(u).Type.FG
-				}
-			}
-			if !dev.Fits(fg) {
+		for p := 1; p <= m.N; p++ {
+			if covered[p] {
 				continue
 			}
 			feasible := true
-			for kind, need := range countOf[p] {
+			for c, need := range count[p*nk : (p+1)*nk] {
 				units := 0
-				for u := 0; u < nu; u++ {
-					if mask&(1<<u) != 0 && alloc.Unit(u).Type.CanExecute(kind) {
+				for _, u := range t.kindUnits[c] {
+					if mask&(1<<u) != 0 {
 						units++
 					}
 				}
@@ -459,26 +572,13 @@ func (m *Model) kindCoverFits(part []int) bool {
 					break
 				}
 			}
-			ok = feasible
-		}
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// hasUnusedTwin reports whether a lower-ID unit of the same type as k
-// is still completely unused — in that case opening k first would be a
-// symmetric duplicate of opening the twin.
-func hasUnusedTwin(alloc *library.Allocation, usedSlots []int, k int) bool {
-	typ := alloc.Unit(k).Type.Name
-	for u := 0; u < k; u++ {
-		if alloc.Unit(u).Type.Name == typ && usedSlots[u] == 0 {
-			return true
+			if feasible {
+				covered[p] = true
+				pending--
+			}
 		}
 	}
-	return false
+	return pending == 0
 }
 
 // vectorFrom assembles a full solution vector from an assignment and

@@ -14,10 +14,10 @@ import (
 // emitted via the RANGES section; variable bounds via BOUNDS.
 func (p *Problem) WriteMPS(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
-	if name == "" {
+	if name = mpsClean(name); name == "" {
 		name = "REPRO"
 	}
-	fmt.Fprintf(bw, "NAME          %s\n", mpsName(name, 0))
+	fmt.Fprintf(bw, "NAME          %s\n", name)
 	// ROWS: objective plus one row per constraint. Row types: N for
 	// the objective; E/L/G for equality and one-sided rows; ranges use
 	// the primary type plus a RANGES entry.
@@ -110,15 +110,20 @@ func (p *Problem) WriteMPS(w io.Writer, name string) error {
 	return bw.Flush()
 }
 
-// mpsName produces a unique, MPS-safe column name.
-func mpsName(name string, j int) string {
-	clean := strings.Map(func(r rune) rune {
+// mpsClean keeps only the ASCII letters and digits of name.
+func mpsClean(name string) string {
+	return strings.Map(func(r rune) rune {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9':
 			return r
 		}
 		return -1
 	}, name)
+}
+
+// mpsName produces a unique, MPS-safe column name.
+func mpsName(name string, j int) string {
+	clean := mpsClean(name)
 	if clean == "" {
 		clean = "X"
 	}

@@ -35,6 +35,10 @@ type Problem struct {
 
 	rows     []row
 	rowNames []string
+
+	// scratchIdx and scratchVal are AddRow's merge buffers.
+	scratchIdx []int
+	scratchVal []float64
 }
 
 type row struct {
@@ -104,8 +108,12 @@ func (p *Problem) SetVarBounds(j int, lo, hi float64) error {
 func (p *Problem) Obj(j int) float64 { return p.obj[j] }
 
 // AddRow appends the range constraint lo <= sum coef_j x_j <= hi.
-// Duplicate indices in idx are accumulated. Use Inf / -Inf for
-// one-sided constraints and lo == hi for equalities.
+// Duplicate indices in idx are summed in the order given, and entries
+// that are or sum to zero are dropped; the stored row lists its columns
+// in ascending order and is sized exactly. Use Inf / -Inf for one-sided
+// constraints and lo == hi for equalities. A row costs time linear in
+// its length when its indices are strictly ascending; other rows are
+// insertion-sorted first, which suits rows of a handful of entries.
 func (p *Problem) AddRow(name string, idx []int, coef []float64, lo, hi float64) error {
 	if len(idx) != len(coef) {
 		return fmt.Errorf("lp: AddRow %q: %d indices vs %d coefficients", name, len(idx), len(coef))
@@ -113,24 +121,56 @@ func (p *Problem) AddRow(name string, idx []int, coef []float64, lo, hi float64)
 	if lo > hi {
 		return fmt.Errorf("lp: AddRow %q: empty range [%v,%v]", name, lo, hi)
 	}
-	acc := map[int]float64{}
+	ascending := true
 	for k, j := range idx {
 		if j < 0 || j >= len(p.obj) {
 			return fmt.Errorf("lp: AddRow %q: variable %d out of range", name, j)
 		}
-		acc[j] += coef[k]
-	}
-	r := row{lo: lo, hi: hi}
-	// deterministic order
-	for j := 0; j < len(p.obj); j++ {
-		if v, ok := acc[j]; ok && v != 0 {
-			r.idx = append(r.idx, j)
-			r.val = append(r.val, v)
+		if k > 0 && j <= idx[k-1] {
+			ascending = false
 		}
+	}
+	// merge a sorted copy of the row in place: each column's entries
+	// sum from zero in input order, and zero sums drop out
+	si := append(p.scratchIdx[:0], idx...)
+	sv := append(p.scratchVal[:0], coef...)
+	if !ascending {
+		sortRow(si, sv)
+	}
+	n := 0
+	for k := 0; k < len(si); {
+		v, j := 0.0, si[k]
+		for ; k < len(si) && si[k] == j; k++ {
+			v += sv[k]
+		}
+		if v != 0 {
+			si[n], sv[n] = j, v
+			n++
+		}
+	}
+	p.scratchIdx, p.scratchVal = si, sv
+	r := row{lo: lo, hi: hi}
+	if n > 0 {
+		r.idx, r.val = make([]int, n), make([]float64, n)
+		copy(r.idx, si)
+		copy(r.val, sv)
 	}
 	p.rows = append(p.rows, r)
 	p.rowNames = append(p.rowNames, name)
 	return nil
+}
+
+// sortRow stable-sorts a row by column with an insertion sort, so
+// equal columns keep their order.
+func sortRow(idx []int, val []float64) {
+	for a := 1; a < len(idx); a++ {
+		j, v := idx[a], val[a]
+		b := a
+		for ; b > 0 && idx[b-1] > j; b-- {
+			idx[b], val[b] = idx[b-1], val[b-1]
+		}
+		idx[b], val[b] = j, v
+	}
 }
 
 // AddLE appends sum coef_j x_j <= rhs.

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -24,59 +26,68 @@ type Assignment struct {
 // pipelined units accept one operation per step. It returns an error
 // when some operation has no compatible unit.
 func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []int, units []int) (*Assignment, error) {
-	inSet := make(map[int]bool, len(ops))
+	no := g.NumOps()
+	inSet := make([]bool, no)
 	for _, o := range ops {
 		inSet[o] = true
 	}
 	a := &Assignment{
-		Step: make([]int, g.NumOps()),
-		Unit: make([]int, g.NumOps()),
+		Step: make([]int, no),
+		Unit: make([]int, no),
 	}
 	for i := range a.Unit {
 		a.Unit[i] = -1
 	}
-	// compatible units per op, in unit-ID order
-	compat := make(map[int][]int, len(ops))
+	// compatible units per op, in the order of units, and predecessors
+	// restricted to the scheduled set: those are the only ones that
+	// gate readiness inside a segment; callers schedule segments in
+	// dependency order so external predecessors already completed.
+	// Both lists share one backing array each.
+	npred := 0
 	for _, o := range ops {
-		var c []int
+		npred += len(g.OpPred(o))
+	}
+	compat := make([][]int, no)
+	preds := make([][]int, no)
+	compatAll := make([]int, 0, len(ops)*len(units))
+	predAll := make([]int, 0, npred)
+	for _, o := range ops {
+		start := len(compatAll)
 		for _, u := range units {
 			if alloc.Unit(u).Type.CanExecute(g.Op(o).Kind) {
-				c = append(c, u)
+				compatAll = append(compatAll, u)
 			}
 		}
-		if len(c) == 0 {
+		if len(compatAll) == start {
 			return nil, fmt.Errorf("sched: op %d (%s) has no compatible unit", o, g.Op(o).Kind)
 		}
-		compat[o] = c
-	}
-	// busyUntil[u]: first step at which unit u is free to start a new op
-	busyUntil := map[int]int{}
-	done := make(map[int]int, len(ops)) // op -> finish step (inclusive)
-	remaining := len(ops)
-	// predecessors restricted to the scheduled set are the only ones
-	// that gate readiness inside a segment; callers schedule segments
-	// in dependency order so external predecessors already completed.
-	preds := func(o int) []int {
-		var ps []int
+		compat[o] = compatAll[start:len(compatAll):len(compatAll)]
+		start = len(predAll)
 		for _, p := range g.OpPred(o) {
 			if inSet[p] {
-				ps = append(ps, p)
+				predAll = append(predAll, p)
 			}
 		}
-		return ps
+		preds[o] = predAll[start:len(predAll):len(predAll)]
 	}
+	// busyUntil[u]: first step at which unit u is free to start a new op
+	busyUntil := make([]int, alloc.NumUnits())
+	done := make([]int, no) // op -> finish step (inclusive)
+	remaining := len(ops)
+	limit := len(ops)*maxDur(w, ops) + w.CriticalPath + 1
+	ready := make([]int, 0, len(ops))
 	for step := 1; remaining > 0; step++ {
-		if step > len(ops)*maxDur(w, ops)+w.CriticalPath+1 {
+		if step > limit {
 			return nil, fmt.Errorf("sched: list scheduler did not converge (internal error)")
 		}
 		// ready ops, least ALAP first, then op ID
-		var ready []int
+		ready = ready[:0]
 		for _, o := range ops {
 			if a.Step[o] != 0 {
 				continue
 			}
 			ok := true
-			for _, p := range preds(o) {
+			for _, p := range preds[o] {
 				if a.Step[p] == 0 || done[p] >= step {
 					ok = false
 					break
@@ -86,11 +97,11 @@ func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []i
 				ready = append(ready, o)
 			}
 		}
-		sort.Slice(ready, func(x, y int) bool {
-			if w.ALAP[ready[x]] != w.ALAP[ready[y]] {
-				return w.ALAP[ready[x]] < w.ALAP[ready[y]]
+		slices.SortFunc(ready, func(x, y int) int {
+			if c := cmp.Compare(w.ALAP[x], w.ALAP[y]); c != 0 {
+				return c
 			}
-			return ready[x] < ready[y]
+			return cmp.Compare(x, y)
 		})
 		for _, o := range ready {
 			for _, u := range compat[o] {
