@@ -322,9 +322,9 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 12, 4, 16, 11, 6}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 4, 1, 5, 3, 2}
 	for _, v := range values {
-		cols = append(cols, p.AddBinary("x", -v))
+		cols = append(cols, p.AddBinary(lp.Name("x"), -v))
 	}
-	if err := p.AddLE("cap", cols, weights, 14); err != nil {
+	if err := p.AddLE(lp.Name("cap"), cols, weights, 14); err != nil {
 		b.Fatal(err)
 	}
 	for n := 0; n < b.N; n++ {
@@ -353,7 +353,7 @@ func BenchmarkListSchedule(b *testing.B) {
 		units = append(units, u)
 	}
 	for n := 0; n < b.N; n++ {
-		if _, err := sched.ListSchedule(g, alloc, w, ops, units); err != nil {
+		if _, err := sched.ListSchedule(g, alloc, w, ops, units, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,9 +1,71 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+
+	"repro/internal/lp"
 )
+
+// The row families of the model, one per constraint family of the
+// paper's formulation; a name is formatted only when something reads
+// it.
+var (
+	rowUniq   = lp.NewFamily("uniq[t%d]")
+	rowOrder  = lp.NewFamily("order[%d->%d,p%d]")
+	rowMem    = lp.NewFamily("mem[p%d]")
+	rowAssign = lp.NewFamily("assign[i%d]")
+	rowFU     = lp.NewFamily("fu[k%d,j%d]")
+	rowDep    = lp.NewFamily("dep[%d@%d->%d@%d,l%d]")
+	rowCap    = lp.NewFamily("cap[p%d]")
+	rowCdef   = lp.NewFamily("cdef[t%d,i%d,j%d]")
+	rowOwn    = lp.NewFamily("own[t%d,t%d,j%d,p%d,p%d]")
+	rowZlo    = lp.NewFamily("zlo[p%d,t%d,k%d]")
+	rowZo     = lp.NewFamily("zo[p%d,t%d,k%d]")
+	rowZy     = lp.NewFamily("zy[p%d,t%d,k%d]")
+	rowZhi    = lp.NewFamily("zhi[p%d,t%d,k%d]")
+	rowUz     = lp.NewFamily("uz[p%d,t%d,k%d]")
+	rowUwit   = lp.NewFamily("uwit[p%d,k%d]")
+	rowOusage = lp.NewFamily("ousage[t%d,i%d,k%d]")
+	rowOwit   = lp.NewFamily("owit[t%d,k%d]")
+	rowWlin   = lp.NewFamily("wlin[p%d,%d->%d]")
+	rowVlo    = lp.NewFamily("vlo[%d@p%d,%d@p%d]")
+	rowV1     = lp.NewFamily("v1[%d@p%d,%d@p%d]")
+	rowV2     = lp.NewFamily("v2[%d@p%d,%d@p%d]")
+	rowVhi    = lp.NewFamily("vhi[%d@p%d,%d@p%d]")
+	rowWsum   = lp.NewFamily("wsum[p%d,%d->%d]")
+	rowT28    = lp.NewFamily("t28[p%d,%d->%d]")
+	rowT29    = lp.NewFamily("t29[p%d,%d->%d]")
+	rowT30    = lp.NewFamily("t30[p%d,p%d,%d->%d]")
+	rowT32    = lp.NewFamily("t32[t%d,k%d,p%d]")
+)
+
+// rowBuf collects one row's columns and coefficients. The emitters of
+// a build share one, so emitting a row allocates nothing once the
+// buffer has grown.
+type rowBuf struct {
+	idx []int
+	val []float64
+}
+
+// reset empties the buffer for the next row.
+func (b *rowBuf) reset() {
+	b.idx, b.val = b.idx[:0], b.val[:0]
+}
+
+// add appends coefficient v on column col.
+func (b *rowBuf) add(col int, v float64) {
+	b.idx = append(b.idx, col)
+	b.val = append(b.val, v)
+}
+
+// addAll appends coefficient v on each of cols.
+func (b *rowBuf) addAll(cols []int, v float64) {
+	for _, col := range cols {
+		b.add(col, v)
+	}
+}
 
 // emitConstraints adds every constraint family of the final model
 // (Section 6 of the paper): (1), (2), (3), (6), (7), (8), (11), (12),
@@ -12,7 +74,7 @@ import (
 // per-product (4)-(5), and — when Tightened — the cuts (28), (29),
 // (30), (32).
 func (m *Model) emitConstraints() error {
-	emit := []func() error{
+	emit := []func(*rowBuf) error{
 		m.addUniqueness,     // (1)
 		m.addTemporalOrder,  // (2)
 		m.addMemoryCapacity, // (3) — uses w columns
@@ -29,31 +91,24 @@ func (m *Model) emitConstraints() error {
 	if m.Opt.Tightened {
 		emit = append(emit, m.addTightening) // (28)-(30) + (32)
 	}
+	b := &rowBuf{}
 	for _, f := range emit {
-		if err := f(); err != nil {
+		if err := f(b); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func ones(n int) []float64 {
-	v := make([]float64, n)
-	for i := range v {
-		v[i] = 1
-	}
-	return v
-}
-
 // addUniqueness emits eq. (1): every task lands in exactly one
 // partition.
-func (m *Model) addUniqueness() error {
+func (m *Model) addUniqueness(b *rowBuf) error {
 	for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
-		cols := make([]int, 0, m.N)
+		b.reset()
 		for p := 1; p <= m.N; p++ {
-			cols = append(cols, m.Y[[2]int{t, p}])
+			b.add(m.Y[[2]int{t, p}], 1)
 		}
-		if err := m.P.AddEQ(fmt.Sprintf("uniq[t%d]", t), cols, ones(len(cols)), 1); err != nil {
+		if err := m.P.AddEQ(rowUniq.Key(t), b.idx, b.val, 1); err != nil {
 			return err
 		}
 	}
@@ -62,15 +117,15 @@ func (m *Model) addUniqueness() error {
 
 // addTemporalOrder emits eq. (2): a producer task may not be placed in
 // a later partition than a consumer.
-func (m *Model) addTemporalOrder() error {
+func (m *Model) addTemporalOrder(b *rowBuf) error {
 	for _, e := range m.Inst.Graph.TaskEdges() {
 		for p2 := 1; p2 <= m.N-1; p2++ {
-			cols := []int{m.Y[[2]int{e.To, p2}]}
+			b.reset()
+			b.add(m.Y[[2]int{e.To, p2}], 1)
 			for p1 := p2 + 1; p1 <= m.N; p1++ {
-				cols = append(cols, m.Y[[2]int{e.From, p1}])
+				b.add(m.Y[[2]int{e.From, p1}], 1)
 			}
-			name := fmt.Sprintf("order[%d->%d,p%d]", e.From, e.To, p2)
-			if err := m.P.AddLE(name, cols, ones(len(cols)), 1); err != nil {
+			if err := m.P.AddLE(rowOrder.Key(e.From, e.To, p2), b.idx, b.val, 1); err != nil {
 				return err
 			}
 		}
@@ -80,19 +135,16 @@ func (m *Model) addTemporalOrder() error {
 
 // addMemoryCapacity emits eq. (3): data stored across each boundary
 // must fit the scratch memory.
-func (m *Model) addMemoryCapacity() error {
+func (m *Model) addMemoryCapacity(b *rowBuf) error {
 	for p := 2; p <= m.N; p++ {
-		var cols []int
-		var coefs []float64
+		b.reset()
 		for _, e := range m.Inst.Graph.TaskEdges() {
-			cols = append(cols, m.W[[3]int{p, e.From, e.To}])
-			coefs = append(coefs, float64(e.Bandwidth))
+			b.add(m.W[[3]int{p, e.From, e.To}], float64(e.Bandwidth))
 		}
-		if len(cols) == 0 {
+		if len(b.idx) == 0 {
 			continue
 		}
-		name := fmt.Sprintf("mem[p%d]", p)
-		if err := m.P.AddLE(name, cols, coefs, float64(m.Inst.Device.ScratchMem)); err != nil {
+		if err := m.P.AddLE(rowMem.Key(p), b.idx, b.val, float64(m.Inst.Device.ScratchMem)); err != nil {
 			return err
 		}
 	}
@@ -100,20 +152,20 @@ func (m *Model) addMemoryCapacity() error {
 }
 
 // addOpAssignment emits eq. (6): each op gets exactly one (step, FU).
-func (m *Model) addOpAssignment() error {
+func (m *Model) addOpAssignment(b *rowBuf) error {
 	for i := 0; i < m.Inst.Graph.NumOps(); i++ {
-		var cols []int
+		b.reset()
 		for _, j := range m.cs[i] {
 			for _, k := range m.fu[i] {
 				if col, ok := m.X[[3]int{i, j, k}]; ok {
-					cols = append(cols, col)
+					b.add(col, 1)
 				}
 			}
 		}
-		if len(cols) == 0 {
+		if len(b.idx) == 0 {
 			return fmt.Errorf("core: op %d has no feasible (step, FU) pair; increase L", i)
 		}
-		if err := m.P.AddEQ(fmt.Sprintf("assign[i%d]", i), cols, ones(len(cols)), 1); err != nil {
+		if err := m.P.AddEQ(rowAssign.Key(i), b.idx, b.val, 1); err != nil {
 			return err
 		}
 	}
@@ -124,32 +176,36 @@ func (m *Model) addOpAssignment() error {
 // one op occupies a unit at any control step. Non-pipelined multicycle
 // units occupy every step of their latency; pipelined units only the
 // issue slot.
-func (m *Model) addFUConflicts() error {
+func (m *Model) addFUConflicts(b *rowBuf) error {
 	alloc := m.Inst.Alloc
+	var occ []stepCol
 	for k := 0; k < alloc.NumUnits(); k++ {
-		pipelined := alloc.Unit(k).Type.Pipelined
-		byStep := map[int][]int{}
+		// a pipelined unit is busy in its issue slot only
+		span := m.latOf(k)
+		if alloc.Unit(k).Type.Pipelined {
+			span = 1
+		}
+		occ = occ[:0]
 		for key, col := range m.X {
 			if key[2] != k {
 				continue
 			}
-			if pipelined {
-				byStep[key[1]] = append(byStep[key[1]], col)
-				continue
-			}
-			for _, jj := range m.occ[col] {
-				byStep[jj] = append(byStep[jj], col)
+			for jj := key[1]; jj < key[1]+span; jj++ {
+				occ = append(occ, stepCol{jj, col})
 			}
 		}
-		steps := sortedKeys(toSet(byStep))
-		for _, jj := range steps {
-			cols := byStep[jj]
-			if len(cols) < 2 {
+		slices.SortFunc(occ, byStepCol)
+		for a, z := 0, 0; a < len(occ); a = z {
+			for z = a; z < len(occ) && occ[z].step == occ[a].step; z++ {
+			}
+			if z-a < 2 {
 				continue
 			}
-			sort.Ints(cols)
-			name := fmt.Sprintf("fu[k%d,j%d]", k, jj)
-			if err := m.P.AddLE(name, cols, ones(len(cols)), 1); err != nil {
+			b.reset()
+			for _, o := range occ[a:z] {
+				b.add(o.col, 1)
+			}
+			if err := m.P.AddLE(rowFU.Key(k, occ[a].step), b.idx, b.val, 1); err != nil {
 				return err
 			}
 		}
@@ -157,30 +213,41 @@ func (m *Model) addFUConflicts() error {
 	return nil
 }
 
-func toSet(m map[int][]int) map[int]bool {
-	s := make(map[int]bool, len(m))
-	for k := range m {
-		s[k] = true
+// stepCol records that x column col occupies control step step.
+type stepCol struct{ step, col int }
+
+// byStepCol orders occupancies by step, then by column.
+func byStepCol(a, b stepCol) int {
+	if c := cmp.Compare(a.step, b.step); c != 0 {
+		return c
 	}
-	return s
+	return cmp.Compare(a.col, b.col)
 }
 
 // addDependencies emits eq. (8): for every operation dependency
 // i1 -> i2, forbid schedules where i2 starts before i1 finishes.
 // Producer columns are grouped by FU latency so the multicycle
 // extension reuses the same emission.
-func (m *Model) addDependencies() error {
+func (m *Model) addDependencies(b *rowBuf) error {
+	var prodCols, lats, units []int
 	for _, e := range m.Inst.Graph.OpEdges() {
-		// group producer units by latency
-		byLat := map[int][]int{}
+		// the producer units' distinct latencies, ascending
+		lats = lats[:0]
 		for _, k1 := range m.fu[e.From] {
-			byLat[m.latOf(k1)] = append(byLat[m.latOf(k1)], k1)
+			if lam := m.latOf(k1); !slices.Contains(lats, lam) {
+				lats = append(lats, lam)
+			}
 		}
-		lats := sortedKeys(toSetInt(byLat))
+		slices.Sort(lats)
 		for _, lam := range lats {
-			units := byLat[lam]
+			units = units[:0]
+			for _, k1 := range m.fu[e.From] {
+				if m.latOf(k1) == lam {
+					units = append(units, k1)
+				}
+			}
 			for _, j1 := range m.cs[e.From] {
-				var prodCols []int
+				prodCols = prodCols[:0]
 				for _, k1 := range units {
 					if col, ok := m.X[[3]int{e.From, j1, k1}]; ok {
 						prodCols = append(prodCols, col)
@@ -193,18 +260,17 @@ func (m *Model) addDependencies() error {
 					if j2 >= j1+lam {
 						continue // legal placement
 					}
-					var consCols []int
+					b.reset()
+					b.addAll(prodCols, 1)
 					for _, k2 := range m.fu[e.To] {
 						if col, ok := m.X[[3]int{e.To, j2, k2}]; ok {
-							consCols = append(consCols, col)
+							b.add(col, 1)
 						}
 					}
-					if len(consCols) == 0 {
-						continue
+					if len(b.idx) == len(prodCols) {
+						continue // no consumer placement at j2
 					}
-					cols := append(append([]int{}, prodCols...), consCols...)
-					name := fmt.Sprintf("dep[%d@%d->%d@%d,l%d]", e.From, j1, e.To, j2, lam)
-					if err := m.P.AddLE(name, cols, ones(len(cols)), 1); err != nil {
+					if err := m.P.AddLE(rowDep.Key(e.From, j1, e.To, j2, lam), b.idx, b.val, 1); err != nil {
 						return err
 					}
 				}
@@ -214,14 +280,6 @@ func (m *Model) addDependencies() error {
 	return nil
 }
 
-func toSetInt(m map[int][]int) map[int]bool {
-	s := make(map[int]bool, len(m))
-	for k := range m {
-		s[k] = true
-	}
-	return s
-}
-
 // addResourceCap emits eq. (11): alpha-scaled FG area of the units
 // used in each partition must fit the device. The row is emitted in
 // the equivalent divided form sum_k FG_k u_pk <= C/alpha (alpha > 0 by
@@ -229,17 +287,14 @@ func toSetInt(m map[int][]int) map[int]bool {
 // matrix: an alpha or capacity edit then changes only the row's range,
 // which the delta re-solve layer can apply to a live solver without a
 // refactorization.
-func (m *Model) addResourceCap() error {
+func (m *Model) addResourceCap(b *rowBuf) error {
 	alloc, dev := m.Inst.Alloc, m.Inst.Device
 	for p := 1; p <= m.N; p++ {
-		var cols []int
-		var coefs []float64
+		b.reset()
 		for k := 0; k < alloc.NumUnits(); k++ {
-			cols = append(cols, m.U[[2]int{p, k}])
-			coefs = append(coefs, float64(alloc.Unit(k).Type.FG))
+			b.add(m.U[[2]int{p, k}], float64(alloc.Unit(k).Type.FG))
 		}
-		name := fmt.Sprintf("cap[p%d]", p)
-		if err := m.P.AddLE(name, cols, coefs, float64(dev.CapacityFG)/dev.Alpha); err != nil {
+		if err := m.P.AddLE(rowCap.Key(p), b.idx, b.val, float64(dev.CapacityFG)/dev.Alpha); err != nil {
 			return err
 		}
 	}
@@ -249,37 +304,35 @@ func (m *Model) addResourceCap() error {
 // addStepOwnership emits eq. (12) — c_tj is forced to 1 when any op of
 // task t occupies step j — and eq. (13): tasks sharing a control step
 // must share a partition.
-func (m *Model) addStepOwnership() error {
+func (m *Model) addStepOwnership(b *rowBuf) error {
 	g := m.Inst.Graph
 	nt := g.NumTasks()
 	// (12), grouped per (op, occupied step): c_tj >= sum_k x (the sum
 	// over one op's placements covering j is at most 1 by eq. 6)
+	var occ []stepCol
 	for t := 0; t < nt; t++ {
 		for _, i := range g.Task(t).Ops {
-			byStep := map[int][]int{}
+			occ = occ[:0]
 			for _, j := range m.cs[i] {
 				for _, k := range m.fu[i] {
 					col, ok := m.X[[3]int{i, j, k}]
 					if !ok {
 						continue
 					}
-					for _, jj := range m.occ[col] {
-						byStep[jj] = append(byStep[jj], col)
+					for jj := j; jj < j+m.latOf(k); jj++ {
+						occ = append(occ, stepCol{jj, col})
 					}
 				}
 			}
-			steps := sortedKeys(toSet(byStep))
-			for _, jj := range steps {
-				xcols := byStep[jj]
-				sort.Ints(xcols)
-				cols := append([]int{m.C[[2]int{t, jj}]}, xcols...)
-				coefs := make([]float64, len(cols))
-				coefs[0] = 1
-				for c := 1; c < len(coefs); c++ {
-					coefs[c] = -1
+			slices.SortFunc(occ, byStepCol)
+			for a, z := 0, 0; a < len(occ); a = z {
+				jj := occ[a].step
+				b.reset()
+				b.add(m.C[[2]int{t, jj}], 1)
+				for z = a; z < len(occ) && occ[z].step == jj; z++ {
+					b.add(occ[z].col, -1)
 				}
-				name := fmt.Sprintf("cdef[t%d,i%d,j%d]", t, i, jj)
-				if err := m.P.AddGE(name, cols, coefs, 0); err != nil {
+				if err := m.P.AddGE(rowCdef.Key(t, i, jj), b.idx, b.val, 0); err != nil {
 					return err
 				}
 			}
@@ -287,9 +340,10 @@ func (m *Model) addStepOwnership() error {
 	}
 	// (13): c_t1j + y_t1p1 + c_t2j + y_t2p2 <= 3 for t1 < t2 sharing
 	// step j and ordered partition pairs p1 != p2
+	var shared []int
 	for t1 := 0; t1 < nt; t1++ {
 		for t2 := t1 + 1; t2 < nt; t2++ {
-			shared := intersectSorted(m.cSteps[t1], m.cSteps[t2])
+			shared = intersectSorted(shared[:0], m.cSteps[t1], m.cSteps[t2])
 			for _, j := range shared {
 				c1 := m.C[[2]int{t1, j}]
 				c2 := m.C[[2]int{t2, j}]
@@ -299,8 +353,7 @@ func (m *Model) addStepOwnership() error {
 							continue
 						}
 						cols := []int{c1, m.Y[[2]int{t1, p1}], c2, m.Y[[2]int{t2, p2}]}
-						name := fmt.Sprintf("own[t%d,t%d,j%d,p%d,p%d]", t1, t2, j, p1, p2)
-						if err := m.P.AddLE(name, cols, ones(4), 3); err != nil {
+						if err := m.P.AddLE(rowOwn.Key(t1, t2, j, p1, p2), cols, []float64{1, 1, 1, 1}, 3); err != nil {
 							return err
 						}
 					}
@@ -311,8 +364,9 @@ func (m *Model) addStepOwnership() error {
 	return nil
 }
 
-func intersectSorted(a, b []int) []int {
-	var out []int
+// intersectSorted appends the common elements of the ascending lists a
+// and b to out.
+func intersectSorted(out, a, b []int) []int {
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
 		switch {
@@ -331,29 +385,28 @@ func intersectSorted(a, b []int) []int {
 
 // addZLinearization emits the product linearization z_ptk = y_tp*o_tk:
 // Glover (19)-(21) or Fortet (15)-(16).
-func (m *Model) addZLinearization() error {
+func (m *Model) addZLinearization(*rowBuf) error {
 	for p := 1; p <= m.N; p++ {
 		for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
 			for _, k := range m.oPairs[t] {
 				y := m.Y[[2]int{t, p}]
 				o := m.O[[2]int{t, k}]
 				z := m.Z[[3]int{p, t, k}]
-				tag := fmt.Sprintf("p%d,t%d,k%d", p, t, k)
 				// (19)/(15): y + o - z <= 1
-				if err := m.P.AddLE("zlo["+tag+"]", []int{y, o, z}, []float64{1, 1, -1}, 1); err != nil {
+				if err := m.P.AddLE(rowZlo.Key(p, t, k), []int{y, o, z}, []float64{1, 1, -1}, 1); err != nil {
 					return err
 				}
 				if m.Opt.Linearization == LinGlover {
 					// (20): z <= o, (21): z <= y
-					if err := m.P.AddLE("zo["+tag+"]", []int{z, o}, []float64{1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowZo.Key(p, t, k), []int{z, o}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
-					if err := m.P.AddLE("zy["+tag+"]", []int{z, y}, []float64{1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowZy.Key(p, t, k), []int{z, y}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				} else {
 					// (16): 2z - y - o <= 0
-					if err := m.P.AddLE("zhi["+tag+"]", []int{z, y, o}, []float64{2, -1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowZhi.Key(p, t, k), []int{z, y, o}, []float64{2, -1, -1}, 0); err != nil {
 						return err
 					}
 				}
@@ -367,31 +420,24 @@ func (m *Model) addZLinearization() error {
 // corrected so that partitions may share units: u_pk <= sum_t z_ptk
 // (the role eq. (10) plays in the nonlinear model — u must be
 // witnessed by at least one task).
-func (m *Model) addULinks() error {
+func (m *Model) addULinks(b *rowBuf) error {
 	nt := m.Inst.Graph.NumTasks()
 	for p := 1; p <= m.N; p++ {
 		for k := 0; k < m.Inst.Alloc.NumUnits(); k++ {
 			u := m.U[[2]int{p, k}]
-			var zcols []int
+			b.reset()
+			b.add(u, 1)
 			for t := 0; t < nt; t++ {
 				if z, ok := m.Z[[3]int{p, t, k}]; ok {
-					zcols = append(zcols, z)
+					b.add(z, -1)
 					// (22): z - u <= 0
-					name := fmt.Sprintf("uz[p%d,t%d,k%d]", p, t, k)
-					if err := m.P.AddLE(name, []int{z, u}, []float64{1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowUz.Key(p, t, k), []int{z, u}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				}
 			}
 			// (23): u - sum_t z <= 0
-			cols := append([]int{u}, zcols...)
-			coefs := make([]float64, len(cols))
-			coefs[0] = 1
-			for c := 1; c < len(coefs); c++ {
-				coefs[c] = -1
-			}
-			name := fmt.Sprintf("uwit[p%d,k%d]", p, k)
-			if err := m.P.AddLE(name, cols, coefs, 0); err != nil {
+			if err := m.P.AddLE(rowUwit.Key(p, k), b.idx, b.val, 0); err != nil {
 				return err
 			}
 		}
@@ -402,44 +448,33 @@ func (m *Model) addULinks() error {
 // addFUUsage emits the o_tk derivation: eq. (26) strengthened to one
 // row per (op, unit) — o_tk >= sum_j x_ijk, valid because eq. (6)
 // bounds the sum by 1 — and eq. (27): o_tk <= total x of the task on k.
-func (m *Model) addFUUsage() error {
+func (m *Model) addFUUsage(b *rowBuf) error {
 	g := m.Inst.Graph
+	var all rowBuf // the (27) row, built alongside the (26) rows
 	for t := 0; t < g.NumTasks(); t++ {
 		for _, k := range m.oPairs[t] {
 			o := m.O[[2]int{t, k}]
-			var all []int
+			all.reset()
+			all.add(o, -1)
 			for _, i := range g.Task(t).Ops {
-				var cols []int
+				b.reset()
+				b.add(o, 1)
 				for _, j := range m.cs[i] {
 					if col, ok := m.X[[3]int{i, j, k}]; ok {
-						cols = append(cols, col)
+						b.add(col, -1)
+						all.add(col, 1)
 					}
 				}
-				if len(cols) == 0 {
+				if len(b.idx) == 1 {
 					continue
 				}
-				all = append(all, cols...)
 				// (26, grouped): o - sum_j x_ijk >= 0
-				rc := append([]int{o}, cols...)
-				coefs := make([]float64, len(rc))
-				coefs[0] = 1
-				for c := 1; c < len(coefs); c++ {
-					coefs[c] = -1
-				}
-				name := fmt.Sprintf("ousage[t%d,i%d,k%d]", t, i, k)
-				if err := m.P.AddGE(name, rc, coefs, 0); err != nil {
+				if err := m.P.AddGE(rowOusage.Key(t, i, k), b.idx, b.val, 0); err != nil {
 					return err
 				}
 			}
 			// (27): sum_{i,j} x - o >= 0
-			rc := append([]int{o}, all...)
-			coefs := make([]float64, len(rc))
-			coefs[0] = -1
-			for c := 1; c < len(coefs); c++ {
-				coefs[c] = 1
-			}
-			name := fmt.Sprintf("owit[t%d,k%d]", t, k)
-			if err := m.P.AddGE(name, rc, coefs, 0); err != nil {
+			if err := m.P.AddGE(rowOwit.Key(t, k), all.idx, all.val, 0); err != nil {
 				return err
 			}
 		}
@@ -450,24 +485,20 @@ func (m *Model) addFUUsage() error {
 // addWConstraints emits the w linearization: the compact eq. (31) —
 // w_p >= sum_{p1<p} y_t1p1 + sum_{p2>=p} y_t2p2 - 1 — or, with
 // WPerProduct, the exact per-product eqs. (4)-(5).
-func (m *Model) addWConstraints() error {
+func (m *Model) addWConstraints(b *rowBuf) error {
 	g := m.Inst.Graph
 	if !m.Opt.WPerProduct {
 		for p := 2; p <= m.N; p++ {
 			for _, e := range g.TaskEdges() {
-				w := m.W[[3]int{p, e.From, e.To}]
-				cols := []int{w}
-				coefs := []float64{-1}
+				b.reset()
+				b.add(m.W[[3]int{p, e.From, e.To}], -1)
 				for p1 := 1; p1 < p; p1++ {
-					cols = append(cols, m.Y[[2]int{e.From, p1}])
-					coefs = append(coefs, 1)
+					b.add(m.Y[[2]int{e.From, p1}], 1)
 				}
 				for p2 := p; p2 <= m.N; p2++ { // paper prints p2 < N; Figure 4 shows p2 <= N
-					cols = append(cols, m.Y[[2]int{e.To, p2}])
-					coefs = append(coefs, 1)
+					b.add(m.Y[[2]int{e.To, p2}], 1)
 				}
-				name := fmt.Sprintf("wlin[p%d,%d->%d]", p, e.From, e.To)
-				if err := m.P.AddLE(name, cols, coefs, 1); err != nil {
+				if err := m.P.AddLE(rowWlin.Key(p, e.From, e.To), b.idx, b.val, 1); err != nil {
 					return err
 				}
 			}
@@ -482,19 +513,18 @@ func (m *Model) addWConstraints() error {
 			for p2 := p1 + 1; p2 <= m.N; p2++ {
 				y2 := m.Y[[2]int{e.To, p2}]
 				v := m.Prod[[4]int{e.From, e.To, p1, p2}]
-				tag := fmt.Sprintf("%d@p%d,%d@p%d", e.From, p1, e.To, p2)
-				if err := m.P.AddLE("vlo["+tag+"]", []int{y1, y2, v}, []float64{1, 1, -1}, 1); err != nil {
+				if err := m.P.AddLE(rowVlo.Key(e.From, p1, e.To, p2), []int{y1, y2, v}, []float64{1, 1, -1}, 1); err != nil {
 					return err
 				}
 				if m.Opt.Linearization == LinGlover {
-					if err := m.P.AddLE("v1["+tag+"]", []int{v, y1}, []float64{1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowV1.Key(e.From, p1, e.To, p2), []int{v, y1}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
-					if err := m.P.AddLE("v2["+tag+"]", []int{v, y2}, []float64{1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowV2.Key(e.From, p1, e.To, p2), []int{v, y2}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				} else {
-					if err := m.P.AddLE("vhi["+tag+"]", []int{v, y1, y2}, []float64{2, -1, -1}, 0); err != nil {
+					if err := m.P.AddLE(rowVhi.Key(e.From, p1, e.To, p2), []int{v, y1, y2}, []float64{2, -1, -1}, 0); err != nil {
 						return err
 					}
 				}
@@ -503,17 +533,14 @@ func (m *Model) addWConstraints() error {
 	}
 	for p := 2; p <= m.N; p++ {
 		for _, e := range g.TaskEdges() {
-			w := m.W[[3]int{p, e.From, e.To}]
-			cols := []int{w}
-			coefs := []float64{-1}
+			b.reset()
+			b.add(m.W[[3]int{p, e.From, e.To}], -1)
 			for p1 := 1; p1 < p; p1++ {
 				for p2 := p; p2 <= m.N; p2++ {
-					cols = append(cols, m.Prod[[4]int{e.From, e.To, p1, p2}])
-					coefs = append(coefs, 1)
+					b.add(m.Prod[[4]int{e.From, e.To, p1, p2}], 1)
 				}
 			}
-			name := fmt.Sprintf("wsum[p%d,%d->%d]", p, e.From, e.To)
-			if err := m.P.AddEQ(name, cols, coefs, 0); err != nil {
+			if err := m.P.AddEQ(rowWsum.Key(p, e.From, e.To), b.idx, b.val, 0); err != nil {
 				return err
 			}
 		}
@@ -523,7 +550,7 @@ func (m *Model) addWConstraints() error {
 
 // addTightening emits the cuts of Section 6: (28), (29) with the
 // off-by-one corrected to p < p1, (30), and (32).
-func (m *Model) addTightening() error {
+func (m *Model) addTightening(b *rowBuf) error {
 	g := m.Inst.Graph
 	cuts := m.Opt.Cuts
 	for _, e := range g.TaskEdges() {
@@ -531,23 +558,23 @@ func (m *Model) addTightening() error {
 			w := m.W[[3]int{p1, e.From, e.To}]
 			if cuts.Has(Cut28) {
 				// (28): w_p1 + sum_{p1<=p<=N} y_t1p <= 1
-				cols := []int{w}
+				b.reset()
+				b.add(w, 1)
 				for p := p1; p <= m.N; p++ {
-					cols = append(cols, m.Y[[2]int{e.From, p}])
+					b.add(m.Y[[2]int{e.From, p}], 1)
 				}
-				name := fmt.Sprintf("t28[p%d,%d->%d]", p1, e.From, e.To)
-				if err := m.P.AddLE(name, cols, ones(len(cols)), 1); err != nil {
+				if err := m.P.AddLE(rowT28.Key(p1, e.From, e.To), b.idx, b.val, 1); err != nil {
 					return err
 				}
 			}
 			if cuts.Has(Cut29) {
 				// (29): w_p1 + sum_{1<=p<p1} y_t2p <= 1
-				cols := []int{w}
+				b.reset()
+				b.add(w, 1)
 				for p := 1; p < p1; p++ {
-					cols = append(cols, m.Y[[2]int{e.To, p}])
+					b.add(m.Y[[2]int{e.To, p}], 1)
 				}
-				name := fmt.Sprintf("t29[p%d,%d->%d]", p1, e.From, e.To)
-				if err := m.P.AddLE(name, cols, ones(len(cols)), 1); err != nil {
+				if err := m.P.AddLE(rowT29.Key(p1, e.From, e.To), b.idx, b.val, 1); err != nil {
 					return err
 				}
 			}
@@ -560,8 +587,7 @@ func (m *Model) addTightening() error {
 						continue
 					}
 					cols := []int{m.Y[[2]int{e.From, p}], m.Y[[2]int{e.To, p}], m.W[[3]int{p1, e.From, e.To}]}
-					name := fmt.Sprintf("t30[p%d,p%d,%d->%d]", p, p1, e.From, e.To)
-					if err := m.P.AddLE(name, cols, ones(3), 2); err != nil {
+					if err := m.P.AddLE(rowT30.Key(p, p1, e.From, e.To), cols, []float64{1, 1, 1}, 2); err != nil {
 						return err
 					}
 				}
@@ -574,8 +600,7 @@ func (m *Model) addTightening() error {
 			for _, k := range m.oPairs[t] {
 				for p := 1; p <= m.N; p++ {
 					cols := []int{m.O[[2]int{t, k}], m.Y[[2]int{t, p}], m.U[[2]int{p, k}]}
-					name := fmt.Sprintf("t32[t%d,k%d,p%d]", t, k, p)
-					if err := m.P.AddLE(name, cols, []float64{1, 1, -1}, 1); err != nil {
+					if err := m.P.AddLE(rowT32.Key(t, k, p), cols, []float64{1, 1, -1}, 1); err != nil {
 						return err
 					}
 				}

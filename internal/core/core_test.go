@@ -146,7 +146,7 @@ func TestFigure3Semantics(t *testing.T) {
 	}
 	// pin the Figure 3 mapping y[t0]=1, y[t1]=2, y[t2]=3
 	for tk, p := range map[int]int{0: 1, 1: 2, 2: 3} {
-		if err := m.P.AddEQ(fmt.Sprintf("pin%d", tk), []int{m.Y[[2]int{tk, p}]}, []float64{1}, 1); err != nil {
+		if err := m.P.AddEQ(lp.Name(fmt.Sprintf("pin%d", tk)), []int{m.Y[[2]int{tk, p}]}, []float64{1}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,14 +190,14 @@ func pinAndProbe(t *testing.T, tightened bool, p1, p2 int) lp.Status {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.P.AddEQ("pin1", []int{m.Y[[2]int{0, p1}]}, []float64{1}, 1); err != nil {
+	if err := m.P.AddEQ(lp.Name("pin1"), []int{m.Y[[2]int{0, p1}]}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.P.AddEQ("pin2", []int{m.Y[[2]int{1, p2}]}, []float64{1}, 1); err != nil {
+	if err := m.P.AddEQ(lp.Name("pin2"), []int{m.Y[[2]int{1, p2}]}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	// probe: force w[3,0->1] = 1 and ask the LP if that is possible
-	if err := m.P.AddEQ("probe", []int{m.W[[3]int{3, 0, 1}]}, []float64{1}, 1); err != nil {
+	if err := m.P.AddEQ(lp.Name("probe"), []int{m.W[[3]int{3, 0, 1}]}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	s, err := lp.NewSolver(m.P)

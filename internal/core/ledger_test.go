@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/library"
 	"repro/internal/randgraph"
+	"repro/internal/sched"
 )
 
 // ledgerRow is one row of the paper's Tables 3 and 4 under the options
@@ -151,10 +153,11 @@ func ledgerLine(t testing.TB, r ledgerRow) string {
 	var counts [3]int
 	witnessed := 0
 	h := fnv.New64a()
+	var sc sched.ListScratch // reused across assignments, as the sweep does
 	for _, part := range parts {
 		ent := m.exactSchedule(part, budget, time.Time{})
 		counts[ent.status]++
-		step, unit, ok := m.listWitness(part)
+		step, unit, ok := m.listWitness(part, &sc)
 		if ok {
 			witnessed++
 		}
@@ -233,4 +236,156 @@ func TestExactScheduleSteadyStateAllocs(t *testing.T) {
 			worst, len(parts), exactScheduleMaxAllocs)
 	}
 	t.Logf("%d assignments, at most %.0f allocations per call", len(parts), worst)
+}
+
+// unitLedgerTypes are the unit types the unit ledger's allocations are
+// drawn from: single-cycle units, the multicycle mul16x2 and div16, and
+// the pipelined mul16p.
+var unitLedgerTypes = []string{"add16", "sub16", "addsub16", "mul16", "mul16x2", "mul16p", "cmp16", "div16"}
+
+// unitLedgerSeeds is the number of seeded instances in each corpus.
+const unitLedgerSeeds = 40
+
+// unitLedgerInstance draws the seeded instance of the unit ledger: an
+// allocation of one or two units of a random subset of
+// unitLedgerTypes, always with a multicycle or pipelined unit, and a
+// small randgraph graph over the op kinds that allocation covers.
+func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
+	t.Helper()
+	r := rand.New(rand.NewSource(seed))
+	counts := map[string]int{}
+	for _, name := range unitLedgerTypes {
+		if r.Intn(2) == 1 {
+			counts[name] = 1 + r.Intn(2)
+		}
+	}
+	counts[[]string{"mul16x2", "mul16p", "div16"}[r.Intn(3)]]++
+	alloc, err := library.NewAllocation(library.DefaultLibrary(), counts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []randgraph.WeightedKind
+	for _, k := range []graph.OpKind{graph.OpAdd, graph.OpSub, graph.OpMul, graph.OpCmp, graph.OpDiv} {
+		if len(alloc.UnitsFor(k)) > 0 {
+			kinds = append(kinds, randgraph.WeightedKind{Kind: k, Weight: 1 + r.Intn(4)})
+		}
+	}
+	tasks := 2 + r.Intn(3)
+	g, err := randgraph.Generate(randgraph.Config{
+		Name:         fmt.Sprintf("unit%d", seed),
+		Tasks:        tasks,
+		Ops:          tasks + 2 + r.Intn(6),
+		TaskEdgeProb: 0.4,
+		OpEdgeProb:   0.4,
+		MaxBandwidth: 5,
+		Kinds:        kinds,
+	}, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := library.Device{
+		Name:       "ledger",
+		CapacityFG: []int{160, 280, 400}[r.Intn(3)],
+		Alpha:      1,
+		ScratchMem: []int{6, 64}[r.Intn(2)],
+	}
+	return Instance{Graph: g, Alloc: alloc, Device: dev}, 2 + r.Intn(2), r.Intn(3)
+}
+
+// unitLedgerLine builds every seeded instance with or without
+// Multicycle, runs exactSchedule, listWitness and kindCoverFits on each
+// order-valid assignment, and summarizes their decisions: the models
+// built, the assignments, the exact scheduler's found/infeasible/budget
+// counts, the witness count, the kindCoverFits count, and an FNV-64a
+// digest over every record (build errors included).
+func unitLedgerLine(t testing.TB, multicycle bool) string {
+	t.Helper()
+	label := "unit"
+	if multicycle {
+		label = "multicycle"
+	}
+	h := fnv.New64a()
+	var counts [3]int
+	built, assignments, witnessed, fits := 0, 0, 0, 0
+	var sc sched.ListScratch // reused across models and assignments
+	for seed := int64(1); seed <= unitLedgerSeeds; seed++ {
+		inst, n, l := unitLedgerInstance(t, seed)
+		m, err := Build(inst, Options{N: n, L: l, Tightened: true, Multicycle: multicycle})
+		if err != nil {
+			fmt.Fprintf(h, "%d build: %v\n", seed, err)
+			continue
+		}
+		built++
+		for _, part := range orderValidPrefix(inst.Graph, n, 1000) {
+			assignments++
+			ent := m.exactSchedule(part, ledgerOpenBudget, time.Time{})
+			counts[ent.status]++
+			step, unit, ok := m.listWitness(part, &sc)
+			if ok {
+				witnessed++
+			}
+			fit := m.kindCoverFits(part)
+			if fit {
+				fits++
+			}
+			fmt.Fprintf(h, "%d %v %d %v %v %t %v %v %t\n", seed, part, ent.status, ent.step, ent.unit, ok, step, unit, fit)
+		}
+	}
+	return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%016x", label, built, assignments,
+		counts[schedFound], counts[schedInfeasible], counts[schedBudget], witnessed, fits, h.Sum64())
+}
+
+// TestUnitScheduleLedger pins the decisions of exactSchedule,
+// listWitness and kindCoverFits on multicycle and pipelined units,
+// which the paper rows of TestExactScheduleLedger never allocate.
+// testdata/unit_ledger.txt was recorded before the list scheduler took
+// caller-owned scratch tables; a change that alters any status, step,
+// unit or cover verdict fails here.
+func TestUnitScheduleLedger(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "unit_ledger.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	for _, line := range strings.Split(string(want), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			lines = append(lines, line)
+		}
+	}
+	for i, mc := range []bool{false, true} {
+		got := unitLedgerLine(t, mc)
+		if i >= len(lines) || got != lines[i] {
+			t.Errorf("unit ledger differs:\n got %s", got)
+			if i < len(lines) {
+				t.Errorf("want %s", lines[i])
+			}
+		}
+	}
+}
+
+// TestBuildSteadyStateAllocs bounds the allocations of Build on the
+// largest paper row, T4 g6 N3 L0, at a tenth of its row plus column
+// count. Rows and columns are named by keys and appended to flat
+// arrays that grow by doubling, so an allocation per row or column —
+// a formatted name, a row's own slices, a per-row scratch slice —
+// would show.
+func TestBuildSteadyStateAllocs(t *testing.T) {
+	var row ledgerRow
+	for _, r := range ledgerRows {
+		if r.label == "T4 g6 N3 L0" {
+			row = r
+		}
+	}
+	m := buildLedgerModel(t, row)
+	st := m.Stats()
+	limit := float64(st.Rows+st.Vars) / 10
+	a := testing.AllocsPerRun(3, func() {
+		if _, err := Build(m.Inst, m.Opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if a > limit {
+		t.Fatalf("Build allocates %.0f times for %d rows and %d columns, want at most %.0f", a, st.Rows, st.Vars, limit)
+	}
+	t.Logf("%d rows, %d columns, %.0f allocations", st.Rows, st.Vars, a)
 }

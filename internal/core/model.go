@@ -48,8 +48,6 @@ type Model struct {
 	cs [][]int
 	// sched holds the exact scheduler's read-only tables.
 	sched *schedTables
-	// occ lists, for every x column, the control steps it occupies.
-	occ map[int][]int
 	// oPairs[t] lists unit IDs k with an o_tk variable, ascending.
 	oPairs [][]int
 	// cSteps[t] lists steps j with a c_tj variable, ascending.
@@ -119,7 +117,6 @@ func Build(inst Instance, opt Options) (*Model, error) {
 		Z:    map[[3]int]int{},
 		W:    map[[3]int]int{},
 		Prod: map[[4]int]int{},
-		occ:  map[int][]int{},
 	}
 	buildSpan := opt.Span.Child("build") // nil-safe when spans are off
 	m.computeRanks()
@@ -214,6 +211,19 @@ func sortedKeys(set map[int]bool) []int {
 	return out
 }
 
+// The column families of the model, named in the paper's index
+// notation; a name is formatted only when something reads it.
+var (
+	colY = lp.NewFamily("y[t%d,p%d]")
+	colX = lp.NewFamily("x[i%d,j%d,k%d]")
+	colO = lp.NewFamily("o[t%d,k%d]")
+	colU = lp.NewFamily("u[p%d,k%d]")
+	colC = lp.NewFamily("c[t%d,j%d]")
+	colZ = lp.NewFamily("z[p%d,t%d,k%d]")
+	colW = lp.NewFamily("w[p%d,%d->%d]")
+	colV = lp.NewFamily("v[%d@p%d,%d@p%d]")
+)
+
 // createVariables adds all columns in a fixed deterministic order:
 // y, x, o, u, c, z, w, prod.
 func (m *Model) createVariables() {
@@ -222,7 +232,7 @@ func (m *Model) createVariables() {
 	maxStep := m.Win.MaxStep(m.Opt.L)
 	for t := 0; t < nt; t++ {
 		for p := 1; p <= m.N; p++ {
-			col := m.P.AddBinary(fmt.Sprintf("y[t%d,p%d]", t, p), 0)
+			col := m.P.AddBinary(colY.Key(t, p), 0)
 			m.Y[[2]int{t, p}] = col
 			m.intVars = append(m.intVars, col)
 		}
@@ -234,34 +244,29 @@ func (m *Model) createVariables() {
 				if j+lat-1 > maxStep {
 					continue // cannot finish within the step budget
 				}
-				col := m.P.AddBinary(fmt.Sprintf("x[i%d,j%d,k%d]", i, j, k), 0)
+				col := m.P.AddBinary(colX.Key(i, j, k), 0)
 				m.X[[3]int{i, j, k}] = col
 				m.intVars = append(m.intVars, col)
-				steps := make([]int, 0, lat)
-				for jj := j; jj <= j+lat-1; jj++ {
-					steps = append(steps, jj)
-				}
-				m.occ[col] = steps
 			}
 		}
 	}
 	for t := 0; t < nt; t++ {
 		for _, k := range m.oPairs[t] {
-			col := m.P.AddBinary(fmt.Sprintf("o[t%d,k%d]", t, k), 0)
+			col := m.P.AddBinary(colO.Key(t, k), 0)
 			m.O[[2]int{t, k}] = col
 			m.intVars = append(m.intVars, col)
 		}
 	}
 	for p := 1; p <= m.N; p++ {
 		for k := 0; k < m.Inst.Alloc.NumUnits(); k++ {
-			col := m.P.AddBinary(fmt.Sprintf("u[p%d,k%d]", p, k), 0)
+			col := m.P.AddBinary(colU.Key(p, k), 0)
 			m.U[[2]int{p, k}] = col
 			m.intVars = append(m.intVars, col)
 		}
 	}
 	for t := 0; t < nt; t++ {
 		for _, j := range m.cSteps[t] {
-			col := m.P.AddBinary(fmt.Sprintf("c[t%d,j%d]", t, j), 0)
+			col := m.P.AddBinary(colC.Key(t, j), 0)
 			m.C[[2]int{t, j}] = col
 			m.intVars = append(m.intVars, col)
 		}
@@ -270,7 +275,7 @@ func (m *Model) createVariables() {
 	for p := 1; p <= m.N; p++ {
 		for t := 0; t < nt; t++ {
 			for _, k := range m.oPairs[t] {
-				col := m.P.AddVar(fmt.Sprintf("z[p%d,t%d,k%d]", p, t, k), 0, 0, 1)
+				col := m.P.AddVar(colZ.Key(p, t, k), 0, 0, 1)
 				m.Z[[3]int{p, t, k}] = col
 				if zBinary {
 					m.intVars = append(m.intVars, col)
@@ -280,7 +285,7 @@ func (m *Model) createVariables() {
 	}
 	for p := 2; p <= m.N; p++ {
 		for _, e := range g.TaskEdges() {
-			col := m.P.AddVar(fmt.Sprintf("w[p%d,%d->%d]", p, e.From, e.To), float64(e.Bandwidth), 0, 1)
+			col := m.P.AddVar(colW.Key(p, e.From, e.To), float64(e.Bandwidth), 0, 1)
 			m.W[[3]int{p, e.From, e.To}] = col
 		}
 	}
@@ -288,7 +293,7 @@ func (m *Model) createVariables() {
 		for _, e := range g.TaskEdges() {
 			for p1 := 1; p1 < m.N; p1++ {
 				for p2 := p1 + 1; p2 <= m.N; p2++ {
-					col := m.P.AddVar(fmt.Sprintf("v[%d@p%d,%d@p%d]", e.From, p1, e.To, p2), 0, 0, 1)
+					col := m.P.AddVar(colV.Key(e.From, p1, e.To, p2), 0, 0, 1)
 					m.Prod[[4]int{e.From, e.To, p1, p2}] = col
 					if zBinary {
 						m.intVars = append(m.intVars, col)

@@ -3,22 +3,19 @@ package core
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"repro/internal/trace"
 )
 
 // familyStats aggregates the generated rows by constraint family — the
-// row-name prefix before '[' (uniq, assign, zlo, t28, ...) — so a model
-// event reports how large each family of the formulation came out,
-// including the tightening-cut rows t28/t29/t30/t32 per CutSet member.
+// row-name prefix before '[' (uniq, assign, zlo, t28, ...), read from
+// each row's key without formatting its name — so a model event
+// reports how large each family of the formulation came out, including
+// the tightening-cut rows t28/t29/t30/t32 per CutSet member.
 func (m *Model) familyStats() []trace.Family {
 	byName := map[string]*trace.Family{}
 	for i := 0; i < m.P.NumRows(); i++ {
-		name := m.P.RowName(i)
-		if cut := strings.IndexByte(name, '['); cut >= 0 {
-			name = name[:cut]
-		}
+		name := m.P.RowKey(i).Family()
 		f := byName[name]
 		if f == nil {
 			f = &trace.Family{Name: name}

@@ -10,6 +10,11 @@
 // bound over LP relaxations with the paper's variable-selection
 // heuristic.
 //
+// Build names every column and row by an lp.Key of its family (y, x,
+// dep, own, ...) and the family's indices; nothing is formatted while
+// the model builds, and a name appears only when something reads it
+// (MPS/LP output, errors, traces).
+//
 // Three paper typos are corrected, each marked at the emission site:
 // eq. (7) is per (step, FU) rather than per step; eq. (23) caps u_pk
 // from above (u <= sum z) so segments can share functional units;

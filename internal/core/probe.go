@@ -124,15 +124,18 @@ func (m *Model) allYFixed(bound func(int) (float64, float64)) bool {
 }
 
 // scheduleFor memoizes exact scheduling per task assignment. deep
-// repeats an inconclusive quick search with the full budget.
+// repeats an inconclusive quick search with the full budget. Steal
+// workers probe concurrently, so each call lists-schedules with tables
+// of its own.
 func (m *Model) scheduleFor(part []int, deep bool) probeEntry {
-	return m.scheduleForDeadline(part, deep, time.Time{})
+	return m.scheduleForDeadline(part, deep, time.Time{}, nil)
 }
 
 // scheduleForDeadline is scheduleFor with a wall-clock cutoff for the
-// exact search (zero = none). Deadline-aborted searches are cached as
+// exact search (zero = none) and the caller's list-scheduler tables (nil
+// = fresh ones). Deadline-aborted searches are cached as
 // budget-inconclusive.
-func (m *Model) scheduleForDeadline(part []int, deep bool, deadline time.Time) probeEntry {
+func (m *Model) scheduleForDeadline(part []int, deep bool, deadline time.Time, sc *sched.ListScratch) probeEntry {
 	key := fmt.Sprint(part)
 	if ent, ok := m.lookupProbe(key); ok {
 		if ent.status != schedBudget || ent.full || !deep {
@@ -141,7 +144,7 @@ func (m *Model) scheduleForDeadline(part []int, deep bool, deadline time.Time) p
 	}
 	// cheap feasibility witness first: a list schedule within the step
 	// budget is already a valid solution
-	if step, unit, ok := m.listWitness(part); ok {
+	if step, unit, ok := m.listWitness(part, sc); ok {
 		ent := probeEntry{status: schedFound, full: true, step: step, unit: unit}
 		m.cacheProbe(key, ent)
 		return ent
@@ -174,18 +177,19 @@ func (m *Model) cacheProbe(key string, ent probeEntry) {
 	m.probeMu.Unlock()
 }
 
-// listWitness list-schedules the assignment; success within the step
-// budget yields a concrete schedule usable as a feasible witness.
-func (m *Model) listWitness(part []int) (step, unit []int, ok bool) {
+// listWitness list-schedules the assignment with the tables in sc (nil
+// = fresh ones); success within the step budget yields a concrete
+// schedule usable as a feasible witness, copied out of sc.
+func (m *Model) listWitness(part []int, sc *sched.ListScratch) (step, unit []int, ok bool) {
 	if m.Opt.Multicycle {
 		return nil, nil, false // the list scheduler assumes unit latency
 	}
 	plan := &sched.SegmentPlan{Segment: part, N: m.N}
-	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.Win, plan)
+	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.Win, plan, sc)
 	if err != nil || asg.Span > m.Win.MaxStep(m.Opt.L) {
 		return nil, nil, false
 	}
-	return asg.Step, asg.Unit, true
+	return append([]int(nil), asg.Step...), append([]int(nil), asg.Unit...), true
 }
 
 // schedTables holds the exact scheduler's read-only inputs in dense

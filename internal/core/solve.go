@@ -296,7 +296,7 @@ func (m *Model) heuristicIncumbent() *partition.Solution {
 	}
 	w := m.Win
 	plan := &sched.SegmentPlan{Segment: h.Segment, N: m.N}
-	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, w, plan)
+	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, w, plan, nil)
 	if err != nil {
 		return nil
 	}
@@ -428,10 +428,8 @@ func (m *Model) complete(x []float64) []float64 {
 					if !ok || xc[xcol] < 0.5 {
 						continue
 					}
-					for _, jj := range m.occ[xcol] {
-						if jj == j {
-							occ = 1
-						}
+					if js <= j && j < js+m.latOf(k) {
+						occ = 1
 					}
 				}
 			}

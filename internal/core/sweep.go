@@ -62,6 +62,8 @@ func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sw
 	nt := g.NumTasks()
 	assign := make([]int, nt)
 	expired := false
+	var sc sched.ListScratch // list-scheduler tables for every witness
+
 	var rec func(idx, partial int)
 	rec = func(idx, partial int) {
 		if expired {
@@ -83,7 +85,7 @@ func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sw
 				}
 			}
 			res.enumerated++
-			ent := m.scheduleForDeadline(assign, true, deadline)
+			ent := m.scheduleForDeadline(assign, true, deadline, &sc)
 			switch ent.status {
 			case schedFound:
 				sol := m.solutionFrom(assign, ent.step, ent.unit)

@@ -100,7 +100,8 @@ type Diff struct {
 }
 
 // DiffProblems compares the cached base problem against the freshly
-// built next one and classifies the edit. Both must be in their final
+// built next one and classifies the edit. Rows and columns are matched
+// by their keys, which compare without formatting a name. Both must be in their final
 // (post-presolve) form; comparing a presolved problem against an
 // unpresolved one just degrades the classification, never its
 // soundness.
@@ -110,7 +111,7 @@ func DiffProblems(base, next *lp.Problem) Diff {
 		return Diff{Class: ClassStructural}
 	}
 	for j := 0; j < next.NumVars(); j++ {
-		if base.VarName(j) != next.VarName(j) {
+		if base.VarKey(j) != next.VarKey(j) {
 			return Diff{Class: ClassStructural}
 		}
 		olo, ohi := base.Bounds(j)
@@ -125,7 +126,7 @@ func DiffProblems(base, next *lp.Problem) Diff {
 		}
 	}
 	for i := 0; i < next.NumRows(); i++ {
-		if base.RowName(i) != next.RowName(i) {
+		if base.RowKey(i) != next.RowKey(i) {
 			return Diff{Class: ClassStructural}
 		}
 		oidx, oval := base.Row(i)

@@ -4,14 +4,17 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
+	"repro/internal/library"
 	"repro/internal/lp"
+	"repro/internal/randgraph"
 )
 
 func twoVarProblem(objY float64, hiX, cap float64) *lp.Problem {
 	p := &lp.Problem{}
-	x := p.AddVar("x", 1, 0, hiX)
-	y := p.AddVar("y", objY, 0, 1)
-	if err := p.AddLE("cap", []int{x, y}, []float64{2, 3}, cap); err != nil {
+	x := p.AddVar(lp.Name("x"), 1, 0, hiX)
+	y := p.AddVar(lp.Name("y"), objY, 0, 1)
+	if err := p.AddLE(lp.Name("cap"), []int{x, y}, []float64{2, 3}, cap); err != nil {
 		panic(err)
 	}
 	return p
@@ -73,9 +76,9 @@ func TestDiffClassification(t *testing.T) {
 	})
 	t.Run("structural-coef", func(t *testing.T) {
 		p := &lp.Problem{}
-		x := p.AddVar("x", 1, 0, 4)
-		y := p.AddVar("y", 5, 0, 1)
-		if err := p.AddLE("cap", []int{x, y}, []float64{2, 4}, 10); err != nil {
+		x := p.AddVar(lp.Name("x"), 1, 0, 4)
+		y := p.AddVar(lp.Name("y"), 5, 0, 1)
+		if err := p.AddLE(lp.Name("cap"), []int{x, y}, []float64{2, 4}, 10); err != nil {
 			t.Fatal(err)
 		}
 		d := DiffProblems(base, p)
@@ -85,7 +88,7 @@ func TestDiffClassification(t *testing.T) {
 	})
 	t.Run("structural-shape", func(t *testing.T) {
 		p := &lp.Problem{}
-		p.AddVar("x", 1, 0, 4)
+		p.AddVar(lp.Name("x"), 1, 0, 4)
 		d := DiffProblems(base, p)
 		if d.Class != ClassStructural {
 			t.Fatalf("class %v", d.Class)
@@ -93,9 +96,9 @@ func TestDiffClassification(t *testing.T) {
 	})
 	t.Run("structural-name", func(t *testing.T) {
 		p := &lp.Problem{}
-		x := p.AddVar("x", 1, 0, 4)
-		y := p.AddVar("q", 5, 0, 1)
-		if err := p.AddLE("cap", []int{x, y}, []float64{2, 3}, 10); err != nil {
+		x := p.AddVar(lp.Name("x"), 1, 0, 4)
+		y := p.AddVar(lp.Name("q"), 5, 0, 1)
+		if err := p.AddLE(lp.Name("cap"), []int{x, y}, []float64{2, 3}, 10); err != nil {
 			t.Fatal(err)
 		}
 		if d := DiffProblems(base, p); d.Class != ClassStructural {
@@ -113,4 +116,44 @@ func TestDiffClassification(t *testing.T) {
 			t.Fatalf("class %v", d.Class)
 		}
 	})
+}
+
+// TestDiffProblemsZeroAlloc checks that diffing two identical builds of
+// the largest paper row, T4 g6 N3 L0, allocates nothing: rows and
+// columns are matched by key, so no name is formatted. On two builds
+// that differ (L 0 against L 1) keys must agree exactly where the
+// formatted names do.
+func TestDiffProblemsZeroAlloc(t *testing.T) {
+	build := func(l int) *lp.Problem {
+		t.Helper()
+		alloc, err := library.PaperAllocation(library.DefaultLibrary(), 2, 2, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst := core.Instance{Graph: randgraph.MustPaper(6), Alloc: alloc, Device: library.XC4010()}
+		m, err := core.Build(inst, core.Options{N: 3, L: l, Tightened: true, ExactSweep: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m.P
+	}
+	base, next := build(0), build(0)
+	var d Diff
+	if a := testing.AllocsPerRun(5, func() { d = DiffProblems(base, next) }); a != 0 {
+		t.Fatalf("DiffProblems allocates %.0f times on identical builds, want 0", a)
+	}
+	if d.Class != ClassNone {
+		t.Fatalf("identical builds diff as %v", d.Class)
+	}
+	other := build(1)
+	for j := 0; j < min(base.NumVars(), other.NumVars()); j++ {
+		if (base.VarKey(j) == other.VarKey(j)) != (base.VarName(j) == other.VarName(j)) {
+			t.Fatalf("column %d: keys %v, %v disagree with names %q, %q", j, base.VarKey(j), other.VarKey(j), base.VarName(j), other.VarName(j))
+		}
+	}
+	for i := 0; i < min(base.NumRows(), other.NumRows()); i++ {
+		if (base.RowKey(i) == other.RowKey(i)) != (base.RowName(i) == other.RowName(i)) {
+			t.Fatalf("row %d: keys %v, %v disagree with names %q, %q", i, base.RowKey(i), other.RowKey(i), base.RowName(i), other.RowName(i))
+		}
+	}
 }

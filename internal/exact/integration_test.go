@@ -26,12 +26,12 @@ import (
 func knapLP(t *testing.T) *lp.Problem {
 	t.Helper()
 	p := &lp.Problem{}
-	x0 := p.AddVar("x0", -1, 0, 10)
-	x1 := p.AddVar("x1", -2, 0, 10)
-	if err := p.AddLE("r0", []int{x0, x1}, []float64{1, 1}, 4); err != nil {
+	x0 := p.AddVar(lp.Name("x0"), -1, 0, 10)
+	x1 := p.AddVar(lp.Name("x1"), -2, 0, 10)
+	if err := p.AddLE(lp.Name("r0"), []int{x0, x1}, []float64{1, 1}, 4); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddLE("r1", []int{x0, x1}, []float64{1, 3}, 6); err != nil {
+	if err := p.AddLE(lp.Name("r1"), []int{x0, x1}, []float64{1, 3}, 6); err != nil {
 		t.Fatal(err)
 	}
 	return p
@@ -120,9 +120,9 @@ func TestBasisRejectsForeignPoint(t *testing.T) {
 // in exact arithmetic, proves the infeasibility verdict.
 func TestFarkasCaptureCertifiesInfeasibility(t *testing.T) {
 	p := &lp.Problem{}
-	x0 := p.AddVar("x0", 1, 0, 1)
-	x1 := p.AddVar("x1", 1, 0, 1)
-	if err := p.AddGE("need3", []int{x0, x1}, []float64{1, 1}, 3); err != nil {
+	x0 := p.AddVar(lp.Name("x0"), 1, 0, 1)
+	x1 := p.AddVar(lp.Name("x1"), 1, 0, 1)
+	if err := p.AddGE(lp.Name("need3"), []int{x0, x1}, []float64{1, 1}, 3); err != nil {
 		t.Fatal(err)
 	}
 	s, err := lp.NewSolver(p)
@@ -152,8 +152,8 @@ func TestFarkasCaptureCertifiesInfeasibility(t *testing.T) {
 // TestFarkasOffCapturesNothing: the default path must not retain rays.
 func TestFarkasOffCapturesNothing(t *testing.T) {
 	p := &lp.Problem{}
-	x0 := p.AddVar("x0", 1, 0, 1)
-	if err := p.AddGE("need2", []int{x0}, []float64{1}, 2); err != nil {
+	x0 := p.AddVar(lp.Name("x0"), 1, 0, 1)
+	if err := p.AddGE(lp.Name("need2"), []int{x0}, []float64{1}, 2); err != nil {
 		t.Fatal(err)
 	}
 	s, err := lp.NewSolver(p)

@@ -68,6 +68,7 @@ func SolveBudget(g *graph.Graph, alloc *library.Allocation, dev library.Device, 
 	bestSteps := 0
 	var bestAssign []int
 	budget := w.MaxStep(L)
+	var sc sched.ListScratch // list-scheduler tables for every leaf
 
 	var rec func(idx int, partial int)
 	rec = func(idx, partial int) {
@@ -85,7 +86,7 @@ func SolveBudget(g *graph.Graph, alloc *library.Allocation, dev library.Device, 
 					return
 				}
 			}
-			steps, ok := schedulable(g, alloc, dev, w, assign, N, budget)
+			steps, ok := schedulable(g, alloc, dev, w, assign, N, budget, &sc)
 			if !ok {
 				return
 			}
@@ -122,11 +123,12 @@ func SolveBudget(g *graph.Graph, alloc *library.Allocation, dev library.Device, 
 	return res, nil
 }
 
-// schedulable list-schedules every segment of the assignment and
-// reports the total step count and whether it fits the budget.
-func schedulable(g *graph.Graph, alloc *library.Allocation, dev library.Device, w *sched.Windows, assign []int, N, budget int) (int, bool) {
+// schedulable list-schedules every segment of the assignment with the
+// tables in sc and reports the total step count and whether it fits
+// the budget.
+func schedulable(g *graph.Graph, alloc *library.Allocation, dev library.Device, w *sched.Windows, assign []int, N, budget int, sc *sched.ListScratch) (int, bool) {
 	plan := &sched.SegmentPlan{Segment: assign, N: N}
-	asg, err := sched.HeuristicSchedule(g, alloc, dev, w, plan)
+	asg, err := sched.HeuristicSchedule(g, alloc, dev, w, plan, sc)
 	if err != nil {
 		return 0, false
 	}

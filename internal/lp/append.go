@@ -32,15 +32,18 @@ type CutRow struct {
 // bound-edit re-optimization pattern. The column form is rebuilt and
 // the extended basis refactorized lazily.
 //
-// The original row data is copied on append, so Clones sharing the old
-// row slice are unaffected. Snapshots taken before an append no longer
-// match the solver's dimensions and must not be Restored into it.
+// Each cut is normalized as AddRow normalizes a row: each column's
+// coefficients sum in input order, zero sums drop out, and the columns
+// come out ascending. The rows are appended to the solver's own row
+// store, which Clones and the source Problem share full, so the first
+// append copies and they are unaffected. Snapshots taken before an
+// append no longer match the solver's dimensions and must not be
+// Restored into it.
 func (s *Solver) AppendRows(cuts []CutRow) error {
 	k := len(cuts)
 	if k == 0 {
 		return nil
 	}
-	newRows := make([]row, 0, k)
 	for _, c := range cuts {
 		if len(c.Idx) != len(c.Val) {
 			return fmt.Errorf("lp: AppendRows %q: %d indices vs %d values", c.Name, len(c.Idx), len(c.Val))
@@ -48,7 +51,6 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 		if c.Lo > c.Hi || math.IsNaN(c.Lo) || math.IsNaN(c.Hi) {
 			return fmt.Errorf("lp: AppendRows %q: bad range [%v,%v]", c.Name, c.Lo, c.Hi)
 		}
-		acc := map[int]float64{}
 		for t, j := range c.Idx {
 			if j < 0 || j >= s.n {
 				return fmt.Errorf("lp: AppendRows %q: variable %d out of range", c.Name, j)
@@ -56,42 +58,30 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 			if math.IsInf(c.Val[t], 0) || math.IsNaN(c.Val[t]) {
 				return fmt.Errorf("lp: AppendRows %q: non-finite coefficient on variable %d", c.Name, j)
 			}
-			acc[j] += c.Val[t]
 		}
-		r := row{lo: c.Lo, hi: c.Hi}
-		for j := 0; j < s.n; j++ {
-			if v, ok := acc[j]; ok && v != 0 {
-				r.idx = append(r.idx, j)
-				r.val = append(r.val, v)
-			}
-		}
-		newRows = append(newRows, r)
+	}
+	for _, c := range cuts {
+		s.rows.add(c.Idx, c.Val, c.Lo, c.Hi)
 	}
 
 	// Values the new logicals take at the current point (g = -a·x),
-	// computed before any state mutation.
+	// computed before any other state mutation.
 	gval := make([]float64, k)
-	for j := range newRows {
+	for j := range gval {
+		idx, val := s.rows.row(s.m + j)
 		v := 0.0
-		for t, col := range newRows[j].idx {
-			v += newRows[j].val[t] * s.value(col)
+		for t, col := range idx {
+			v += val[t] * s.value(col)
 		}
 		gval[j] = -v
 	}
 
-	// Copy-on-append: Clones share origRows, so the old slice must stay
-	// intact for them.
-	or := make([]row, 0, s.m+k)
-	or = append(or, s.origRows...)
-	or = append(or, newRows...)
-	s.origRows = or
-
-	for j := range newRows {
+	for j, c := range cuts {
 		// logical of new row m+j sits at column n+(m+j) = ntot+j, so all
 		// existing structural and logical column indices are unchanged
 		s.c = append(s.c, 0)
-		s.lo = append(s.lo, -newRows[j].hi)
-		s.hi = append(s.hi, -newRows[j].lo)
+		s.lo = append(s.lo, -c.Hi)
+		s.hi = append(s.hi, -c.Lo)
 		s.nbVal = append(s.nbVal, 0)
 		s.d = append(s.d, 0) // basic: reduced cost zero by definition
 		s.vstat = append(s.vstat, basic)
@@ -100,7 +90,7 @@ func (s *Solver) AppendRows(cuts []CutRow) error {
 		s.beta = append(s.beta, gval[j])
 	}
 	s.m, s.ntot = s.m+k, s.ntot+k
-	rv := newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
+	rv := newRevisedState(s.n, s.m, buildCSC(s.n, &s.rows))
 	for j := range rv.wts {
 		rv.wts[j] = 1 // devex frame reseeded for the new dimensions
 	}

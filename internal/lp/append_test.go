@@ -3,6 +3,7 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -43,7 +44,7 @@ func TestAppendRowsMatchesColdSolve(t *testing.T) {
 			}
 			rhs := float64(rng.Intn(41)-20) / 2
 			cuts[c] = CutRow{Name: "extra", Idx: idx, Val: val, Lo: math.Inf(-1), Hi: rhs}
-			if err := pc.AddRow("extra", idx, val, math.Inf(-1), rhs); err != nil {
+			if err := pc.AddRow(Name("extra"), idx, val, math.Inf(-1), rhs); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
 		}
@@ -85,7 +86,7 @@ func TestAppendRowsCloneIsolation(t *testing.T) {
 	}
 	want := s.Objective()
 	c := s.Clone()
-	if err := s.AppendRows([]CutRow{{Name: "tight", Idx: []int{0}, Val: []float64{1}, Lo: math.Inf(-1), Hi: s.X(0) - 1}}); err != nil {
+	if err := s.AppendRows([]CutRow{{Name: "tight", Idx: []int{0}, Val: []float64{1}, Lo: math.Inf(-1), Hi: s.value(0) - 1}}); err != nil {
 		t.Fatal(err)
 	}
 	s.ReOptimize()
@@ -100,5 +101,60 @@ func TestAppendRowsCloneIsolation(t *testing.T) {
 	}
 	if _, m := c.Dims(); m != p.NumRows() {
 		t.Fatalf("clone rows = %d, want %d", m, p.NumRows())
+	}
+}
+
+// TestPropertyAppendRowsNormalizesLikeAddRow checks that a cut
+// AppendRows adds to a solver is stored exactly as AddRow stores the
+// same row: the same columns and bit-identical values, on random rows
+// with repeated, unsorted and cancelling columns and signed zeros. A cut
+// with a non-finite coefficient gets AppendRows' own error and leaves
+// the solver's rows as they were.
+func TestPropertyAppendRowsNormalizesLikeAddRow(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 2000; trial++ {
+		nvars := 1 + r.Intn(20)
+		p := &Problem{}
+		for j := 0; j < nvars; j++ {
+			p.AddBinary(Name(""), 0)
+		}
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < 4; k++ {
+			idx, coef := randomRow(r, nvars)
+			finite := true
+			for _, v := range coef {
+				finite = finite && !math.IsInf(v, 0) && !math.IsNaN(v)
+			}
+			rows := s.rows.len()
+			err := s.AppendRows([]CutRow{{Name: "cut", Idx: idx, Val: coef, Lo: math.Inf(-1), Hi: 1}})
+			if !finite {
+				if err == nil || !strings.Contains(err.Error(), `lp: AppendRows "cut": non-finite coefficient`) {
+					t.Fatalf("trial %d: AppendRows(%v, %v) error %v, want non-finite", trial, idx, coef, err)
+				}
+				if s.rows.len() != rows {
+					t.Fatalf("trial %d: rejected cut added a row", trial)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("trial %d: AppendRows(%v, %v): %v", trial, idx, coef, err)
+			}
+			if err := p.AddRow(Name("cut"), idx, coef, math.Inf(-1), 1); err != nil {
+				t.Fatal(err)
+			}
+			gotIdx, gotVal := s.rows.row(s.rows.len() - 1)
+			wantIdx, wantVal := p.Row(p.NumRows() - 1)
+			if len(gotIdx) != len(wantIdx) {
+				t.Fatalf("trial %d: cut %v %v stored as %v %v, AddRow stores %v %v", trial, idx, coef, gotIdx, gotVal, wantIdx, wantVal)
+			}
+			for a := range wantIdx {
+				if gotIdx[a] != wantIdx[a] || math.Float64bits(gotVal[a]) != math.Float64bits(wantVal[a]) {
+					t.Fatalf("trial %d: cut %v %v stored as %v %v, AddRow stores %v %v", trial, idx, coef, gotIdx, gotVal, wantIdx, wantVal)
+				}
+			}
+		}
 	}
 }

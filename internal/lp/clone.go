@@ -5,7 +5,7 @@ import "fmt"
 // Clone returns an independent deep copy of the solver: basis, bounds,
 // basic values, nonbasic statuses, reduced costs and devex weights.
 // Parent and clone may solve concurrently afterwards — only the
-// immutable original row data and its column-form copy are shared. This
+// immutable row store and its column-form copy are shared. This
 // is the primitive the parallel branch-and-bound workers in
 // internal/milp build on: clone once per worker, then branch with
 // SetBound/ReOptimize as usual.
@@ -22,22 +22,22 @@ import "fmt"
 func (s *Solver) Clone() *Solver {
 	c := &Solver{
 		n: s.n, m: s.m, ntot: s.ntot,
-		c:        append([]float64(nil), s.c...),
-		lo:       append([]float64(nil), s.lo...),
-		hi:       append([]float64(nil), s.hi...),
-		beta:     append([]float64(nil), s.beta...),
-		basis:    append([]int(nil), s.basis...),
-		inRow:    append([]int(nil), s.inRow...),
-		vstat:    append([]varStatus(nil), s.vstat...),
-		nbVal:    append([]float64(nil), s.nbVal...),
-		d:        append([]float64(nil), s.d...),
-		origRows: s.origRows, // immutable after NewSolver
-		status:   s.status,
-		bland:    s.bland,
-		degRun:   s.degRun,
-		MaxIter:  s.MaxIter,
-		Ctx:      s.Ctx,
-		Prof:     s.Prof,
+		c:       append([]float64(nil), s.c...),
+		lo:      append([]float64(nil), s.lo...),
+		hi:      append([]float64(nil), s.hi...),
+		beta:    append([]float64(nil), s.beta...),
+		basis:   append([]int(nil), s.basis...),
+		inRow:   append([]int(nil), s.inRow...),
+		vstat:   append([]varStatus(nil), s.vstat...),
+		nbVal:   append([]float64(nil), s.nbVal...),
+		d:       append([]float64(nil), s.d...),
+		rows:    s.rows.full(), // AppendRows on either side copies
+		status:  s.status,
+		bland:   s.bland,
+		degRun:  s.degRun,
+		MaxIter: s.MaxIter,
+		Ctx:     s.Ctx,
+		Prof:    s.Prof,
 	}
 	rv := newRevisedState(s.n, s.m, s.rev.a) // column copy shared
 	copy(rv.wts, s.rev.wts)

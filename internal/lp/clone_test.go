@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -10,9 +11,9 @@ import (
 
 func TestCloneIndependent(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", -3, 0, 4)
-	y := p.AddVar("y", -5, 0, 4)
-	_ = p.AddLE("cap", []int{x, y}, []float64{1, 2}, 8)
+	x := p.AddVar(Name("x"), -3, 0, 4)
+	y := p.AddVar(Name("y"), -5, 0, 4)
+	_ = p.AddLE(Name("cap"), []int{x, y}, []float64{1, 2}, 8)
 	s := solveFresh(t, p)
 	want := s.Objective()
 
@@ -118,10 +119,10 @@ func TestSnapshotRestore(t *testing.T) {
 
 func TestRestoreDimensionMismatchPanics(t *testing.T) {
 	p1 := &Problem{}
-	p1.AddVar("x", 1, 0, 1)
+	p1.AddVar(Name("x"), 1, 0, 1)
 	p2 := &Problem{}
-	p2.AddVar("x", 1, 0, 1)
-	p2.AddVar("y", 1, 0, 1)
+	p2.AddVar(Name("x"), 1, 0, 1)
+	p2.AddVar(Name("y"), 1, 0, 1)
 	s1, _ := NewSolver(p1)
 	s2, _ := NewSolver(p2)
 	defer func() {
@@ -213,5 +214,99 @@ func TestPropertyPartialPricingCertifiesOptimality(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// storeRows prints every row of a store: its range and its (column,
+// value bits) entries.
+func storeRows(rs *rowStore) []string {
+	out := make([]string, rs.len())
+	for i := range out {
+		idx, val := rs.row(i)
+		out[i] = fmt.Sprintf("[%v,%v]", rs.lo[i], rs.hi[i])
+		for k, j := range idx {
+			out[i] += fmt.Sprintf(" %d:%x", j, math.Float64bits(val[k]))
+		}
+	}
+	return out
+}
+
+// rowsOf prints every row of p, its key first.
+func rowsOf(p *Problem) []string {
+	out := storeRows(&p.rows)
+	for i := range out {
+		out[i] = p.RowName(i) + " " + out[i]
+	}
+	return out
+}
+
+// TestSharedRowsSurviveCloneAndPresolve pins the row store's sharing
+// contract. A Clone and a Solver read their parent's rows in place, so
+// AddRow and Presolve on the clone must leave the parent's rows as
+// they were, a row the parent adds later must land neither in the
+// clone nor over a cut its solver appended, cuts on a solver and its
+// clone must stay apart, and a Presolve of the parent must leave the
+// solver reading the rows it had.
+func TestSharedRowsSurviveCloneAndPresolve(t *testing.T) {
+	p := &Problem{}
+	for j := 0; j < 4; j++ {
+		p.AddVar(Name(fmt.Sprintf("x%d", j)), 1, 0, 10)
+	}
+	add := func(q *Problem, name string, idx []int, coef []float64, lo, hi float64) {
+		t.Helper()
+		if err := q.AddRow(Name(name), idx, coef, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	}
+	add(p, "single", []int{2}, []float64{2}, -Inf, 8)                  // presolve: a bound, dropped
+	add(p, "slack", []int{0, 1}, []float64{1, 1}, -Inf, 100)           // presolve: never binds, dropped
+	add(p, "tight", []int{1, 0, 3}, []float64{1, 2, 1}, 3, 12)         // kept
+	add(p, "eq", []int{3, 2, 3}, []float64{1, 1, 0.5}, 4, 4)           // kept
+	add(p, "split", []int{0, 1, 2, 3}, []float64{1, -1, 1, -1}, -4, 4) // kept
+
+	c := p.Clone()
+	add(c, "clone1", []int{0, 2}, []float64{1, 1}, 1, Inf)
+	add(p, "parent1", []int{1, 3}, []float64{3, 3}, -Inf, 20)
+	if got := rowsOf(c); len(got) != 6 || got[5] != "clone1 [1,+Inf] 0:3ff0000000000000 2:3ff0000000000000" {
+		t.Fatalf("the parent's AddRow reached the clone: %q", got)
+	}
+	parent := rowsOf(p)
+	if res := c.Presolve(); res.RowsRemoved == 0 || res.Infeasible {
+		t.Fatalf("clone presolve %+v, want rows removed", res)
+	}
+	if got := rowsOf(p); fmt.Sprint(got) != fmt.Sprint(parent) {
+		t.Fatalf("AddRow and Presolve on a clone changed the parent's rows:\n got %q\nwant %q", got, parent)
+	}
+
+	s, err := NewSolver(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendRows([]CutRow{{Name: "cut", Idx: []int{3, 0}, Val: []float64{1, 1}, Lo: -Inf, Hi: 15}}); err != nil {
+		t.Fatal(err)
+	}
+	add(p, "parent2", []int{0, 1}, []float64{5, 5}, -Inf, 30)
+	built := storeRows(&s.rows)
+	if got := built[len(built)-1]; len(built) != 7 || got != "[-Inf,15] 0:3ff0000000000000 3:3ff0000000000000" {
+		t.Fatalf("the parent's AddRow reached its solver's cut: %q", built)
+	}
+	sc := s.Clone()
+	cut := func(s *Solver, hi float64) {
+		t.Helper()
+		if err := s.AppendRows([]CutRow{{Name: "cut", Idx: []int{1}, Val: []float64{1}, Lo: -Inf, Hi: hi}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut(sc, 6)
+	cut(s, 7)
+	if got := storeRows(&sc.rows); len(got) != 8 || got[7] != "[-Inf,6] 1:3ff0000000000000" {
+		t.Fatalf("a solver's cut reached its clone: %q", got[7:])
+	}
+	built = storeRows(&s.rows)
+	if res := p.Presolve(); res.RowsRemoved == 0 {
+		t.Fatalf("parent presolve %+v, want rows removed", res)
+	}
+	if got := storeRows(&s.rows); fmt.Sprint(got) != fmt.Sprint(built) {
+		t.Fatalf("a parent's Presolve changed its solver's rows:\n got %q\nwant %q", got, built)
 	}
 }

@@ -8,9 +8,9 @@ import "testing"
 func buildReoptProblem(t *testing.T) *Solver {
 	t.Helper()
 	p := &Problem{}
-	x0 := p.AddVar("x0", -1, 0, 6)
-	x1 := p.AddVar("x1", -1, 0, 6)
-	if err := p.AddRow("capacity", []int{x0, x1}, []float64{1, 1}, -Inf, 10); err != nil {
+	x0 := p.AddVar(Name("x0"), -1, 0, 6)
+	x1 := p.AddVar(Name("x1"), -1, 0, 6)
+	if err := p.AddRow(Name("capacity"), []int{x0, x1}, []float64{1, 1}, -Inf, 10); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewSolver(p)

@@ -37,10 +37,10 @@ func (e *denseEngine) reset(s *Solver) {
 		e.tab[i] = 0
 	}
 	for i := 0; i < s.m; i++ {
-		r := s.origRows[i]
+		idx, val := s.rows.row(i)
 		trow := e.tab[i*s.ntot : (i+1)*s.ntot]
-		for k, j := range r.idx {
-			trow[j] = r.val[k]
+		for k, j := range idx {
+			trow[j] = val[k]
 		}
 		trow[s.n+i] = 1
 	}

@@ -18,9 +18,9 @@ import (
 // revised engine that serves every solve and the dense reference.
 func TestDriftedInfeasibleVerdictRecovers(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 5)
-	y := p.AddVar("y", 0, 0, 5)
-	if err := p.AddEQ("e", []int{x, y}, []float64{1, 1}, 3); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 5)
+	y := p.AddVar(Name("y"), 0, 0, 5)
+	if err := p.AddEQ(Name("e"), []int{x, y}, []float64{1, 1}, 3); err != nil {
 		t.Fatal(err)
 	}
 	for _, c := range []struct {
@@ -81,9 +81,9 @@ func TestDriftedInfeasibleVerdictRecovers(t *testing.T) {
 // refactorization fallback changing the answer.
 func TestGenuineInfeasibilityStillCertified(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 5)
-	y := p.AddVar("y", 1, 0, 5)
-	if err := p.AddGE("g", []int{x, y}, []float64{1, 1}, 8); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 5)
+	y := p.AddVar(Name("y"), 1, 0, 5)
+	if err := p.AddGE(Name("g"), []int{x, y}, []float64{1, 1}, 8); err != nil {
 		t.Fatal(err)
 	}
 	s := solveFresh(t, p)
@@ -108,8 +108,8 @@ func TestGenuineInfeasibilityStillCertified(t *testing.T) {
 // which proves nothing and must not certify.
 func TestFarkasCertifiedRejectsZeroMultipliers(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 5)
-	if err := p.AddGE("g", []int{x}, []float64{1}, 1); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 5)
+	if err := p.AddGE(Name("g"), []int{x}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	s, err := newDenseSolver(p)

@@ -30,7 +30,7 @@ func FarkasRepair(p *Problem) (ray []float64, violation float64, err error) {
 	aux := &Problem{}
 	for j := 0; j < p.NumVars(); j++ {
 		lo, hi := p.Bounds(j)
-		aux.AddVar(p.VarName(j), 0, lo, hi)
+		aux.AddVar(p.VarKey(j), 0, lo, hi)
 	}
 	for i := 0; i < p.NumRows(); i++ {
 		idx, val := p.Row(i)
@@ -38,16 +38,16 @@ func FarkasRepair(p *Problem) (ray []float64, violation float64, err error) {
 		eidx := append([]int(nil), idx...)
 		eval := append([]float64(nil), val...)
 		if !math.IsInf(lo, -1) {
-			t := aux.AddVar(fmt.Sprintf("t%d", i), 1, 0, Inf)
+			t := aux.AddVar(elasticUp.Key(i), 1, 0, Inf)
 			eidx = append(eidx, t)
 			eval = append(eval, 1)
 		}
 		if !math.IsInf(hi, 1) {
-			u := aux.AddVar(fmt.Sprintf("u%d", i), 1, 0, Inf)
+			u := aux.AddVar(elasticDown.Key(i), 1, 0, Inf)
 			eidx = append(eidx, u)
 			eval = append(eval, -1)
 		}
-		if err := aux.AddRow(p.RowName(i), eidx, eval, lo, hi); err != nil {
+		if err := aux.AddRow(p.RowKey(i), eidx, eval, lo, hi); err != nil {
 			return nil, 0, fmt.Errorf("lp: FarkasRepair: %w", err)
 		}
 	}
@@ -60,6 +60,13 @@ func FarkasRepair(p *Problem) (ray []float64, violation float64, err error) {
 	}
 	return sanitizeRay(p, s.Duals()), s.Objective(), nil
 }
+
+// The elastic columns of FarkasRepair's relaxation: t_i raises row i's
+// activity, u_i lowers it.
+var (
+	elasticUp   = NewFamily("t%d")
+	elasticDown = NewFamily("u%d")
+)
 
 // sanitizeRay cleans float duals into a usable Farkas candidate. The
 // separation argument needs every multiplier on a one-sided row to

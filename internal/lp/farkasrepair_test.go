@@ -13,18 +13,18 @@ import (
 // to +-inf (the fuzzer-found failure mode this repair exists for).
 func TestFarkasRepairProvesInfeasibility(t *testing.T) {
 	p := &lp.Problem{}
-	x0 := p.AddVar("x0", 1, 0, 1)
-	x1 := p.AddVar("x1", 1, 0, 1)
-	x2 := p.AddVar("x2", 0, 0, lp.Inf)
+	x0 := p.AddVar(lp.Name("x0"), 1, 0, 1)
+	x1 := p.AddVar(lp.Name("x1"), 1, 0, 1)
+	x2 := p.AddVar(lp.Name("x2"), 0, 0, lp.Inf)
 	// x0+x1 >= 3 is impossible over [0,1]^2; the extra one-sided rows
 	// drag an unbounded variable in so the sign projection matters
-	if err := p.AddGE("need3", []int{x0, x1}, []float64{1, 1}, 3); err != nil {
+	if err := p.AddGE(lp.Name("need3"), []int{x0, x1}, []float64{1, 1}, 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddLE("capx2", []int{x2}, []float64{1}, 5); err != nil {
+	if err := p.AddLE(lp.Name("capx2"), []int{x2}, []float64{1}, 5); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddGE("link", []int{x0, x2}, []float64{1, 1}, 1); err != nil {
+	if err := p.AddGE(lp.Name("link"), []int{x0, x2}, []float64{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	ray, viol, err := lp.FarkasRepair(p)
@@ -50,9 +50,9 @@ func TestFarkasRepairProvesInfeasibility(t *testing.T) {
 // is zero — no violation, nothing to prove.
 func TestFarkasRepairFeasible(t *testing.T) {
 	p := &lp.Problem{}
-	x0 := p.AddVar("x0", 1, 0, 1)
-	x1 := p.AddVar("x1", 1, 0, 1)
-	if err := p.AddGE("need1", []int{x0, x1}, []float64{1, 1}, 1); err != nil {
+	x0 := p.AddVar(lp.Name("x0"), 1, 0, 1)
+	x1 := p.AddVar(lp.Name("x1"), 1, 0, 1)
+	if err := p.AddGE(lp.Name("need1"), []int{x0, x1}, []float64{1, 1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	_, viol, err := lp.FarkasRepair(p)

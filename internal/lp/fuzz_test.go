@@ -73,7 +73,7 @@ func randLP(seed int64) *Problem {
 			lo = half(8) - 4
 			hi = lo + float64(rng.Intn(17))/2
 		}
-		p.AddVar("", half(6), lo, hi)
+		p.AddVar(Name(""), half(6), lo, hi)
 	}
 	for i := 0; i < m; i++ {
 		k := 1 + rng.Intn(4)
@@ -97,13 +97,13 @@ func randLP(seed int64) *Problem {
 		var err error
 		switch rng.Intn(4) {
 		case 0:
-			err = p.AddLE("", idx, val, rhs)
+			err = p.AddLE(Name(""), idx, val, rhs)
 		case 1:
-			err = p.AddGE("", idx, val, rhs)
+			err = p.AddGE(Name(""), idx, val, rhs)
 		case 2:
-			err = p.AddEQ("", idx, val, rhs)
+			err = p.AddEQ(Name(""), idx, val, rhs)
 		default:
-			err = p.AddRow("", idx, val, rhs, rhs+float64(rng.Intn(13))/2)
+			err = p.AddRow(Name(""), idx, val, rhs, rhs+float64(rng.Intn(13))/2)
 		}
 		if err != nil {
 			panic(err)

@@ -21,9 +21,9 @@ func TestSimple2D(t *testing.T) {
 	// min -x - 2y s.t. x + y <= 4, x <= 3, y <= 2, x,y >= 0
 	// optimum at (2,2): -6
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, 3)
-	y := p.AddVar("y", -2, 0, 2)
-	if err := p.AddLE("cap", []int{x, y}, []float64{1, 1}, 4); err != nil {
+	x := p.AddVar(Name("x"), -1, 0, 3)
+	y := p.AddVar(Name("y"), -2, 0, 2)
+	if err := p.AddLE(Name("cap"), []int{x, y}, []float64{1, 1}, 4); err != nil {
 		t.Fatal(err)
 	}
 	s := solveFresh(t, p)
@@ -41,9 +41,9 @@ func TestSimple2D(t *testing.T) {
 func TestEqualityConstraint(t *testing.T) {
 	// min x + y s.t. x + 2y == 4, 0 <= x,y <= 10 -> y=2, x=0, obj 2
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 10)
-	y := p.AddVar("y", 1, 0, 10)
-	if err := p.AddEQ("eq", []int{x, y}, []float64{1, 2}, 4); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 10)
+	y := p.AddVar(Name("y"), 1, 0, 10)
+	if err := p.AddEQ(Name("eq"), []int{x, y}, []float64{1, 2}, 4); err != nil {
 		t.Fatal(err)
 	}
 	s := solveFresh(t, p)
@@ -58,9 +58,9 @@ func TestEqualityConstraint(t *testing.T) {
 func TestRangeConstraint(t *testing.T) {
 	// min x s.t. 2 <= x + y <= 3, y <= 1 -> x >= 1, obj 1
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 10)
-	y := p.AddVar("y", 0, 0, 1)
-	if err := p.AddRow("rng", []int{x, y}, []float64{1, 1}, 2, 3); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 10)
+	y := p.AddVar(Name("y"), 0, 0, 1)
+	if err := p.AddRow(Name("rng"), []int{x, y}, []float64{1, 1}, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	s := solveFresh(t, p)
@@ -75,8 +75,8 @@ func TestRangeConstraint(t *testing.T) {
 func TestInfeasible(t *testing.T) {
 	// x >= 5 with x <= 2
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 2)
-	if err := p.AddGE("ge", []int{x}, []float64{1}, 5); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 2)
+	if err := p.AddGE(Name("ge"), []int{x}, []float64{1}, 5); err != nil {
 		t.Fatal(err)
 	}
 	s := solveFresh(t, p)
@@ -88,10 +88,10 @@ func TestInfeasible(t *testing.T) {
 func TestInfeasibleSystem(t *testing.T) {
 	// x + y >= 5 and x + y <= 2
 	p := &Problem{}
-	x := p.AddVar("x", 0, 0, 10)
-	y := p.AddVar("y", 0, 0, 10)
-	_ = p.AddGE("ge", []int{x, y}, []float64{1, 1}, 5)
-	_ = p.AddLE("le", []int{x, y}, []float64{1, 1}, 2)
+	x := p.AddVar(Name("x"), 0, 0, 10)
+	y := p.AddVar(Name("y"), 0, 0, 10)
+	_ = p.AddGE(Name("ge"), []int{x, y}, []float64{1, 1}, 5)
+	_ = p.AddLE(Name("le"), []int{x, y}, []float64{1, 1}, 2)
 	s := solveFresh(t, p)
 	if s.Status() != StatusInfeasible {
 		t.Fatalf("status = %v, want infeasible", s.Status())
@@ -101,9 +101,9 @@ func TestInfeasibleSystem(t *testing.T) {
 func TestUnbounded(t *testing.T) {
 	// min -x with x unbounded above
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, Inf)
-	y := p.AddVar("y", 0, 0, 1)
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, 0)
+	x := p.AddVar(Name("x"), -1, 0, Inf)
+	y := p.AddVar(Name("y"), 0, 0, 1)
+	_ = p.AddGE(Name("g"), []int{x, y}, []float64{1, 1}, 0)
 	s := solveFresh(t, p)
 	if s.Status() != StatusUnbounded {
 		t.Fatalf("status = %v, want unbounded", s.Status())
@@ -112,14 +112,14 @@ func TestUnbounded(t *testing.T) {
 
 func TestFixedVariable(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", -1, 2, 2) // fixed at 2
-	y := p.AddVar("y", -1, 0, 3)
-	_ = p.AddLE("cap", []int{x, y}, []float64{1, 1}, 4)
+	x := p.AddVar(Name("x"), -1, 2, 2) // fixed at 2
+	y := p.AddVar(Name("y"), -1, 0, 3)
+	_ = p.AddLE(Name("cap"), []int{x, y}, []float64{1, 1}, 4)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatalf("status = %v", s.Status())
 	}
-	if got := s.X(x); math.Abs(got-2) > 1e-9 {
+	if got := s.value(x); math.Abs(got-2) > 1e-9 {
 		t.Fatalf("x = %v, want 2", got)
 	}
 	if got := s.Objective(); math.Abs(got-(-4)) > 1e-6 {
@@ -130,9 +130,9 @@ func TestFixedVariable(t *testing.T) {
 func TestNegativeLowerBounds(t *testing.T) {
 	// min x + y, x >= -3, y >= -2, x + y >= -4 -> obj -4
 	p := &Problem{}
-	x := p.AddVar("x", 1, -3, 10)
-	y := p.AddVar("y", 1, -2, 10)
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, -4)
+	x := p.AddVar(Name("x"), 1, -3, 10)
+	y := p.AddVar(Name("y"), 1, -2, 10)
+	_ = p.AddGE(Name("g"), []int{x, y}, []float64{1, 1}, -4)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatalf("status = %v", s.Status())
@@ -145,9 +145,9 @@ func TestNegativeLowerBounds(t *testing.T) {
 func TestFreeVariable(t *testing.T) {
 	// min x s.t. x - y == 0, y in [1, 2], x free -> obj 1
 	p := &Problem{}
-	x := p.AddVar("x", 1, math.Inf(-1), Inf)
-	y := p.AddVar("y", 0, 1, 2)
-	_ = p.AddEQ("eq", []int{x, y}, []float64{1, -1}, 0)
+	x := p.AddVar(Name("x"), 1, math.Inf(-1), Inf)
+	y := p.AddVar(Name("y"), 0, 1, 2)
+	_ = p.AddEQ(Name("eq"), []int{x, y}, []float64{1, -1}, 0)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatalf("status = %v", s.Status())
@@ -161,13 +161,13 @@ func TestFreeVariable(t *testing.T) {
 // must terminate.
 func TestBealeDegenerate(t *testing.T) {
 	p := &Problem{}
-	x1 := p.AddVar("x1", -0.75, 0, Inf)
-	x2 := p.AddVar("x2", 150, 0, Inf)
-	x3 := p.AddVar("x3", -0.02, 0, Inf)
-	x4 := p.AddVar("x4", 6, 0, Inf)
-	_ = p.AddLE("r1", []int{x1, x2, x3, x4}, []float64{0.25, -60, -0.04, 9}, 0)
-	_ = p.AddLE("r2", []int{x1, x2, x3, x4}, []float64{0.5, -90, -0.02, 3}, 0)
-	_ = p.AddLE("r3", []int{x3}, []float64{1}, 1)
+	x1 := p.AddVar(Name("x1"), -0.75, 0, Inf)
+	x2 := p.AddVar(Name("x2"), 150, 0, Inf)
+	x3 := p.AddVar(Name("x3"), -0.02, 0, Inf)
+	x4 := p.AddVar(Name("x4"), 6, 0, Inf)
+	_ = p.AddLE(Name("r1"), []int{x1, x2, x3, x4}, []float64{0.25, -60, -0.04, 9}, 0)
+	_ = p.AddLE(Name("r2"), []int{x1, x2, x3, x4}, []float64{0.5, -90, -0.02, 3}, 0)
+	_ = p.AddLE(Name("r3"), []int{x3}, []float64{1}, 1)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatalf("status = %v", s.Status())
@@ -184,10 +184,10 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	costs := []float64{-5, -4, -3, -6, -1}
 	weights := []float64{2, 3, 1, 4, 1}
 	for j, c := range costs {
-		idx = append(idx, p.AddBinary("b", c))
+		idx = append(idx, p.AddBinary(Name("b"), c))
 		_ = j
 	}
-	_ = p.AddLE("w", idx, weights, 6)
+	_ = p.AddLE(Name("w"), idx, weights, 6)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatal(s.Status())
@@ -198,8 +198,8 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 	if st := s.ReOptimize(); st != StatusOptimal {
 		t.Fatalf("reopt status = %v", st)
 	}
-	if s.X(idx[0]) > 1e-9 {
-		t.Fatalf("x0 = %v after fixing to 0", s.X(idx[0]))
+	if s.value(idx[0]) > 1e-9 {
+		t.Fatalf("x0 = %v after fixing to 0", s.value(idx[0]))
 	}
 	got := s.Objective()
 
@@ -211,9 +211,9 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 		if j == 0 {
 			hi = 0
 		}
-		idx2 = append(idx2, p2.AddVar("b", c, lo, hi))
+		idx2 = append(idx2, p2.AddVar(Name("b"), c, lo, hi))
 	}
-	_ = p2.AddLE("w", idx2, weights, 6)
+	_ = p2.AddLE(Name("w"), idx2, weights, 6)
 	s2 := solveFresh(t, p2)
 	if math.Abs(got-s2.Objective()) > 1e-6 {
 		t.Fatalf("warm %v vs fresh %v", got, s2.Objective())
@@ -234,9 +234,9 @@ func TestWarmStartAfterBoundChange(t *testing.T) {
 
 func TestWarmStartInfeasibleThenBack(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 5)
-	y := p.AddVar("y", 1, 0, 5)
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, 8)
+	x := p.AddVar(Name("x"), 1, 0, 5)
+	y := p.AddVar(Name("y"), 1, 0, 5)
+	_ = p.AddGE(Name("g"), []int{x, y}, []float64{1, 1}, 8)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatal(s.Status())
@@ -258,18 +258,18 @@ func TestWarmStartInfeasibleThenBack(t *testing.T) {
 
 func TestAddRowValidation(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 1)
-	if err := p.AddRow("bad", []int{x}, []float64{1, 2}, 0, 1); err == nil {
+	x := p.AddVar(Name("x"), 1, 0, 1)
+	if err := p.AddRow(Name("bad"), []int{x}, []float64{1, 2}, 0, 1); err == nil {
 		t.Error("mismatched lengths accepted")
 	}
-	if err := p.AddRow("bad", []int{99}, []float64{1}, 0, 1); err == nil {
+	if err := p.AddRow(Name("bad"), []int{99}, []float64{1}, 0, 1); err == nil {
 		t.Error("bad index accepted")
 	}
-	if err := p.AddRow("bad", []int{x}, []float64{1}, 2, 1); err == nil {
+	if err := p.AddRow(Name("bad"), []int{x}, []float64{1}, 2, 1); err == nil {
 		t.Error("empty range accepted")
 	}
 	// duplicate indices accumulate
-	if err := p.AddLE("dup", []int{x, x}, []float64{1, 1}, 1.5); err != nil {
+	if err := p.AddLE(Name("dup"), []int{x, x}, []float64{1, 1}, 1.5); err != nil {
 		t.Fatal(err)
 	}
 	if v := p.Eval(0, []float64{1}); math.Abs(v-2) > 1e-12 {
@@ -286,9 +286,9 @@ func TestEmptyProblemRejected(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 1)
-	y := p.AddVar("y", 1, 0, 1)
-	_ = p.AddLE("r", []int{x, y}, []float64{1, 1}, 1)
+	x := p.AddVar(Name("x"), 1, 0, 1)
+	y := p.AddVar(Name("y"), 1, 0, 1)
+	_ = p.AddLE(Name("r"), []int{x, y}, []float64{1, 1}, 1)
 	st := p.Stats()
 	if st.Vars != 2 || st.Rows != 1 || st.NNZ != 2 {
 		t.Fatalf("stats = %+v", st)
@@ -329,7 +329,7 @@ func randomPrimalDual(r *rand.Rand) (*Problem, *Problem) {
 	}
 	primal := &Problem{}
 	for j := 0; j < n; j++ {
-		primal.AddVar("x", c[j], 0, u[j])
+		primal.AddVar(Name("x"), c[j], 0, u[j])
 	}
 	for i := 0; i < m; i++ {
 		var idx []int
@@ -341,7 +341,7 @@ func randomPrimalDual(r *rand.Rand) (*Problem, *Problem) {
 			}
 		}
 		if len(idx) > 0 {
-			_ = primal.AddGE("r", idx, coef, b[i])
+			_ = primal.AddGE(Name("r"), idx, coef, b[i])
 		}
 	}
 	// dual as a minimization: min -b·y + u·w s.t. A^T y - w <= c
@@ -349,10 +349,10 @@ func randomPrimalDual(r *rand.Rand) (*Problem, *Problem) {
 	ys := make([]int, m)
 	ws := make([]int, n)
 	for i := 0; i < m; i++ {
-		ys[i] = dual.AddVar("y", -b[i], 0, Inf)
+		ys[i] = dual.AddVar(Name("y"), -b[i], 0, Inf)
 	}
 	for j := 0; j < n; j++ {
-		ws[j] = dual.AddVar("w", u[j], 0, Inf)
+		ws[j] = dual.AddVar(Name("w"), u[j], 0, Inf)
 	}
 	for j := 0; j < n; j++ {
 		idx := []int{ws[j]}
@@ -363,7 +363,7 @@ func randomPrimalDual(r *rand.Rand) (*Problem, *Problem) {
 				coef = append(coef, A[i][j])
 			}
 		}
-		_ = dual.AddLE("c", idx, coef, c[j])
+		_ = dual.AddLE(Name("c"), idx, coef, c[j])
 	}
 	return primal, dual
 }
@@ -472,9 +472,9 @@ func TestStatusString(t *testing.T) {
 
 func TestIterationsCounted(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, 3)
-	y := p.AddVar("y", -2, 0, 2)
-	_ = p.AddLE("cap", []int{x, y}, []float64{1, 1}, 4)
+	x := p.AddVar(Name("x"), -1, 0, 3)
+	y := p.AddVar(Name("y"), -2, 0, 2)
+	_ = p.AddLE(Name("cap"), []int{x, y}, []float64{1, 1}, 4)
 	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
@@ -493,7 +493,7 @@ func TestIterationsCounted(t *testing.T) {
 
 func TestSolutionAndX(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, 3)
+	x := p.AddVar(Name("x"), -1, 0, 3)
 	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
@@ -502,8 +502,8 @@ func TestSolutionAndX(t *testing.T) {
 		t.Fatal(st)
 	}
 	sol := s.Solution()
-	if len(sol) != 1 || math.Abs(sol[0]-3) > 1e-9 || math.Abs(s.X(x)-3) > 1e-9 {
-		t.Fatalf("solution = %v, X = %v", sol, s.X(x))
+	if len(sol) != 1 || math.Abs(sol[0]-3) > 1e-9 || math.Abs(s.value(x)-3) > 1e-9 {
+		t.Fatalf("solution = %v, X = %v", sol, s.value(x))
 	}
 }
 
@@ -513,10 +513,10 @@ func TestDualValues(t *testing.T) {
 	// dual of "x + y <= 4" is -1 (objective falls by 1 per unit rhs),
 	// dual of "y <= 2" is -1 (objective falls by extra 1).
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, 3)
-	y := p.AddVar("y", -2, 0, Inf)
-	_ = p.AddLE("cap", []int{x, y}, []float64{1, 1}, 4)
-	_ = p.AddLE("ycap", []int{y}, []float64{1}, 2)
+	x := p.AddVar(Name("x"), -1, 0, 3)
+	y := p.AddVar(Name("y"), -2, 0, Inf)
+	_ = p.AddLE(Name("cap"), []int{x, y}, []float64{1, 1}, 4)
+	_ = p.AddLE(Name("ycap"), []int{y}, []float64{1}, 2)
 	s := solveFresh(t, p)
 	if s.Status() != StatusOptimal {
 		t.Fatal(s.Status())
@@ -550,7 +550,7 @@ func TestPropertyDualSigns(t *testing.T) {
 		for j := 0; j < p.NumVars(); j++ {
 			rc := s.d[j]
 			lo, hi := p.Bounds(j)
-			v := s.X(j)
+			v := s.value(j)
 			switch {
 			case v <= lo+1e-6:
 				if rc < -1e-5 {
@@ -613,13 +613,13 @@ func TestResidualStaysSmall(t *testing.T) {
 func residual(s *Solver) float64 {
 	worst := 0.0
 	for i := 0; i < s.m; i++ {
-		r := s.origRows[i]
+		idx, val := s.rows.row(i)
 		v := 0.0
-		for k, j := range r.idx {
-			v += r.val[k] * s.value(j)
+		for k, j := range idx {
+			v += val[k] * s.value(j)
 		}
-		// row value must lie in [lo, hi]
-		lo, hi := s.RowBounds(i)
+		// row value must lie in [lo, hi], owned by row i's logical
+		lo, hi := -s.hi[s.n+i], -s.lo[s.n+i]
 		if v < lo && lo-v > worst {
 			worst = lo - v
 		}

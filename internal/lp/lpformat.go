@@ -29,29 +29,30 @@ func (p *Problem) WriteLP(w io.Writer, name string) error {
 	}
 	fmt.Fprintln(bw)
 	fmt.Fprintln(bw, "Subject To")
-	for i := range p.rows {
-		r := p.rows[i]
-		if len(r.idx) == 0 {
+	for i := 0; i < p.NumRows(); i++ {
+		idx, val := p.Row(i)
+		if len(idx) == 0 {
 			continue
 		}
 		emit := func(op string, rhs float64, suffix string) {
 			fmt.Fprintf(bw, " r%d%s:", i, suffix)
 			f := true
-			for k, j := range r.idx {
-				writeTerm(bw, &f, r.val[k], p.colName(j))
+			for k, j := range idx {
+				writeTerm(bw, &f, val[k], p.colName(j))
 			}
 			fmt.Fprintf(bw, " %s %.12g\n", op, rhs)
 		}
+		lo, hi := p.RowRange(i)
 		switch {
-		case r.lo == r.hi:
-			emit("=", r.lo, "")
-		case math.IsInf(r.lo, -1) && !math.IsInf(r.hi, 1):
-			emit("<=", r.hi, "")
-		case !math.IsInf(r.lo, -1) && math.IsInf(r.hi, 1):
-			emit(">=", r.lo, "")
-		case !math.IsInf(r.lo, -1) && !math.IsInf(r.hi, 1):
-			emit(">=", r.lo, "a")
-			emit("<=", r.hi, "b")
+		case lo == hi:
+			emit("=", lo, "")
+		case math.IsInf(lo, -1) && !math.IsInf(hi, 1):
+			emit("<=", hi, "")
+		case !math.IsInf(lo, -1) && math.IsInf(hi, 1):
+			emit(">=", lo, "")
+		case !math.IsInf(lo, -1) && !math.IsInf(hi, 1):
+			emit(">=", lo, "a")
+			emit("<=", hi, "b")
 		}
 	}
 	fmt.Fprintln(bw, "Bounds")
@@ -75,7 +76,7 @@ func (p *Problem) WriteLP(w io.Writer, name string) error {
 	return bw.Flush()
 }
 
-func (p *Problem) colName(j int) string { return mpsName(p.names[j], j) }
+func (p *Problem) colName(j int) string { return mpsName(p.VarName(j), j) }
 
 func writeTerm(w io.Writer, first *bool, c float64, name string) {
 	switch {

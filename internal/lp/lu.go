@@ -42,13 +42,14 @@ type csc struct {
 	val []float64
 }
 
-// buildCSC transposes the row-major origRows into column form.
-func buildCSC(n int, rows []row) *csc {
+// buildCSC transposes the row store into column form.
+func buildCSC(n int, rows *rowStore) *csc {
 	c := &csc{ptr: make([]int32, n+1)}
 	nnz := 0
-	for i := range rows {
-		nnz += len(rows[i].idx)
-		for _, j := range rows[i].idx {
+	for i := 0; i < rows.len(); i++ {
+		idx, _ := rows.row(i)
+		nnz += len(idx)
+		for _, j := range idx {
 			c.ptr[j+1]++
 		}
 	}
@@ -61,12 +62,12 @@ func buildCSC(n int, rows []row) *csc {
 	for j := 0; j < n; j++ {
 		next[j] = c.ptr[j]
 	}
-	for i := range rows {
-		r := rows[i]
-		for k, j := range r.idx {
+	for i := 0; i < rows.len(); i++ {
+		idx, val := rows.row(i)
+		for k, j := range idx {
 			t := next[j]
 			c.row[t] = int32(i)
-			c.val[t] = r.val[k]
+			c.val[t] = val[k]
 			next[j] = t + 1
 		}
 	}

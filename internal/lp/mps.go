@@ -30,8 +30,8 @@ func (p *Problem) WriteMPS(w io.Writer, name string) error {
 		name string
 	}
 	rows := make([]rowInfo, p.NumRows())
-	for i := range p.rows {
-		lo, hi := p.rows[i].lo, p.rows[i].hi
+	for i := range rows {
+		lo, hi := p.RowRange(i)
 		ri := rowInfo{name: fmt.Sprintf("R%d", i)}
 		switch {
 		case lo == hi:
@@ -51,13 +51,14 @@ func (p *Problem) WriteMPS(w io.Writer, name string) error {
 	// COLUMNS
 	fmt.Fprintln(bw, "COLUMNS")
 	entries := make([][][2]interface{}, p.NumVars())
-	for i := range p.rows {
-		for k, j := range p.rows[i].idx {
-			entries[j] = append(entries[j], [2]interface{}{rows[i].name, p.rows[i].val[k]})
+	for i := range rows {
+		idx, val := p.Row(i)
+		for k, j := range idx {
+			entries[j] = append(entries[j], [2]interface{}{rows[i].name, val[k]})
 		}
 	}
 	for j := 0; j < p.NumVars(); j++ {
-		col := mpsName(p.names[j], j)
+		col := p.colName(j)
 		// always emit the objective entry (even when zero) so every
 		// column is declared and column order is preserved on re-read
 		fmt.Fprintf(bw, "    %-10s COST      %.12g\n", col, p.obj[j])
@@ -86,7 +87,7 @@ func (p *Problem) WriteMPS(w io.Writer, name string) error {
 	// BOUNDS: default MPS bounds are [0, +inf); emit the rest.
 	fmt.Fprintln(bw, "BOUNDS")
 	for j := 0; j < p.NumVars(); j++ {
-		col := mpsName(p.names[j], j)
+		col := p.colName(j)
 		lo, hi := p.lo[j], p.hi[j]
 		switch {
 		case math.IsInf(lo, -1) && math.IsInf(hi, 1):

@@ -25,17 +25,20 @@ type PresolveResult struct {
 //   - contradictions prove infeasibility.
 //
 // Presolve must run before NewSolver; running it afterwards leaves
-// existing solvers unaffected (they snapshot rows at creation).
+// existing solvers and clones unaffected: a round that drops rows
+// writes the kept ones to new arrays instead of compacting the shared
+// store.
 func (p *Problem) Presolve() PresolveResult {
 	var res PresolveResult
 	const maxRounds = 20
+	var keep []int
 	for round := 0; round < maxRounds; round++ {
 		changed := false
-		keep := p.rows[:0]
-		keepNames := p.rowNames[:0]
-		for i := range p.rows {
-			r := p.rows[i]
-			switch p.presolveRow(&r, &res) {
+		keep = keep[:0]
+		for i := 0; i < p.NumRows(); i++ {
+			idx, val := p.rows.row(i)
+			lo, hi := p.RowRange(i)
+			switch p.presolveRow(idx, val, lo, hi, &res) {
 			case rowInfeasible:
 				res.Infeasible = true
 				return res
@@ -43,16 +46,20 @@ func (p *Problem) Presolve() PresolveResult {
 				res.RowsRemoved++
 				changed = true
 			case rowKeep:
-				keep = append(keep, r)
-				keepNames = append(keepNames, p.rowNames[i])
+				keep = append(keep, i)
 			case rowKeepTightened:
-				keep = append(keep, r)
-				keepNames = append(keepNames, p.rowNames[i])
+				keep = append(keep, i)
 				changed = true
 			}
 		}
-		p.rows = keep
-		p.rowNames = keepNames
+		if len(keep) < p.NumRows() {
+			p.rows = p.rows.subset(keep)
+			keys := make([]key, len(keep))
+			for k, i := range keep {
+				keys[k] = p.rowKeys[i]
+			}
+			p.rowKeys = keys
+		}
 		for j := range p.lo {
 			if p.lo[j] > p.hi[j]+feasTol {
 				res.Infeasible = true
@@ -75,18 +82,19 @@ const (
 	rowInfeasible
 )
 
-// presolveRow analyzes one row, possibly tightening variable bounds.
-func (p *Problem) presolveRow(r *row, res *PresolveResult) rowAction {
-	if len(r.idx) == 0 {
-		if r.lo > feasTol || r.hi < -feasTol {
+// presolveRow analyzes one row, lo <= sum val_k x_idx_k <= hi, possibly
+// tightening variable bounds.
+func (p *Problem) presolveRow(idx []int, val []float64, rlo, rhi float64, res *PresolveResult) rowAction {
+	if len(idx) == 0 {
+		if rlo > feasTol || rhi < -feasTol {
 			return rowInfeasible
 		}
 		return rowDrop
 	}
-	if len(r.idx) == 1 {
+	if len(idx) == 1 {
 		// singleton: a*x in [lo,hi] <=> x in [lo/a, hi/a] (sign-aware)
-		j, a := r.idx[0], r.val[0]
-		lo, hi := r.lo/a, r.hi/a
+		j, a := idx[0], val[0]
+		lo, hi := rlo/a, rhi/a
 		if a < 0 {
 			lo, hi = hi, lo
 		}
@@ -105,8 +113,8 @@ func (p *Problem) presolveRow(r *row, res *PresolveResult) rowAction {
 	}
 	// activity bounds
 	minAct, maxAct := 0.0, 0.0
-	for k, j := range r.idx {
-		a := r.val[k]
+	for k, j := range idx {
+		a := val[k]
 		if a > 0 {
 			minAct += a * p.lo[j]
 			maxAct += a * p.hi[j]
@@ -115,17 +123,17 @@ func (p *Problem) presolveRow(r *row, res *PresolveResult) rowAction {
 			maxAct += a * p.lo[j]
 		}
 	}
-	if minAct > r.hi+feasTol || maxAct < r.lo-feasTol {
+	if minAct > rhi+feasTol || maxAct < rlo-feasTol {
 		return rowInfeasible
 	}
-	if minAct >= r.lo-feasTol && maxAct <= r.hi+feasTol {
+	if minAct >= rlo-feasTol && maxAct <= rhi+feasTol {
 		return rowDrop // row can never bind
 	}
 	// bound propagation: for each var, the row implies
 	// a_j x_j in [lo - (maxAct - contribMax), hi - (minAct - contribMin)]
 	tightened := false
-	for k, j := range r.idx {
-		a := r.val[k]
+	for k, j := range idx {
+		a := val[k]
 		var cMin, cMax float64
 		if a > 0 {
 			cMin, cMax = a*p.lo[j], a*p.hi[j]
@@ -137,11 +145,11 @@ func (p *Problem) presolveRow(r *row, res *PresolveResult) rowAction {
 			continue
 		}
 		implLo, implHi := math.Inf(-1), math.Inf(1)
-		if !math.IsInf(r.hi, 1) {
-			implHi = r.hi - restMin // a_j x_j <= hi - restMin
+		if !math.IsInf(rhi, 1) {
+			implHi = rhi - restMin // a_j x_j <= hi - restMin
 		}
-		if !math.IsInf(r.lo, -1) {
-			implLo = r.lo - restMax // a_j x_j >= lo - restMax
+		if !math.IsInf(rlo, -1) {
+			implLo = rlo - restMax // a_j x_j >= lo - restMax
 		}
 		lo, hi := implLo/a, implHi/a
 		if a < 0 {
@@ -183,7 +191,7 @@ func (p *Problem) TightenBinary(cols []int) error {
 			p.hi[j] = 0
 		}
 		if p.lo[j] > p.hi[j] {
-			return fmt.Errorf("lp: binary variable %d (%s) has empty domain after tightening", j, p.names[j])
+			return fmt.Errorf("lp: binary variable %d (%s) has empty domain after tightening", j, p.VarName(j))
 		}
 	}
 	return nil

@@ -9,8 +9,8 @@ import (
 
 func TestPresolveSingletonRow(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 10)
-	_ = p.AddGE("g", []int{x}, []float64{2}, 6) // x >= 3
+	x := p.AddVar(Name("x"), 1, 0, 10)
+	_ = p.AddGE(Name("g"), []int{x}, []float64{2}, 6) // x >= 3
 	res := p.Presolve()
 	if res.Infeasible {
 		t.Fatal("feasible problem declared infeasible")
@@ -25,8 +25,8 @@ func TestPresolveSingletonRow(t *testing.T) {
 
 func TestPresolveSingletonNegativeCoef(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, -10, 10)
-	_ = p.AddGE("g", []int{x}, []float64{-1}, 4) // -x >= 4 -> x <= -4
+	x := p.AddVar(Name("x"), 1, -10, 10)
+	_ = p.AddGE(Name("g"), []int{x}, []float64{-1}, 4) // -x >= 4 -> x <= -4
 	res := p.Presolve()
 	if res.Infeasible {
 		t.Fatal("unexpected infeasible")
@@ -38,9 +38,9 @@ func TestPresolveSingletonNegativeCoef(t *testing.T) {
 
 func TestPresolveRedundantRow(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 1)
-	y := p.AddVar("y", 1, 0, 1)
-	_ = p.AddLE("r", []int{x, y}, []float64{1, 1}, 5) // never binds
+	x := p.AddVar(Name("x"), 1, 0, 1)
+	y := p.AddVar(Name("y"), 1, 0, 1)
+	_ = p.AddLE(Name("r"), []int{x, y}, []float64{1, 1}, 5) // never binds
 	res := p.Presolve()
 	if p.NumRows() != 0 || res.RowsRemoved != 1 {
 		t.Fatalf("rows = %d removed = %d", p.NumRows(), res.RowsRemoved)
@@ -49,9 +49,9 @@ func TestPresolveRedundantRow(t *testing.T) {
 
 func TestPresolveDetectsInfeasible(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 1)
-	y := p.AddVar("y", 1, 0, 1)
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, 3)
+	x := p.AddVar(Name("x"), 1, 0, 1)
+	y := p.AddVar(Name("y"), 1, 0, 1)
+	_ = p.AddGE(Name("g"), []int{x, y}, []float64{1, 1}, 3)
 	res := p.Presolve()
 	if !res.Infeasible {
 		t.Fatal("infeasibility missed")
@@ -60,10 +60,10 @@ func TestPresolveDetectsInfeasible(t *testing.T) {
 
 func TestPresolvePropagatesBounds(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 10)
-	y := p.AddVar("y", 1, 0, 10)
-	_ = p.AddLE("r", []int{x, y}, []float64{1, 1}, 4)
-	_ = p.AddGE("g", []int{x}, []float64{1}, 3) // singleton: x >= 3
+	x := p.AddVar(Name("x"), 1, 0, 10)
+	y := p.AddVar(Name("y"), 1, 0, 10)
+	_ = p.AddLE(Name("r"), []int{x, y}, []float64{1, 1}, 4)
+	_ = p.AddGE(Name("g"), []int{x}, []float64{1}, 3) // singleton: x >= 3
 	res := p.Presolve()
 	if res.Infeasible {
 		t.Fatal("unexpected infeasible")
@@ -76,13 +76,13 @@ func TestPresolvePropagatesBounds(t *testing.T) {
 
 func TestPresolveEmptyRow(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 1)
-	_ = p.AddLE("z", nil, nil, 1) // 0 <= 1: redundant
+	x := p.AddVar(Name("x"), 1, 0, 1)
+	_ = p.AddLE(Name("z"), nil, nil, 1) // 0 <= 1: redundant
 	res := p.Presolve()
 	if res.Infeasible || p.NumRows() != 0 {
 		t.Fatalf("res=%+v rows=%d", res, p.NumRows())
 	}
-	_ = p.AddGE("z2", nil, nil, 1) // 0 >= 1: impossible
+	_ = p.AddGE(Name("z2"), nil, nil, 1) // 0 >= 1: impossible
 	if res := p.Presolve(); !res.Infeasible {
 		t.Fatal("empty impossible row accepted")
 	}
@@ -91,8 +91,8 @@ func TestPresolveEmptyRow(t *testing.T) {
 
 func TestTightenBinary(t *testing.T) {
 	p := &Problem{}
-	x := p.AddBinary("x", 1)
-	y := p.AddBinary("y", 1)
+	x := p.AddBinary(Name("x"), 1)
+	y := p.AddBinary(Name("y"), 1)
 	p.lo[x] = 0.3 // as if tightened by propagation
 	p.hi[y] = 0.6
 	if err := p.TightenBinary([]int{x, y}); err != nil {
@@ -104,7 +104,7 @@ func TestTightenBinary(t *testing.T) {
 	if _, hi := p.Bounds(y); hi != 0 {
 		t.Fatalf("y hi = %v", hi)
 	}
-	z := p.AddBinary("z", 1)
+	z := p.AddBinary(Name("z"), 1)
 	p.lo[z], p.hi[z] = 0.3, 0.6
 	if err := p.TightenBinary([]int{z}); err == nil {
 		t.Fatal("empty binary domain accepted")

@@ -10,6 +10,10 @@
 // solver in internal/milp is built on — the role lp_solve plays in
 // Kaul & Vemuri (DATE 1998).
 //
+// A Problem names its rows and columns with Keys (key.go): a registered
+// Family and up to five integers, formatted only when a name is read,
+// or a literal Name. Its rows live in one flat, pointer-free row store
+// (rowstore.go) that solvers, clones and the exact layer read in place.
 // The constraint matrix is kept in sparse column form and the basis as
 // a sparse LU factorization updated by an eta file (revised.go, lu.go).
 // A dense-tableau engine (dense_test.go) survives only as the reference
@@ -28,64 +32,80 @@ var Inf = math.Inf(1)
 
 // Problem is a linear program under construction. The zero value is an
 // empty minimization problem.
+//
+// Rows and columns are named by Keys, formatted only when RowName or
+// VarName reads them. The rows live in one flat rowStore that AddRow
+// appends to; a Solver, a Clone and the exact layer read it in place.
 type Problem struct {
-	names  []string
-	obj    []float64
-	lo, hi []float64
+	obj     []float64
+	lo, hi  []float64
+	colKeys []key
 
-	rows     []row
-	rowNames []string
-
-	// scratchIdx and scratchVal are AddRow's merge buffers.
-	scratchIdx []int
-	scratchVal []float64
-}
-
-type row struct {
-	idx []int
-	val []float64
-	lo  float64
-	hi  float64
+	rows    rowStore
+	rowKeys []key
+	// names holds the literal names of Name keys, in the order added.
+	names []string
 }
 
 // AddVar appends a variable with the given objective coefficient and
 // bounds, returning its column index.
-func (p *Problem) AddVar(name string, obj, lo, hi float64) int {
-	p.names = append(p.names, name)
-	p.obj = append(p.obj, obj)
-	p.lo = append(p.lo, lo)
-	p.hi = append(p.hi, hi)
+func (p *Problem) AddVar(k Key, obj, lo, hi float64) int {
+	p.colKeys = append(grow(p.colKeys, 1), p.store(k))
+	p.obj = append(grow(p.obj, 1), obj)
+	p.lo = append(grow(p.lo, 1), lo)
+	p.hi = append(grow(p.hi, 1), hi)
 	return len(p.obj) - 1
 }
 
 // AddBinary appends a 0-1 variable relaxed to [0,1].
-func (p *Problem) AddBinary(name string, obj float64) int {
-	return p.AddVar(name, obj, 0, 1)
+func (p *Problem) AddBinary(k Key, obj float64) int {
+	return p.AddVar(k, obj, 0, 1)
 }
 
 // NumVars returns the number of variables added so far.
 func (p *Problem) NumVars() int { return len(p.obj) }
 
 // NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
+func (p *Problem) NumRows() int { return p.rows.len() }
 
-// VarName returns the name of variable j.
-func (p *Problem) VarName(j int) string { return p.names[j] }
+// VarKey returns the key of variable j.
+func (p *Problem) VarKey(j int) Key { return p.load(p.colKeys[j]) }
 
-// RowName returns the name of row i.
-func (p *Problem) RowName(i int) string { return p.rowNames[i] }
+// RowKey returns the key of row i.
+func (p *Problem) RowKey(i int) Key { return p.load(p.rowKeys[i]) }
+
+// VarName formats the name of variable j.
+func (p *Problem) VarName(j int) string { return p.VarKey(j).String() }
+
+// RowName formats the name of row i.
+func (p *Problem) RowName(i int) string { return p.RowKey(i).String() }
+
+// store turns k into the pointer-free form the problem keeps.
+func (p *Problem) store(k Key) key {
+	if k.fam != 0 || k.name == "" {
+		return key{fam: k.fam, a: k.a}
+	}
+	p.names = append(p.names, k.name)
+	return key{a: [maxSlots]int32{int32(len(p.names))}}
+}
+
+// load turns a stored key back into a Key.
+func (p *Problem) load(k key) Key {
+	if k.fam != 0 || k.a[0] == 0 {
+		return Key{fam: k.fam, a: k.a}
+	}
+	return Key{name: p.names[k.a[0]-1]}
+}
 
 // RowNNZ returns the number of nonzero coefficients in row i.
-func (p *Problem) RowNNZ(i int) int { return len(p.rows[i].idx) }
+func (p *Problem) RowNNZ(i int) int { return p.rows.nnz(i) }
 
 // Row exposes the sparse coefficients of row i: column indices and
 // values, in ascending index order. The slices are the problem's own
 // storage — callers must treat them as read-only. Together with
 // NumVars/NumRows/Obj/Bounds/RowRange this makes *Problem satisfy the
 // exact-certification layer's Source interface.
-func (p *Problem) Row(i int) (idx []int, val []float64) {
-	return p.rows[i].idx, p.rows[i].val
-}
+func (p *Problem) Row(i int) (idx []int, val []float64) { return p.rows.row(i) }
 
 // Bounds returns the bounds of variable j.
 func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lo[j], p.hi[j] }
@@ -110,112 +130,72 @@ func (p *Problem) Obj(j int) float64 { return p.obj[j] }
 // AddRow appends the range constraint lo <= sum coef_j x_j <= hi.
 // Duplicate indices in idx are summed in the order given, and entries
 // that are or sum to zero are dropped; the stored row lists its columns
-// in ascending order and is sized exactly. Use Inf / -Inf for one-sided
-// constraints and lo == hi for equalities. A row costs time linear in
-// its length when its indices are strictly ascending; other rows are
-// insertion-sorted first, which suits rows of a handful of entries.
-func (p *Problem) AddRow(name string, idx []int, coef []float64, lo, hi float64) error {
+// in ascending order. Use Inf / -Inf for one-sided constraints and
+// lo == hi for equalities. A row costs time linear in its length when
+// its indices are strictly ascending; other rows are insertion-sorted
+// first, which suits rows of a handful of entries.
+func (p *Problem) AddRow(k Key, idx []int, coef []float64, lo, hi float64) error {
 	if len(idx) != len(coef) {
-		return fmt.Errorf("lp: AddRow %q: %d indices vs %d coefficients", name, len(idx), len(coef))
+		return fmt.Errorf("lp: AddRow %q: %d indices vs %d coefficients", k, len(idx), len(coef))
 	}
 	if lo > hi {
-		return fmt.Errorf("lp: AddRow %q: empty range [%v,%v]", name, lo, hi)
+		return fmt.Errorf("lp: AddRow %q: empty range [%v,%v]", k, lo, hi)
 	}
-	ascending := true
-	for k, j := range idx {
+	for _, j := range idx {
 		if j < 0 || j >= len(p.obj) {
-			return fmt.Errorf("lp: AddRow %q: variable %d out of range", name, j)
-		}
-		if k > 0 && j <= idx[k-1] {
-			ascending = false
+			return fmt.Errorf("lp: AddRow %q: variable %d out of range", k, j)
 		}
 	}
-	// merge a sorted copy of the row in place: each column's entries
-	// sum from zero in input order, and zero sums drop out
-	si := append(p.scratchIdx[:0], idx...)
-	sv := append(p.scratchVal[:0], coef...)
-	if !ascending {
-		sortRow(si, sv)
-	}
-	n := 0
-	for k := 0; k < len(si); {
-		v, j := 0.0, si[k]
-		for ; k < len(si) && si[k] == j; k++ {
-			v += sv[k]
-		}
-		if v != 0 {
-			si[n], sv[n] = j, v
-			n++
-		}
-	}
-	p.scratchIdx, p.scratchVal = si, sv
-	r := row{lo: lo, hi: hi}
-	if n > 0 {
-		r.idx, r.val = make([]int, n), make([]float64, n)
-		copy(r.idx, si)
-		copy(r.val, sv)
-	}
-	p.rows = append(p.rows, r)
-	p.rowNames = append(p.rowNames, name)
+	p.rows.add(idx, coef, lo, hi)
+	p.rowKeys = append(grow(p.rowKeys, 1), p.store(k))
 	return nil
 }
 
-// sortRow stable-sorts a row by column with an insertion sort, so
-// equal columns keep their order.
-func sortRow(idx []int, val []float64) {
-	for a := 1; a < len(idx); a++ {
-		j, v := idx[a], val[a]
-		b := a
-		for ; b > 0 && idx[b-1] > j; b-- {
-			idx[b], val[b] = idx[b-1], val[b-1]
-		}
-		idx[b], val[b] = j, v
-	}
-}
-
 // AddLE appends sum coef_j x_j <= rhs.
-func (p *Problem) AddLE(name string, idx []int, coef []float64, rhs float64) error {
-	return p.AddRow(name, idx, coef, -Inf, rhs)
+func (p *Problem) AddLE(k Key, idx []int, coef []float64, rhs float64) error {
+	return p.AddRow(k, idx, coef, -Inf, rhs)
 }
 
 // AddGE appends sum coef_j x_j >= rhs.
-func (p *Problem) AddGE(name string, idx []int, coef []float64, rhs float64) error {
-	return p.AddRow(name, idx, coef, rhs, Inf)
+func (p *Problem) AddGE(k Key, idx []int, coef []float64, rhs float64) error {
+	return p.AddRow(k, idx, coef, rhs, Inf)
 }
 
 // AddEQ appends sum coef_j x_j == rhs.
-func (p *Problem) AddEQ(name string, idx []int, coef []float64, rhs float64) error {
-	return p.AddRow(name, idx, coef, rhs, rhs)
+func (p *Problem) AddEQ(k Key, idx []int, coef []float64, rhs float64) error {
+	return p.AddRow(k, idx, coef, rhs, rhs)
 }
 
 // Clone returns a copy of p that can be extended independently
 // (AddVar/AddRow on the clone do not affect p) — the mechanism the
 // MILP layer uses to build a cut-augmented private model without
-// mutating the caller's problem. Row coefficient storage is shared:
-// rows are immutable once added.
+// mutating the caller's problem. The clone reads p's rows and keys in
+// place; its first AddRow or AddVar copies them, because the shared
+// arrays are handed over full.
 func (p *Problem) Clone() *Problem {
 	return &Problem{
-		names:    append([]string(nil), p.names...),
-		obj:      append([]float64(nil), p.obj...),
-		lo:       append([]float64(nil), p.lo...),
-		hi:       append([]float64(nil), p.hi...),
-		rows:     append([]row(nil), p.rows...),
-		rowNames: append([]string(nil), p.rowNames...),
+		obj:     append([]float64(nil), p.obj...),
+		lo:      append([]float64(nil), p.lo...),
+		hi:      append([]float64(nil), p.hi...),
+		colKeys: full(p.colKeys),
+		rows:    p.rows.full(),
+		rowKeys: full(p.rowKeys),
+		names:   full(p.names),
 	}
 }
 
 // Eval computes a_i · x for row i.
 func (p *Problem) Eval(i int, x []float64) float64 {
 	s := 0.0
-	r := p.rows[i]
-	for k, j := range r.idx {
-		s += r.val[k] * x[j]
+	idx, val := p.rows.row(i)
+	for k, j := range idx {
+		s += val[k] * x[j]
 	}
 	return s
 }
 
 // RowRange returns the [lo, hi] range of row i.
-func (p *Problem) RowRange(i int) (lo, hi float64) { return p.rows[i].lo, p.rows[i].hi }
+func (p *Problem) RowRange(i int) (lo, hi float64) { return p.rows.lo[i], p.rows.hi[i] }
 
 // Feasible reports whether x satisfies all rows and bounds within tol.
 func (p *Problem) Feasible(x []float64, tol float64) error {
@@ -224,13 +204,13 @@ func (p *Problem) Feasible(x []float64, tol float64) error {
 	}
 	for j := range x {
 		if x[j] < p.lo[j]-tol || x[j] > p.hi[j]+tol {
-			return fmt.Errorf("lp: variable %d (%s) = %v outside [%v,%v]", j, p.names[j], x[j], p.lo[j], p.hi[j])
+			return fmt.Errorf("lp: variable %d (%s) = %v outside [%v,%v]", j, p.VarName(j), x[j], p.lo[j], p.hi[j])
 		}
 	}
-	for i := range p.rows {
+	for i := 0; i < p.NumRows(); i++ {
 		v := p.Eval(i, x)
-		if v < p.rows[i].lo-tol || v > p.rows[i].hi+tol {
-			return fmt.Errorf("lp: row %d (%s) = %v outside [%v,%v]", i, p.rowNames[i], v, p.rows[i].lo, p.rows[i].hi)
+		if lo, hi := p.RowRange(i); v < lo-tol || v > hi+tol {
+			return fmt.Errorf("lp: row %d (%s) = %v outside [%v,%v]", i, p.RowName(i), v, lo, hi)
 		}
 	}
 	return nil
@@ -256,9 +236,5 @@ type Stats struct {
 
 // Stats returns the model size.
 func (p *Problem) Stats() Stats {
-	nnz := 0
-	for i := range p.rows {
-		nnz += len(p.rows[i].idx)
-	}
-	return Stats{Vars: len(p.obj), Rows: len(p.rows), NNZ: nnz}
+	return Stats{Vars: len(p.obj), Rows: p.rows.len(), NNZ: len(p.rows.idx)}
 }

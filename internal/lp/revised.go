@@ -184,9 +184,9 @@ func (s *Solver) revPivotRow(r int) {
 			continue
 		}
 		rv.addAlpha(s.n+i, y) // logical column e_i
-		rr := s.origRows[i]
-		for k, j := range rr.idx {
-			rv.addAlpha(j, y*rr.val[k])
+		idx, val := s.rows.row(i)
+		for k, j := range idx {
+			rv.addAlpha(j, y*val[k])
 		}
 	}
 }
@@ -291,9 +291,9 @@ func (rv *revisedState) restoreDuals(s *Solver) {
 				continue
 			}
 			s.d[s.n+i] -= yi
-			rr := s.origRows[i]
-			for k, j := range rr.idx {
-				s.d[j] -= yi * rr.val[k]
+			idx, val := s.rows.row(i)
+			for k, j := range idx {
+				s.d[j] -= yi * val[k]
 			}
 		}
 	}

@@ -153,9 +153,9 @@ func (s *Solver) certifyRay(yv []float64) bool {
 			continue
 		}
 		w[s.n+i] = y
-		row := s.origRows[i]
-		for k, j := range row.idx {
-			w[j] += y * row.val[k]
+		idx, val := s.rows.row(i)
+		for k, j := range idx {
+			w[j] += y * val[k]
 		}
 	}
 	// interval-evaluate sum_j w_j z_j over the box [lo, hi]

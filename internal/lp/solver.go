@@ -137,8 +137,8 @@ type Solver struct {
 	nbVal []float64 // value of nonbasic variables
 	d     []float64 // reduced costs
 
-	origRows []row     // for rebuilds
-	fbuf     []float64 // scratch: Farkas certificate aggregation
+	rows rowStore  // the problem's rows, shared and read in place
+	fbuf []float64 // scratch: Farkas certificate aggregation
 
 	// Candidate-list partial pricing state. The cached candidates are a
 	// heuristic only: entries are re-validated before use and optimality
@@ -211,14 +211,15 @@ type engine interface {
 }
 
 // NewSolver builds a revised-simplex solver for p. The problem must
-// have at least one variable. Row data is copied; the solver is
-// independent of later changes to p.
+// have at least one variable. The solver reads p's rows in place, but
+// it is independent of later changes to p: rows are never rewritten
+// once stored, and bounds and costs are copied.
 func NewSolver(p *Problem) (*Solver, error) {
 	s, err := newSolverState(p)
 	if err != nil {
 		return nil, err
 	}
-	s.rev = newRevisedState(s.n, s.m, buildCSC(s.n, s.origRows))
+	s.rev = newRevisedState(s.n, s.m, buildCSC(s.n, &s.rows))
 	s.eng = s.rev
 	s.reset()
 	return s, nil
@@ -246,12 +247,11 @@ func newSolverState(p *Problem) (*Solver, error) {
 	copy(s.c, p.obj)
 	copy(s.lo, p.lo)
 	copy(s.hi, p.hi)
-	s.origRows = make([]row, m)
-	copy(s.origRows, p.rows)
+	s.rows = p.rows.full()
 	for i := 0; i < m; i++ {
 		// logical variable i: a_i·x + g_i = 0 with g_i in [-Hi, -Lo]
-		s.lo[n+i] = -p.rows[i].hi
-		s.hi[n+i] = -p.rows[i].lo
+		s.lo[n+i] = -s.rows.hi[i]
+		s.hi[n+i] = -s.rows.lo[i]
 	}
 	for j := 0; j < s.ntot; j++ {
 		if s.lo[j] > s.hi[j] {
@@ -322,9 +322,6 @@ func (s *Solver) value(j int) float64 {
 	return s.nbVal[j]
 }
 
-// X returns the current value of structural variable j.
-func (s *Solver) X(j int) float64 { return s.value(j) }
-
 // Solution copies the structural solution into a new slice.
 func (s *Solver) Solution() []float64 {
 	x := make([]float64, s.n)
@@ -367,8 +364,7 @@ func (s *Solver) SetBound(j int, lo, hi float64) {
 // factorized state consistent so ReOptimize can warm-start. Row ranges
 // are owned by the logical variables (row i holds a_i·x + g_i = 0 with
 // g_i in [-hi, -lo]), which every consumer of row ranges — the dual
-// ratio test, Farkas certification, RowBounds — already treats as
-// authoritative, so a range edit needs no tableau rebuild: it is the
+// ratio test, Farkas certification — already treats as authoritative, so a range edit needs no tableau rebuild: it is the
 // row-side twin of SetBound, the primitive the delta re-solve layer
 // uses to morph a solved root into a neighboring instance (rhs edits:
 // capacity, scratch memory, α-scaled area).
@@ -451,14 +447,6 @@ func (s *Solver) Obj(j int) float64 {
 		panic(fmt.Sprintf("lp: Obj: bad variable %d", j))
 	}
 	return s.c[j]
-}
-
-// RowBounds returns the current range of row i as owned by the solver.
-func (s *Solver) RowBounds(i int) (lo, hi float64) {
-	if i < 0 || i >= s.m {
-		panic(fmt.Sprintf("lp: RowBounds: bad row %d", i))
-	}
-	return -s.hi[s.n+i], -s.lo[s.n+i]
 }
 
 // Dims returns the solver's structural-variable and row counts, fixed

@@ -15,10 +15,10 @@ import (
 func TestPresolveToleranceConsistency(t *testing.T) {
 	build := func(delta float64) *Problem {
 		p := &Problem{}
-		x0 := p.AddVar("x0", 0, 0, 1)
-		x1 := p.AddVar("x1", 0, 0, 1)
+		x0 := p.AddVar(Name("x0"), 0, 0, 1)
+		x1 := p.AddVar(Name("x1"), 0, 0, 1)
 		// propagation implies x0 <= 1-delta and x1 <= 1-delta
-		if err := p.AddLE("cap", []int{x0, x1}, []float64{1, 1}, 1-delta); err != nil {
+		if err := p.AddLE(Name("cap"), []int{x0, x1}, []float64{1, 1}, 1-delta); err != nil {
 			t.Fatal(err)
 		}
 		return p
@@ -46,8 +46,8 @@ func TestPresolveToleranceConsistency(t *testing.T) {
 
 	// singleton conversion judges significance at the same feasTol
 	p = &Problem{}
-	p.AddVar("x", 0, 0, 1)
-	if err := p.AddLE("s", []int{0}, []float64{1}, 1-1e-8); err != nil {
+	p.AddVar(Name("x"), 0, 0, 1)
+	if err := p.AddLE(Name("s"), []int{0}, []float64{1}, 1-1e-8); err != nil {
 		t.Fatal(err)
 	}
 	if res := p.Presolve(); res.BoundsTightened != 0 || res.RowsRemoved != 1 {
@@ -62,17 +62,17 @@ func TestPresolveToleranceConsistency(t *testing.T) {
 func bealeSolver(t *testing.T) *Solver {
 	t.Helper()
 	p := &Problem{}
-	x1 := p.AddVar("x1", -0.75, 0, Inf)
-	x2 := p.AddVar("x2", 150, 0, Inf)
-	x3 := p.AddVar("x3", -0.02, 0, Inf)
-	x4 := p.AddVar("x4", 6, 0, Inf)
-	if err := p.AddLE("r1", []int{x1, x2, x3, x4}, []float64{0.25, -60, -1.0 / 25, 9}, 0); err != nil {
+	x1 := p.AddVar(Name("x1"), -0.75, 0, Inf)
+	x2 := p.AddVar(Name("x2"), 150, 0, Inf)
+	x3 := p.AddVar(Name("x3"), -0.02, 0, Inf)
+	x4 := p.AddVar(Name("x4"), 6, 0, Inf)
+	if err := p.AddLE(Name("r1"), []int{x1, x2, x3, x4}, []float64{0.25, -60, -1.0 / 25, 9}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddLE("r2", []int{x1, x2, x3, x4}, []float64{0.5, -90, -1.0 / 50, 3}, 0); err != nil {
+	if err := p.AddLE(Name("r2"), []int{x1, x2, x3, x4}, []float64{0.5, -90, -1.0 / 50, 3}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.AddLE("r3", []int{x3}, []float64{1}, 1); err != nil {
+	if err := p.AddLE(Name("r3"), []int{x3}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewSolver(p)
@@ -108,17 +108,17 @@ func TestDegenerateTieBreakTerminates(t *testing.T) {
 func TestTieBreakDeterministicUnderNoise(t *testing.T) {
 	build := func(noise float64) *Solver {
 		p := &Problem{}
-		x0 := p.AddVar("x0", -1, 0, Inf)
-		x1 := p.AddVar("x1", -1, 0, Inf)
+		x0 := p.AddVar(Name("x0"), -1, 0, Inf)
+		x1 := p.AddVar(Name("x1"), -1, 0, Inf)
 		// duplicate capacity rows: every ratio test on them ties, with
 		// equal pivot magnitudes up to the injected noise
-		if err := p.AddLE("capA", []int{x0, x1}, []float64{1, 1}, 1); err != nil {
+		if err := p.AddLE(Name("capA"), []int{x0, x1}, []float64{1, 1}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddLE("capB", []int{x0, x1}, []float64{1 + noise, 1}, 1); err != nil {
+		if err := p.AddLE(Name("capB"), []int{x0, x1}, []float64{1 + noise, 1}, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.AddLE("capC", []int{x0, x1}, []float64{1, 1 + noise}, 1); err != nil {
+		if err := p.AddLE(Name("capC"), []int{x0, x1}, []float64{1, 1 + noise}, 1); err != nil {
 			t.Fatal(err)
 		}
 		s, err := NewSolver(p)

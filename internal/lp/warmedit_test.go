@@ -21,7 +21,7 @@ type editSpec struct {
 func (sp *editSpec) problem() *Problem {
 	p := &Problem{}
 	for j := 0; j < sp.n; j++ {
-		p.AddVar("x", sp.obj[j], sp.lo[j], sp.hi[j])
+		p.AddVar(Name("x"), sp.obj[j], sp.lo[j], sp.hi[j])
 	}
 	for i := 0; i < sp.m; i++ {
 		var idx []int
@@ -32,7 +32,7 @@ func (sp *editSpec) problem() *Problem {
 				val = append(val, v)
 			}
 		}
-		if err := p.AddRow("r", idx, val, sp.rlo[i], sp.rhi[i]); err != nil {
+		if err := p.AddRow(Name("r"), idx, val, sp.rlo[i], sp.rhi[i]); err != nil {
 			panic(err)
 		}
 	}
@@ -155,20 +155,21 @@ func TestWarmEditMatchesCold(t *testing.T) {
 // TestSetRowBoundsAccessors pins the logical-bound encoding round trip.
 func TestSetRowBoundsAccessors(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", 1, 0, 10)
-	if err := p.AddLE("cap", []int{x}, []float64{1}, 4); err != nil {
+	x := p.AddVar(Name("x"), 1, 0, 10)
+	if err := p.AddLE(Name("cap"), []int{x}, []float64{1}, 4); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewSolver(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lo, hi := s.RowBounds(0); !math.IsInf(lo, -1) || hi != 4 {
-		t.Fatalf("RowBounds = [%v,%v], want [-inf,4]", lo, hi)
+	// row 0's range is owned by its logical g_0 in [-hi, -lo]
+	if lo, hi := -s.hi[s.n], -s.lo[s.n]; !math.IsInf(lo, -1) || hi != 4 {
+		t.Fatalf("row range = [%v,%v], want [-inf,4]", lo, hi)
 	}
 	s.SetRowBounds(0, 1, 3)
-	if lo, hi := s.RowBounds(0); lo != 1 || hi != 3 {
-		t.Fatalf("RowBounds after edit = [%v,%v], want [1,3]", lo, hi)
+	if lo, hi := -s.hi[s.n], -s.lo[s.n]; lo != 1 || hi != 3 {
+		t.Fatalf("row range after edit = [%v,%v], want [1,3]", lo, hi)
 	}
 	if n, m := s.Dims(); n != 1 || m != 1 {
 		t.Fatalf("Dims = %d,%d", n, m)
@@ -191,9 +192,9 @@ func TestSetRowBoundsAccessors(t *testing.T) {
 // must sweep the tableau row.
 func TestSetObjWarmBasic(t *testing.T) {
 	p := &Problem{}
-	x := p.AddVar("x", -1, 0, 10)
-	y := p.AddVar("y", -1, 0, 10)
-	if err := p.AddLE("r", []int{x, y}, []float64{1, 2}, 8); err != nil {
+	x := p.AddVar(Name("x"), -1, 0, 10)
+	y := p.AddVar(Name("y"), -1, 0, 10)
+	if err := p.AddLE(Name("r"), []int{x, y}, []float64{1, 2}, 8); err != nil {
 		t.Fatal(err)
 	}
 	s, err := NewSolver(p)

@@ -19,10 +19,10 @@ func parityTrap(n int) (*lp.Problem, []int) {
 	cols := make([]int, n)
 	coef := make([]float64, n)
 	for i := range cols {
-		cols[i] = p.AddBinary("x", 0)
+		cols[i] = p.AddBinary(lp.Name("x"), 0)
 		coef[i] = 2
 	}
-	_ = p.AddEQ("odd", cols, coef, 25)
+	_ = p.AddEQ(lp.Name("odd"), cols, coef, 25)
 	return p, cols
 }
 

@@ -44,9 +44,9 @@ func TestCertifyOptimalKnapsack(t *testing.T) {
 // exactly-replayed Farkas certificate.
 func TestCertifyInfeasibleFarkas(t *testing.T) {
 	p := &lp.Problem{}
-	x := p.AddBinary("x", 1)
-	y := p.AddBinary("y", 1)
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, 3)
+	x := p.AddBinary(lp.Name("x"), 1)
+	y := p.AddBinary(lp.Name("y"), 1)
+	_ = p.AddGE(lp.Name("g"), []int{x, y}, []float64{1, 1}, 3)
 	res, err := Solve(p, Options{IntVars: []int{x, y}, Certify: true})
 	if err != nil {
 		t.Fatal(err)
@@ -127,9 +127,9 @@ func TestCertifyExhaustedWithInitialUpper(t *testing.T) {
 	// min x+y s.t. x+y >= 1: optimum 1, so "strictly better than 1"
 	// is unachievable and the primed search exhausts
 	p := &lp.Problem{}
-	x := p.AddBinary("x", 1)
-	y := p.AddBinary("y", 1)
-	_ = p.AddGE("cover", []int{x, y}, []float64{1, 1}, 1)
+	x := p.AddBinary(lp.Name("x"), 1)
+	y := p.AddBinary(lp.Name("y"), 1)
+	_ = p.AddGE(lp.Name("cover"), []int{x, y}, []float64{1, 1}, 1)
 	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true, InitialUpper: 1, Certify: true})
 	if err != nil {
 		t.Fatal(err)

@@ -125,7 +125,7 @@ func (s *solver) applyRootCuts() (int, error) {
 	}
 	pc := s.prob.Clone()
 	for _, c := range cuts {
-		if err := pc.AddRow(c.Name, c.Idx, c.Val, c.Lo, c.Hi); err != nil {
+		if err := pc.AddRow(lp.Name(c.Name), c.Idx, c.Val, c.Lo, c.Hi); err != nil {
 			return 0, nil // malformed cut: keep the original model
 		}
 	}

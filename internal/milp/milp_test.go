@@ -16,9 +16,9 @@ func knapsack(values, weights []float64, cap float64) (*lp.Problem, []int) {
 	p := &lp.Problem{}
 	var cols []int
 	for j := range values {
-		cols = append(cols, p.AddBinary("x", -values[j]))
+		cols = append(cols, p.AddBinary(lp.Name("x"), -values[j]))
 	}
-	_ = p.AddLE("cap", cols, weights, cap)
+	_ = p.AddLE(lp.Name("cap"), cols, weights, cap)
 	return p, cols
 }
 
@@ -69,10 +69,10 @@ func TestKnapsackSmall(t *testing.T) {
 
 func TestInfeasibleMILP(t *testing.T) {
 	p := &lp.Problem{}
-	x := p.AddBinary("x", 1)
-	y := p.AddBinary("y", 1)
+	x := p.AddBinary(lp.Name("x"), 1)
+	y := p.AddBinary(lp.Name("y"), 1)
 	// x + y >= 3 is impossible for binaries
-	_ = p.AddGE("g", []int{x, y}, []float64{1, 1}, 3)
+	_ = p.AddGE(lp.Name("g"), []int{x, y}, []float64{1, 1}, 3)
 	res, err := Solve(p, Options{IntVars: []int{x, y}})
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +85,9 @@ func TestInfeasibleMILP(t *testing.T) {
 // fractional LP, integral ILP: LP optimum 0.5/0.5, ILP must pick a vertex.
 func TestIntegralityGap(t *testing.T) {
 	p := &lp.Problem{}
-	x := p.AddBinary("x", -1)
-	y := p.AddBinary("y", -1)
-	_ = p.AddLE("c", []int{x, y}, []float64{2, 2}, 2) // x + y <= 1 effectively
+	x := p.AddBinary(lp.Name("x"), -1)
+	y := p.AddBinary(lp.Name("y"), -1)
+	_ = p.AddLE(lp.Name("c"), []int{x, y}, []float64{2, 2}, 2) // x + y <= 1 effectively
 	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true})
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestTimeLimitRespected(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	p := &lp.Problem{}
-	x := p.AddBinary("x", 1)
+	x := p.AddBinary(lp.Name("x"), 1)
 	if _, err := Solve(p, Options{}); err == nil {
 		t.Error("empty IntVars accepted")
 	}
@@ -191,7 +191,7 @@ func TestOptionValidation(t *testing.T) {
 		t.Error("out-of-range int var accepted")
 	}
 	p2 := &lp.Problem{}
-	y := p2.AddVar("y", 1, 0, 3)
+	y := p2.AddVar(lp.Name("y"), 1, 0, 3)
 	if _, err := Solve(p2, Options{IntVars: []int{y}}); err == nil {
 		t.Error("non-binary int var accepted")
 	}
@@ -200,9 +200,9 @@ func TestOptionValidation(t *testing.T) {
 
 func TestUnboundedRejected(t *testing.T) {
 	p := &lp.Problem{}
-	x := p.AddBinary("x", 0)
-	f := p.AddVar("f", -1, 0, lp.Inf)
-	_ = p.AddGE("g", []int{x, f}, []float64{1, 1}, 0)
+	x := p.AddBinary(lp.Name("x"), 0)
+	f := p.AddVar(lp.Name("f"), -1, 0, lp.Inf)
+	_ = p.AddGE(lp.Name("g"), []int{x, f}, []float64{1, 1}, 0)
 	if _, err := Solve(p, Options{IntVars: []int{x}}); err == nil {
 		t.Error("unbounded relaxation accepted")
 	}
@@ -230,7 +230,7 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		cap := 1 + float64(r.Intn(20))
 		p, cols := knapsack(values, weights, cap)
 		if conflictA >= 0 {
-			_ = p.AddLE("conflict", []int{cols[conflictA], cols[conflictB]}, []float64{1, 1}, 1)
+			_ = p.AddLE(lp.Name("conflict"), []int{cols[conflictA], cols[conflictB]}, []float64{1, 1}, 1)
 		}
 		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true})
 		if err != nil || res.Status != StatusOptimal {
@@ -273,9 +273,9 @@ func TestStatusStrings(t *testing.T) {
 func TestProbeIncumbentAndPrune(t *testing.T) {
 	// max x0+x1 s.t. x0+x1 <= 1 (as min of negation); optimum -1.
 	p := &lp.Problem{}
-	x0 := p.AddBinary("x0", -1)
-	x1 := p.AddBinary("x1", -1)
-	_ = p.AddLE("c", []int{x0, x1}, []float64{1, 1}, 1)
+	x0 := p.AddBinary(lp.Name("x0"), -1)
+	x1 := p.AddBinary(lp.Name("x1"), -1)
+	_ = p.AddLE(lp.Name("c"), []int{x0, x1}, []float64{1, 1}, 1)
 	probed := 0
 	probe := func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {
 		probed++
@@ -301,8 +301,8 @@ func TestProbeExhaustedPrunes(t *testing.T) {
 	// feasible problem, but a probe that declares every node exhausted
 	// forces an (incorrectly) empty search: the solver must trust it.
 	p := &lp.Problem{}
-	x0 := p.AddBinary("x0", -1)
-	_ = p.AddLE("c", []int{x0}, []float64{1}, 1)
+	x0 := p.AddBinary(lp.Name("x0"), -1)
+	_ = p.AddLE(lp.Name("c"), []int{x0}, []float64{1}, 1)
 	probe := func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {
 		return nil, true
 	}
@@ -317,9 +317,9 @@ func TestProbeExhaustedPrunes(t *testing.T) {
 
 func TestProbeRejectsBadCandidate(t *testing.T) {
 	p := &lp.Problem{}
-	x0 := p.AddBinary("x0", -1)
-	x1 := p.AddBinary("x1", -1)
-	_ = p.AddLE("c", []int{x0, x1}, []float64{1, 1}, 1)
+	x0 := p.AddBinary(lp.Name("x0"), -1)
+	x1 := p.AddBinary(lp.Name("x1"), -1)
+	_ = p.AddLE(lp.Name("c"), []int{x0, x1}, []float64{1, 1}, 1)
 	probe := func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {
 		return []float64{1, 1}, false // violates the constraint
 	}
@@ -336,9 +336,9 @@ func TestProbeRejectsBadCandidate(t *testing.T) {
 func TestProbeSeesBranchingBounds(t *testing.T) {
 	sawFixed := false
 	p2 := &lp.Problem{}
-	y0 := p2.AddBinary("y0", -1)
-	y1 := p2.AddBinary("y1", -1)
-	_ = p2.AddLE("c", []int{y0, y1}, []float64{2, 2}, 3) // y0+y1 <= 1.5: fractional vertex
+	y0 := p2.AddBinary(lp.Name("y0"), -1)
+	y1 := p2.AddBinary(lp.Name("y1"), -1)
+	_ = p2.AddLE(lp.Name("c"), []int{y0, y1}, []float64{2, 2}, 3) // y0+y1 <= 1.5: fractional vertex
 	res, err := Solve(p2, Options{
 		IntVars:  []int{y0, y1},
 		Brancher: FirstFractional([]int{y0, y1}),

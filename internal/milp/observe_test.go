@@ -82,8 +82,8 @@ func TestBlackBoxEventSize(t *testing.T) {
 func TestRootTerminalFinish(t *testing.T) {
 	infeasible := func() (*lp.Problem, Options) {
 		p := &lp.Problem{}
-		x, y := p.AddBinary("x", 1), p.AddBinary("y", 1)
-		if err := p.AddRow("c", []int{x, y}, []float64{1, 1}, 3, lp.Inf); err != nil {
+		x, y := p.AddBinary(lp.Name("x"), 1), p.AddBinary(lp.Name("y"), 1)
+		if err := p.AddRow(lp.Name("c"), []int{x, y}, []float64{1, 1}, 3, lp.Inf); err != nil {
 			t.Fatal(err)
 		}
 		return p, Options{IntVars: []int{x, y}}

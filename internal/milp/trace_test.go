@@ -13,10 +13,10 @@ import (
 func buildKnapsack(t *testing.T) (*lp.Problem, []int) {
 	t.Helper()
 	p := &lp.Problem{}
-	x := p.AddBinary("x", -5)
-	y := p.AddBinary("y", -4)
-	z := p.AddBinary("z", -3)
-	if err := p.AddRow("cap", []int{x, y, z}, []float64{2, 3, 1}, -lp.Inf, 5); err != nil {
+	x := p.AddBinary(lp.Name("x"), -5)
+	y := p.AddBinary(lp.Name("y"), -4)
+	z := p.AddBinary(lp.Name("z"), -3)
+	if err := p.AddRow(lp.Name("cap"), []int{x, y, z}, []float64{2, 3, 1}, -lp.Inf, 5); err != nil {
 		t.Fatal(err)
 	}
 	return p, []int{x, y, z}

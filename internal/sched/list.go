@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/graph"
 	"repro/internal/library"
@@ -19,22 +18,64 @@ type Assignment struct {
 	Span int   // makespan in steps
 }
 
+// ListScratch holds the tables ListSchedule and HeuristicSchedule fill
+// on every call, so that a caller scheduling many times reuses them
+// instead of allocating them per call. The zero value is ready to use.
+// A ListScratch serves one call at a time: concurrent callers each need
+// their own. Results returned through a ListScratch alias it and stay
+// valid only until its next use.
+type ListScratch struct {
+	// ListSchedule: per op of the graph, per unit, and the ready list
+	inSet              []bool
+	compat, preds      [][]int
+	compatAll, predAll []int
+	done               []int
+	busyUntil          []int
+	ready              []int
+	seg                Assignment
+	// HeuristicSchedule: the global schedule, the plan's step counts,
+	// the segment's ops, and pickUnits' state
+	global  Assignment
+	steps   []int
+	ops     []int
+	kinds   []graph.OpKind // the segment's op kinds, ascending
+	counts  []int          // ops per kind
+	serving []int          // chosen units able to run each kind
+	chosen  []bool         // per unit
+	units   []int          // chosen unit IDs, ascending
+}
+
+// zeroed returns s with length n and every element zero, reusing its
+// array when it is large enough.
+func zeroed[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // ListSchedule performs resource-constrained list scheduling of the
 // operations in ops (IDs into g) on the FU instances units (IDs into
 // alloc). Priority is least-ALAP-first using the provided windows.
 // Non-pipelined multicycle units block for their full latency;
 // pipelined units accept one operation per step. It returns an error
-// when some operation has no compatible unit.
-func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []int, units []int) (*Assignment, error) {
+// when some operation has no compatible unit. With a non-nil sc the
+// tables and the returned Assignment live in sc; with nil they are
+// allocated for the call.
+func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []int, units []int, sc *ListScratch) (*Assignment, error) {
+	if sc == nil {
+		sc = &ListScratch{}
+	}
 	no := g.NumOps()
-	inSet := make([]bool, no)
+	inSet := zeroed(sc.inSet, no)
+	sc.inSet = inSet
 	for _, o := range ops {
 		inSet[o] = true
 	}
-	a := &Assignment{
-		Step: make([]int, no),
-		Unit: make([]int, no),
-	}
+	a := &sc.seg
+	a.Step, a.Unit, a.Span = zeroed(a.Step, no), zeroed(a.Unit, no), 0
 	for i := range a.Unit {
 		a.Unit[i] = -1
 	}
@@ -47,10 +88,12 @@ func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []i
 	for _, o := range ops {
 		npred += len(g.OpPred(o))
 	}
-	compat := make([][]int, no)
-	preds := make([][]int, no)
-	compatAll := make([]int, 0, len(ops)*len(units))
-	predAll := make([]int, 0, npred)
+	compat, preds := zeroed(sc.compat, no), zeroed(sc.preds, no)
+	sc.compat, sc.preds = compat, preds
+	// the shared arrays never move while the lists are carved from them
+	compatAll := zeroed(sc.compatAll, len(ops)*len(units))[:0]
+	predAll := zeroed(sc.predAll, npred)[:0]
+	sc.compatAll, sc.predAll = compatAll, predAll
 	for _, o := range ops {
 		start := len(compatAll)
 		for _, u := range units {
@@ -71,11 +114,12 @@ func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []i
 		preds[o] = predAll[start:len(predAll):len(predAll)]
 	}
 	// busyUntil[u]: first step at which unit u is free to start a new op
-	busyUntil := make([]int, alloc.NumUnits())
-	done := make([]int, no) // op -> finish step (inclusive)
+	busyUntil := zeroed(sc.busyUntil, alloc.NumUnits())
+	done := zeroed(sc.done, no) // op -> finish step (inclusive)
+	sc.busyUntil, sc.done = busyUntil, done
 	remaining := len(ops)
 	limit := len(ops)*maxDur(w, ops) + w.CriticalPath + 1
-	ready := make([]int, 0, len(ops))
+	ready := sc.ready[:0]
 	for step := 1; remaining > 0; step++ {
 		if step > limit {
 			return nil, fmt.Errorf("sched: list scheduler did not converge (internal error)")
@@ -126,6 +170,7 @@ func ListSchedule(g *graph.Graph, alloc *library.Allocation, w *Windows, ops []i
 			}
 		}
 	}
+	sc.ready = ready
 	return a, nil
 }
 
@@ -248,41 +293,41 @@ func MemoryAt(g *graph.Graph, segment []int, p int) int {
 // ceil(ops-of-kind / step-budget) units per kind when they fit, plus
 // opportunistic extras for the busiest kinds. It fills plan.Steps and
 // returns the per-op assignment with globally numbered steps (segment
-// s starts after segment s-1 ends).
-func HeuristicSchedule(g *graph.Graph, alloc *library.Allocation, dev library.Device, w *Windows, plan *SegmentPlan) (*Assignment, error) {
-	global := &Assignment{
-		Step: make([]int, g.NumOps()),
-		Unit: make([]int, g.NumOps()),
+// s starts after segment s-1 ends). With a non-nil sc every table, the
+// returned Assignment and plan.Steps live in sc; with nil they are
+// allocated for the call.
+func HeuristicSchedule(g *graph.Graph, alloc *library.Allocation, dev library.Device, w *Windows, plan *SegmentPlan, sc *ListScratch) (*Assignment, error) {
+	if sc == nil {
+		sc = &ListScratch{}
 	}
+	global := &sc.global
+	global.Step, global.Unit = zeroed(global.Step, g.NumOps()), zeroed(global.Unit, g.NumOps())
 	for i := range global.Unit {
 		global.Unit[i] = -1
 	}
-	plan.Steps = make([]int, plan.N)
+	sc.steps = zeroed(sc.steps, plan.N)
+	plan.Steps = sc.steps
 	base := 0
 	// optimistic per-segment step budget: the critical path (callers
 	// with a latency relaxation have a little more; underestimating
 	// only requests more parallel units, never fewer)
 	budget := maxInt(w.CriticalPath, 1)
 	for s := 1; s <= plan.N; s++ {
-		var ops []int
-		counts := map[graph.OpKind]int{}
+		ops := sc.ops[:0]
 		for _, t := range g.Tasks() {
-			if plan.Segment[t.ID] != s {
-				continue
-			}
-			for _, o := range t.Ops {
-				ops = append(ops, o)
-				counts[g.Op(o).Kind]++
+			if plan.Segment[t.ID] == s {
+				ops = append(ops, t.Ops...)
 			}
 		}
+		sc.ops = ops
 		if len(ops) == 0 {
 			continue
 		}
-		units, err := pickUnits(alloc, dev, counts, budget)
+		units, err := sc.pickUnits(g, alloc, dev, ops, budget)
 		if err != nil {
 			return nil, fmt.Errorf("sched: segment %d: %w", s, err)
 		}
-		a, err := ListSchedule(g, alloc, w, ops, units)
+		a, err := ListSchedule(g, alloc, w, ops, units, sc)
 		if err != nil {
 			return nil, fmt.Errorf("sched: segment %d: %w", s, err)
 		}
@@ -304,46 +349,63 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// pickUnits selects a subset of allocation units for a segment whose
-// ops are counted per kind. It takes the cheapest unit per kind, grows
-// the busiest kinds toward ceil(count/budget) parallel units, then
-// fills leftover area in unit-ID order — all without exceeding the
-// device capacity.
-func pickUnits(alloc *library.Allocation, dev library.Device, counts map[graph.OpKind]int, budget int) ([]int, error) {
+// pickUnits selects a subset of allocation units for a segment's ops,
+// counted per kind. It takes the cheapest unit per kind, grows the
+// busiest kinds toward ceil(count/budget) parallel units, then fills
+// leftover area in unit-ID order — all without exceeding the device
+// capacity. Kinds are visited in ascending order and a kind's units in
+// ID order, ties going to the first. The result lives in sc.units.
+func (sc *ListScratch) pickUnits(g *graph.Graph, alloc *library.Allocation, dev library.Device, ops []int, budget int) ([]int, error) {
 	if budget < 1 {
 		budget = 1
 	}
-	chosen := map[int]bool{}
+	// the segment's kinds, ascending, with their op counts
+	kinds, counts := sc.kinds[:0], sc.counts[:0]
+	for _, o := range ops {
+		kind := g.Op(o).Kind
+		c, ok := slices.BinarySearch(kinds, kind)
+		if !ok {
+			kinds = slices.Insert(kinds, c, kind)
+			counts = slices.Insert(counts, c, 0)
+		}
+		counts[c]++
+	}
+	serving := zeroed(sc.serving, len(kinds)) // chosen units able to run each kind
+	chosen := zeroed(sc.chosen, alloc.NumUnits())
+	sc.kinds, sc.counts, sc.serving, sc.chosen = kinds, counts, serving, chosen
 	area := 0
-	serving := map[graph.OpKind]int{} // units able to run each kind
 	addUnit := func(u int) {
 		chosen[u] = true
-		area += alloc.Unit(u).Type.FG
-		for _, kind := range alloc.Unit(u).Type.Ops {
-			serving[kind]++
+		ft := alloc.Unit(u).Type
+		area += ft.FG
+		for _, kind := range ft.Ops {
+			if c, ok := slices.BinarySearch(kinds, kind); ok {
+				serving[c]++
+			}
 		}
 	}
-	sorted := make([]graph.OpKind, 0, len(counts))
-	for k := range counts {
-		sorted = append(sorted, k)
-	}
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	// mandatory: cheapest unit per kind
-	for _, k := range sorted {
-		if serving[k] > 0 {
-			continue
-		}
+	// cheapest returns the cheapest unused unit able to run kind whose
+	// area still fits when fit is set, or -1.
+	cheapest := func(kind graph.OpKind, fit bool) int {
 		best, bestFG := -1, 0
-		for _, u := range alloc.UnitsFor(k) {
-			if chosen[u] {
+		for _, u := range alloc.Units() {
+			if chosen[u.ID] || !u.Type.CanExecute(kind) || fit && !dev.Fits(area+u.Type.FG) {
 				continue
 			}
-			if fg := alloc.Unit(u).Type.FG; best == -1 || fg < bestFG {
-				best, bestFG = u, fg
+			if best == -1 || u.Type.FG < bestFG {
+				best, bestFG = u.ID, u.Type.FG
 			}
 		}
+		return best
+	}
+	// mandatory: cheapest unit per kind
+	for c, kind := range kinds {
+		if serving[c] > 0 {
+			continue
+		}
+		best := cheapest(kind, false)
 		if best == -1 {
-			return nil, fmt.Errorf("no unit for kind %q", k)
+			return nil, fmt.Errorf("no unit for kind %q", kind)
 		}
 		addUnit(best)
 	}
@@ -352,47 +414,31 @@ func pickUnits(alloc *library.Allocation, dev library.Device, counts map[graph.O
 	}
 	// demand-driven growth: kinds needing more parallelism first
 	for {
-		bestKind := graph.OpKind("")
-		bestDeficit := 0
-		for _, k := range sorted {
-			want := (counts[k] + budget - 1) / budget
-			if d := want - serving[k]; d > bestDeficit {
-				// only if another unit of this kind exists and fits
-				for _, u := range alloc.UnitsFor(k) {
-					if !chosen[u] && dev.Fits(area+alloc.Unit(u).Type.FG) {
-						bestKind, bestDeficit = k, d
-						break
-					}
-				}
+		bestKind, bestDeficit := -1, 0
+		for c, kind := range kinds {
+			want := (counts[c] + budget - 1) / budget
+			// only if another unit of this kind exists and fits
+			if d := want - serving[c]; d > bestDeficit && cheapest(kind, true) != -1 {
+				bestKind, bestDeficit = c, d
 			}
 		}
 		if bestDeficit == 0 {
 			break
 		}
-		best, bestFG := -1, 0
-		for _, u := range alloc.UnitsFor(bestKind) {
-			if chosen[u] || !dev.Fits(area+alloc.Unit(u).Type.FG) {
-				continue
-			}
-			if fg := alloc.Unit(u).Type.FG; best == -1 || fg < bestFG {
-				best, bestFG = u, fg
-			}
-		}
-		addUnit(best)
+		addUnit(cheapest(kinds[bestKind], true))
 	}
 	// opportunistic: remaining units in ID order while they fit
 	for _, u := range alloc.Units() {
-		if chosen[u.ID] {
-			continue
-		}
-		if dev.Fits(area + u.Type.FG) {
+		if !chosen[u.ID] && dev.Fits(area+u.Type.FG) {
 			addUnit(u.ID)
 		}
 	}
-	out := make([]int, 0, len(chosen))
-	for u := range chosen {
-		out = append(out, u)
+	out := sc.units[:0]
+	for u, ok := range chosen {
+		if ok {
+			out = append(out, u)
+		}
 	}
-	sort.Ints(out)
+	sc.units = out
 	return out, nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/library"
+	"repro/internal/randgraph"
 )
 
 // diamond builds one task with ops a -> b, a -> c, b -> d, c -> d.
@@ -135,7 +136,7 @@ func TestListScheduleRespectsResourceLimit(t *testing.T) {
 	}
 	w, _ := ComputeWindows(g, nil)
 	alloc := allocAMS(t, 2, 0, 0)
-	a, err := ListSchedule(g, alloc, w, ops, []int{0, 1})
+	a, err := ListSchedule(g, alloc, w, ops, []int{0, 1}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +158,7 @@ func TestListScheduleRespectsDependencies(t *testing.T) {
 	g, ops := diamond(t)
 	w, _ := ComputeWindows(g, nil)
 	alloc := allocAMS(t, 2, 1, 1)
-	a, err := ListSchedule(g, alloc, w, ops, []int{0, 1, 2, 3})
+	a, err := ListSchedule(g, alloc, w, ops, []int{0, 1, 2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +178,7 @@ func TestListScheduleNoCompatibleUnit(t *testing.T) {
 	o := g.AddOp(tk, graph.OpDiv, "")
 	w, _ := ComputeWindows(g, nil)
 	alloc := allocAMS(t, 1, 0, 0)
-	if _, err := ListSchedule(g, alloc, w, []int{o}, []int{0}); err == nil {
+	if _, err := ListSchedule(g, alloc, w, []int{o}, []int{0}, nil); err == nil {
 		t.Fatal("expected error for div with only adders")
 	}
 }
@@ -194,7 +195,7 @@ func TestListScheduleMulticycleBlocking(t *testing.T) {
 	m1 := g.AddOp(tk, graph.OpMul, "")
 	m2 := g.AddOp(tk, graph.OpMul, "")
 	w, _ := ComputeWindows(g, func(int) int { return 2 })
-	a, err := ListSchedule(g, alloc, w, []int{m1, m2}, []int{0})
+	a, err := ListSchedule(g, alloc, w, []int{m1, m2}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +216,7 @@ func TestListSchedulePipelinedOverlap(t *testing.T) {
 	m1 := g.AddOp(tk, graph.OpMul, "")
 	m2 := g.AddOp(tk, graph.OpMul, "")
 	w, _ := ComputeWindows(g, func(int) int { return 2 })
-	a, err := ListSchedule(g, alloc, w, []int{m1, m2}, []int{0})
+	a, err := ListSchedule(g, alloc, w, []int{m1, m2}, []int{0}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +326,7 @@ func TestHeuristicSchedule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asg, err := HeuristicSchedule(g, alloc, dev, w, plan)
+	asg, err := HeuristicSchedule(g, alloc, dev, w, plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +371,7 @@ func TestPropertyListScheduleValid(t *testing.T) {
 		for i := range units {
 			units[i] = i
 		}
-		a, err := ListSchedule(g, alloc, w, ops, units)
+		a, err := ListSchedule(g, alloc, w, ops, units, nil)
 		if err != nil {
 			return false
 		}
@@ -399,5 +400,50 @@ func TestPropertyListScheduleValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHeuristicScheduleSteadyStateAllocs pins the caller-owned tables
+// of the list scheduler: on the plan of paper row T4 g5 N3 L0 (graph 5
+// with two adders, two multipliers and two subtracters on the XC4010,
+// its tasks split into three segments in topological order), a
+// HeuristicSchedule call through a warm ListScratch allocates nothing,
+// and it schedules exactly as a call with fresh tables does.
+func TestHeuristicScheduleSteadyStateAllocs(t *testing.T) {
+	g := randgraph.MustPaper(5)
+	alloc, err := library.PaperAllocation(library.DefaultLibrary(), 2, 2, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := library.XC4010()
+	w, err := ComputeWindows(g, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := g.TopoTasks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &SegmentPlan{Segment: make([]int, g.NumTasks()), N: 3}
+	for r, task := range order {
+		plan.Segment[task] = 1 + r*plan.N/len(order)
+	}
+	cold, err := HeuristicSchedule(g, alloc, dev, w, plan, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coldSteps := append([]int(nil), plan.Steps...)
+	var sc ListScratch
+	warm, err := HeuristicSchedule(g, alloc, dev, w, plan, &sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(warm, cold) || !reflect.DeepEqual(plan.Steps, coldSteps) {
+		t.Fatalf("scratch schedule %+v %v, fresh %+v %v", warm, plan.Steps, cold, coldSteps)
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		_, _ = HeuristicSchedule(g, alloc, dev, w, plan, &sc)
+	}); a != 0 {
+		t.Fatalf("a warm HeuristicSchedule allocates %.0f times, want 0", a)
 	}
 }
