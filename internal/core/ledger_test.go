@@ -12,7 +12,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/library"
@@ -76,7 +75,7 @@ func buildLedgerModel(t testing.TB, r ledgerRow) *Model {
 // sorted by their probe-cache keys.
 func sweptAssignments(t testing.TB, m *Model) [][]int {
 	t.Helper()
-	sw := m.exactSweep(m.heuristicIncumbent(), time.Time{})
+	sw := m.exactSweep(m.heuristicIncumbent())
 	if sw.unresolved != 0 {
 		t.Fatalf("sweep left %d assignments unresolved", sw.unresolved)
 	}
@@ -155,7 +154,7 @@ func ledgerLine(t testing.TB, r ledgerRow) string {
 	h := fnv.New64a()
 	var sc sched.ListScratch // reused across assignments, as the sweep does
 	for _, part := range parts {
-		ent := m.exactSchedule(part, budget, time.Time{})
+		ent := m.exactSchedule(part, budget)
 		counts[ent.status]++
 		step, unit, ok := m.listWitness(part, &sc)
 		if ok {
@@ -227,7 +226,7 @@ func TestExactScheduleSteadyStateAllocs(t *testing.T) {
 		// several runs, so that an allocation elsewhere in the process
 		// (a goroutine an earlier test left winding down) averages out
 		a := testing.AllocsPerRun(5, func() {
-			_ = m.exactSchedule(part, probeBudgetFull, time.Time{})
+			_ = m.exactSchedule(part, probeBudgetFull)
 		})
 		worst = math.Max(worst, a)
 	}
@@ -318,7 +317,7 @@ func unitLedgerLine(t testing.TB, multicycle bool) string {
 		built++
 		for _, part := range orderValidPrefix(inst.Graph, n, 1000) {
 			assignments++
-			ent := m.exactSchedule(part, ledgerOpenBudget, time.Time{})
+			ent := m.exactSchedule(part, ledgerOpenBudget)
 			counts[ent.status]++
 			step, unit, ok := m.listWitness(part, &sc)
 			if ok {

@@ -72,9 +72,10 @@ type Model struct {
 	// bounded by the worker count.
 	probeMu    sync.Mutex
 	probeCache map[string]probeEntry
-	// ctx is the cancellation context of the running SolveContext,
-	// polled by the exact sweep and the scheduling probes; nil (never
-	// cancelled) outside a solve.
+	// ctx is the context of the running SolveContext, carrying the
+	// deadline of Options.TimeLimit (during the exact sweep, a child
+	// with half the budget). The sweep and the scheduling probes poll
+	// it; nil (never done) outside a solve.
 	ctx context.Context
 }
 

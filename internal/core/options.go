@@ -205,9 +205,11 @@ type Options struct {
 	PrimeHeuristic bool `json:"prime_heuristic,omitempty"`
 	// MaxNodes limits branch-and-bound nodes (0 = unlimited).
 	MaxNodes int `json:"max_nodes,omitempty"`
-	// TimeLimit bounds the solve wall-clock time (0 = unlimited). Not
-	// part of the wire form: the service expresses it as
-	// time_limit_ms so JSON clients never deal in nanoseconds.
+	// TimeLimit bounds the solve wall-clock time (0 = unlimited). It is
+	// one deadline for the whole solve: the exact sweep runs under its
+	// first half and branch and bound under the rest. Not part of the
+	// wire form: the service expresses it as time_limit_ms so JSON
+	// clients never deal in nanoseconds.
 	TimeLimit time.Duration `json:"-"`
 	// Search groups every branch-and-bound search knob (workers, gate
 	// threshold, branching rule, root cuts, diving), serialized

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/sched"
@@ -60,7 +59,7 @@ func (m *Model) probe(x []float64, bound func(int) (float64, float64)) ([]float6
 		return nil, false
 	}
 	pinned := m.allYFixed(bound)
-	ent := m.scheduleFor(part, pinned)
+	ent := m.scheduleFor(part, pinned, nil)
 	switch ent.status {
 	case schedFound:
 		return m.vectorFrom(x, part, ent.step, ent.unit), false
@@ -124,18 +123,12 @@ func (m *Model) allYFixed(bound func(int) (float64, float64)) bool {
 }
 
 // scheduleFor memoizes exact scheduling per task assignment. deep
-// repeats an inconclusive quick search with the full budget. Steal
-// workers probe concurrently, so each call lists-schedules with tables
-// of its own.
-func (m *Model) scheduleFor(part []int, deep bool) probeEntry {
-	return m.scheduleForDeadline(part, deep, time.Time{}, nil)
-}
-
-// scheduleForDeadline is scheduleFor with a wall-clock cutoff for the
-// exact search (zero = none) and the caller's list-scheduler tables (nil
-// = fresh ones). Deadline-aborted searches are cached as
+// repeats an inconclusive quick search with the full budget. sc holds
+// the caller's list-scheduler tables; steal workers probe concurrently,
+// so the probe passes nil and each call lists-schedules with fresh
+// ones. A search the solve's context stops is cached as
 // budget-inconclusive.
-func (m *Model) scheduleForDeadline(part []int, deep bool, deadline time.Time, sc *sched.ListScratch) probeEntry {
+func (m *Model) scheduleFor(part []int, deep bool, sc *sched.ListScratch) probeEntry {
 	key := fmt.Sprint(part)
 	if ent, ok := m.lookupProbe(key); ok {
 		if ent.status != schedBudget || ent.full || !deep {
@@ -153,7 +146,7 @@ func (m *Model) scheduleForDeadline(part []int, deep bool, deadline time.Time, s
 	if deep {
 		budget = probeBudgetFull
 	}
-	ent := m.exactSchedule(part, budget, deadline)
+	ent := m.exactSchedule(part, budget)
 	ent.full = deep && ent.status != schedBudget
 	m.cacheProbe(key, ent)
 	return ent
@@ -264,8 +257,10 @@ func (m *Model) buildSchedTables() {
 
 // exactSchedule backtracks over (step, unit) placements for a fixed
 // task assignment, honoring mobility windows, step ownership, FU
-// occupancy (incl. multicycle/pipelined) and per-partition area.
-func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeEntry {
+// occupancy (incl. multicycle/pipelined) and per-partition area. It
+// gives up with schedBudget when the step budget runs out or the
+// solve's context is done.
+func (m *Model) exactSchedule(part []int, budget int) probeEntry {
 	g, dev := m.Inst.Graph, m.Inst.Device
 	// y-level sanity: order and memory (normally guaranteed by the LP)
 	for _, e := range g.TaskEdges() {
@@ -281,7 +276,7 @@ func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeE
 	if !m.kindCoverFits(part) {
 		return probeEntry{status: schedInfeasible}
 	}
-	s := newExactSearch(m, part, budget, deadline)
+	s := newExactSearch(m, part, budget)
 	if st := s.place(0); st != schedFound {
 		return probeEntry{status: st}
 	}
@@ -293,13 +288,12 @@ func (m *Model) exactSchedule(part []int, budget int, deadline time.Time) probeE
 // Two-dimensional tables are flattened: (step, unit) as step*nu+unit,
 // (partition, unit) as p*nu+unit and (partition, kind) as p*nk+kind.
 type exactSearch struct {
-	m        *Model
-	t        *schedTables
-	part     []int
-	budget   int
-	deadline time.Time
-	maxStep  int
-	nu, nk   int
+	m       *Model
+	t       *schedTables
+	part    []int
+	budget  int
+	maxStep int
+	nu, nk  int
 
 	step, unit []int  // the schedule under construction, per op
 	endOf      []int  // last step each placed op occupies
@@ -320,12 +314,12 @@ type exactSearch struct {
 	top   int
 }
 
-func newExactSearch(m *Model, part []int, budget int, deadline time.Time) *exactSearch {
+func newExactSearch(m *Model, part []int, budget int) *exactSearch {
 	g, t := m.Inst.Graph, m.sched
 	no, nu, nk := g.NumOps(), len(t.fg), len(t.minFG)
 	maxStep := m.Win.MaxStep(m.Opt.L)
 	s := &exactSearch{
-		m: m, t: t, part: part, budget: budget, deadline: deadline,
+		m: m, t: t, part: part, budget: budget,
 		maxStep: maxStep, nu: nu, nk: nk,
 		step: make([]int, no),
 		unit: make([]int, no),
@@ -440,12 +434,9 @@ func (s *exactSearch) place(n int) schedStatus {
 			if s.budget--; s.budget <= 0 {
 				return schedBudget
 			}
-			if s.budget%4096 == 0 {
-				// poll the wall clock and the solve context so a
-				// deep backtracking run cannot outlive either
-				if m.cancelled() || (!s.deadline.IsZero() && time.Now().After(s.deadline)) {
-					return schedBudget
-				}
+			if s.budget%4096 == 0 && m.cancelled() {
+				// a deep backtracking run must not outlive the solve
+				return schedBudget
 			}
 			ownOK := true
 			for jj := j; jj <= j+lat-1; jj++ {

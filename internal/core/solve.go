@@ -32,13 +32,13 @@ type Result struct {
 	Solution *partition.Solution
 	// Stats is the generated model size (Var/Const columns).
 	Stats lp.Stats
-	// Nodes is the number of branch-and-bound nodes explored,
-	// including the restricted settling MILPs of the exact sweep.
+	// Nodes is the number of branch-and-bound nodes explored (0 when
+	// the exact sweep or presolve decided the solve).
 	Nodes int
 	// LPIterations is the total simplex pivot count (LP
-	// re-optimizations), accumulated the same way.
+	// re-optimizations) of branch and bound.
 	LPIterations int
-	// Runtime is the solver wall-clock time.
+	// Runtime is the solver wall-clock time, the exact sweep included.
 	Runtime time.Duration
 	// Certificate is the exact-arithmetic certificate of the MILP
 	// verdict, present when Options.Certify was set and the main search
@@ -71,11 +71,13 @@ type Result struct {
 
 // SolveContext runs branch and bound on the generated model with the
 // configured branching rule, then extracts and verifies the solution.
-// It runs under a context: cancellation
-// cooperatively stops the exact sweep, the node probes and the
-// branch-and-bound pivot loops, returning a Result with Cancelled set
-// (and the best incumbent found so far, when one exists) rather than
-// running to completion. A terminal result event is emitted on
+// It runs under a context: cancellation cooperatively stops the exact
+// sweep, the node probes and the branch-and-bound pivot loops,
+// returning a Result with Cancelled set (and the best incumbent found
+// so far, when one exists) rather than running to completion.
+// Options.TimeLimit becomes a deadline on that context, which every
+// one of those loops polls; its expiry stops the solve the same way
+// but leaves Cancelled unset. A terminal result event is emitted on
 // Options.Trace when tracing is on.
 func (m *Model) SolveContext(ctx context.Context) (*Result, error) {
 	res, err := m.solveContext(ctx)
@@ -89,8 +91,13 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	m.ctx = ctx
 	solveStart := time.Now()
+	if m.Opt.TimeLimit > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, solveStart.Add(m.Opt.TimeLimit))
+		defer cancel()
+	}
+	m.ctx = ctx
 	// All rules watch only the decision variables y, u and x; the
 	// auxiliary variables (o, c, z, w, ...) are implied once those are
 	// integral and are filled in by the completion hook, so no rule
@@ -119,7 +126,6 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		Brancher:          brancher,
 		ObjIntegral:       true,
 		MaxNodes:          m.Opt.MaxNodes,
-		TimeLimit:         m.Opt.TimeLimit,
 		Complete:          m.complete,
 		Parallelism:       search.Parallelism,
 		ParallelThreshold: search.Threshold,
@@ -153,31 +159,21 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	if prime == nil && (m.Opt.PrimeHeuristic || m.Opt.ExactSweep) {
 		prime = m.heuristicIncumbent()
 	}
-	sweepNodes, sweepPivots := 0, 0
 	if m.Opt.ExactSweep && m.Inst.Graph.NumTasks() <= maxSweepTasks {
-		var sweepDeadline time.Time
+		cancelSweep := func() {}
 		if m.Opt.TimeLimit > 0 {
-			sweepDeadline = time.Now().Add(m.Opt.TimeLimit / 2)
+			// the sweep gets half the budget, branch and bound the rest
+			m.ctx, cancelSweep = context.WithTimeout(ctx, m.Opt.TimeLimit/2)
 		}
-		sw := m.exactSweep(prime, sweepDeadline)
-		if sw.unresolved > 0 {
-			// settle the stubborn assignments with restricted MILPs
-			per := 20 * time.Second
-			if m.Opt.TimeLimit > 0 {
-				if budget := m.Opt.TimeLimit / time.Duration(2*len(sw.unresolvedParts)); budget < per {
-					per = budget
-				}
-			}
-			m.settleUnresolved(&sw, per)
-		}
+		sw := m.exactSweep(prime)
+		cancelSweep()
+		m.ctx = ctx
 		if sw.unresolved == 0 {
 			// the sweep settled every candidate: proven result
 			out := &Result{
-				Stats:        m.Stats(),
-				Optimal:      true,
-				Nodes:        sw.nodes,
-				LPIterations: sw.pivots,
-				Runtime:      time.Since(solveStart),
+				Stats:   m.Stats(),
+				Optimal: true,
+				Runtime: time.Since(solveStart),
 			}
 			if sw.best != nil {
 				out.Feasible = true
@@ -188,19 +184,10 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		if sw.best != nil {
 			prime = sw.best // at least as good as the heuristic
 		}
-		sweepNodes, sweepPivots = sw.nodes, sw.pivots
 	}
 	if prime != nil {
 		// prune anything that cannot strictly beat the incumbent
 		mopt.InitialUpper = float64(prime.Comm)
-	}
-	if m.Opt.TimeLimit > 0 {
-		// the sweep and settling may have consumed part of the budget
-		remaining := m.Opt.TimeLimit - time.Since(solveStart)
-		if remaining < time.Second {
-			remaining = time.Second
-		}
-		mopt.TimeLimit = remaining
 	}
 	if mopt.Parallelism > 1 {
 		// the probe and branching hooks read the graph's lazily-built
@@ -216,9 +203,9 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	}
 	out := &Result{
 		Stats:                m.Stats(),
-		Nodes:                sweepNodes + res.Nodes,
-		LPIterations:         sweepPivots + res.LPIterations,
-		Runtime:              time.Since(solveStart), // includes sweep/settle time
+		Nodes:                res.Nodes,
+		LPIterations:         res.LPIterations,
+		Runtime:              time.Since(solveStart),
 		Certificate:          res.Certificate,
 		SearchMode:           res.Mode.String(),
 		Steals:               res.Steals,
@@ -267,18 +254,10 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	return out, nil
 }
 
-// solveCtx returns the context of the running SolveContext, or a
-// background context outside a solve.
-func (m *Model) solveCtx() context.Context {
-	if m.ctx != nil {
-		return m.ctx
-	}
-	return context.Background()
-}
-
-// cancelled reports whether the running solve's context is done; the
-// sweep and the exact-scheduling probes poll it so cancellation is
-// honored between (and inside) LP solves too.
+// cancelled reports whether the running solve's context is done
+// (cancelled or past its deadline); the sweep and the exact-scheduling
+// probes poll it so both are honored between (and inside) LP solves
+// too.
 func (m *Model) cancelled() bool {
 	return m.ctx != nil && m.ctx.Err() != nil
 }
@@ -294,27 +273,12 @@ func (m *Model) heuristicIncumbent() *partition.Solution {
 	if err != nil || !h.Feasible {
 		return nil
 	}
-	w := m.Win
 	plan := &sched.SegmentPlan{Segment: h.Segment, N: m.N}
-	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, w, plan, nil)
+	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.Win, plan, nil)
 	if err != nil {
 		return nil
 	}
-	sol := &partition.Solution{
-		N:             m.N,
-		TaskPartition: append([]int(nil), h.Segment...),
-		OpStep:        asg.Step,
-		OpUnit:        asg.Unit,
-	}
-	sol.Comm = sol.CommCost(m.Inst.Graph)
-	err = partition.Verify(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, sol, partition.VerifyOptions{
-		L:       m.Opt.L,
-		Windows: w,
-	})
-	if err != nil {
-		return nil
-	}
-	return sol
+	return m.solutionFrom(h.Segment, asg.Step, asg.Unit)
 }
 
 // Extract converts an integral model solution vector into a verified

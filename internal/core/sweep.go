@@ -1,10 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"time"
-
-	"repro/internal/milp"
 	"repro/internal/partition"
 	"repro/internal/sched"
 )
@@ -29,26 +25,19 @@ type sweepResult struct {
 	// unresolved counts assignments the scheduler could not settle
 	// within budget; optimality is proved only when it is zero.
 	unresolved int
-	// unresolvedParts lists those assignments for targeted settling.
-	unresolvedParts [][]int
 	// enumerated counts assignments reaching the exact scheduler.
 	enumerated int
-	// nodes and pivots accumulate the branch-and-bound nodes and
-	// simplex iterations spent settling stubborn assignments, so sweep
-	// results report solver effort uniformly with the LP search path.
-	nodes  int
-	pivots int
 }
 
 // maxSweepTasks bounds the assignment enumeration.
 const maxSweepTasks = 12
 
 // exactSweep enumerates assignments cheaper than the given incumbent
-// bound (math-style: comm < bound; bound < 0 means unbounded). The
-// deadline bounds the whole enumeration: on expiry every assignment
-// not yet settled counts as unresolved, which keeps the result sound
-// (optimality is only claimed when unresolved is zero).
-func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sweepResult {
+// bound (math-style: comm < bound; bound < 0 means unbounded). It runs
+// under the solve's context (m.ctx): once that is done, every
+// assignment not yet settled counts as unresolved, which keeps the
+// result sound (optimality is only claimed when unresolved is zero).
+func (m *Model) exactSweep(incumbent *partition.Solution) sweepResult {
 	g := m.Inst.Graph
 	res := sweepResult{best: incumbent}
 	bound := -1
@@ -73,7 +62,7 @@ func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sw
 			return
 		}
 		if idx == nt {
-			if m.cancelled() || (!deadline.IsZero() && time.Now().After(deadline)) {
+			if m.cancelled() {
 				expired = true
 				res.unresolved++ // at least this one is unsettled
 				return
@@ -85,7 +74,7 @@ func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sw
 				}
 			}
 			res.enumerated++
-			ent := m.scheduleForDeadline(assign, true, deadline, &sc)
+			ent := m.scheduleFor(assign, true, &sc)
 			switch ent.status {
 			case schedFound:
 				sol := m.solutionFrom(assign, ent.step, ent.unit)
@@ -95,7 +84,6 @@ func (m *Model) exactSweep(incumbent *partition.Solution, deadline time.Time) sw
 				}
 			case schedBudget:
 				res.unresolved++
-				res.unresolvedParts = append(res.unresolvedParts, append([]int(nil), assign...))
 			}
 			return
 		}
@@ -142,91 +130,4 @@ func (m *Model) solutionFrom(part []int, step, unit []int) *partition.Solution {
 		return nil
 	}
 	return sol
-}
-
-// settleUnresolved attacks the assignments the exact scheduler could
-// not decide by solving a restricted MILP per assignment (every y
-// pinned, so branch and bound works only on the scheduling/binding
-// variables). Settled assignments are removed from the unresolved
-// count; a strictly better solution updates best. perAssignment bounds
-// each restricted solve.
-func (m *Model) settleUnresolved(sw *sweepResult, perAssignment time.Duration) {
-	if len(sw.unresolvedParts) == 0 {
-		return
-	}
-	// snapshot original y bounds
-	type saved struct {
-		col    int
-		lo, hi float64
-	}
-	var stash []saved
-	for _, col := range m.tierY {
-		lo, hi := m.P.Bounds(col)
-		stash = append(stash, saved{col, lo, hi})
-	}
-	restore := func() {
-		for _, sv := range stash {
-			_ = m.P.SetVarBounds(sv.col, sv.lo, sv.hi)
-		}
-	}
-	defer restore()
-
-	var remaining [][]int
-	for i, part := range sw.unresolvedParts {
-		if m.cancelled() {
-			// hand the leftovers back unsettled; the caller's branch
-			// and bound will observe the same cancellation immediately
-			remaining = append(remaining, sw.unresolvedParts[i:]...)
-			break
-		}
-		for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
-			for p := 1; p <= m.N; p++ {
-				v := 0.0
-				if part[t] == p {
-					v = 1
-				}
-				_ = m.P.SetVarBounds(m.Y[[2]int{t, p}], v, v)
-			}
-		}
-		res, err := milp.SolveContext(m.solveCtx(), m.P, milp.Options{
-			IntVars:     m.intVars,
-			Brancher:    milp.BrancherFunc(m.paperBranch),
-			ObjIntegral: true,
-			TimeLimit:   perAssignment,
-			Complete:    m.complete,
-			Probe:       m.probe,
-		})
-		if res != nil {
-			sw.nodes += res.Nodes
-			sw.pivots += res.LPIterations
-		}
-		switch {
-		case err != nil:
-			remaining = append(remaining, part)
-		case res.Status == milp.StatusInfeasible:
-			// assignment proven unschedulable; cache the proof
-			m.cacheProbe(fmt.Sprint(part), probeEntry{status: schedInfeasible, full: true})
-		case res.Status == milp.StatusOptimal || res.Status == milp.StatusFeasible:
-			// the objective is fixed by the assignment, so any feasible
-			// point settles it optimally
-			sol, err := m.Extract(res.X)
-			if err != nil {
-				remaining = append(remaining, part)
-				break
-			}
-			if sw.best == nil || sol.Comm < sw.best.Comm {
-				sw.best = sol
-			}
-			// cache the schedule so later probes fathom this assignment
-			m.cacheProbe(fmt.Sprint(part), probeEntry{
-				status: schedFound, full: true,
-				step: append([]int(nil), sol.OpStep...),
-				unit: append([]int(nil), sol.OpUnit...),
-			})
-		default:
-			remaining = append(remaining, part)
-		}
-	}
-	sw.unresolved = len(remaining)
-	sw.unresolvedParts = remaining
 }

@@ -40,23 +40,15 @@ type Info struct {
 	Primed bool `json:"primed,omitempty"`
 }
 
-const (
-	// maxBuilds caps the entries that keep their build: only the entries
-	// most recently solved or used as a warm base do, so exact-hit reads
-	// never strip the base a running chain is about to warm from.
-	maxBuilds = 8
-	// maxSolverCells caps root-basis retention per build: a root whose
-	// dense tableau exceeds this many cells (rows × (rows + vars)) is not
-	// retained — the build still serves conclusion reuse and incumbent
-	// priming, just not the basis warm start. 1<<23 is 64 MiB of float64s.
-	maxSolverCells = 1 << 23
-)
+// maxBuilds caps the entries that keep their build: only the entries
+// most recently solved or used as a warm base do, so exact-hit reads
+// never strip the base a running chain is about to warm from.
+const maxBuilds = 8
 
 // build is the re-solve state of a cached solve: the post-presolve
-// model and (when within the cell budget) a solver template anchored at
-// a solved root basis of its problem. Immutable after insertion — every
-// use clones the template first — so concurrent amends against one base
-// are safe.
+// model and a solver template anchored at a solved root basis of its
+// problem. Immutable after insertion — every use clones the template
+// first — so concurrent amends against one base are safe.
 type build struct {
 	model *core.Model
 	root  *lp.Solver
@@ -224,12 +216,6 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 		return res, info, err
 	}
 
-	// Root-basis retention budget: a dense tableau beyond the cell cap
-	// is not worth keeping (or cloning) — such entries still serve
-	// conclusion reuse and incumbent priming.
-	nv, nr := m.P.NumVars(), m.P.NumRows()
-	withinBudget := int64(nr)*int64(nr+nv) <= maxSolverCells
-
 	var baseRes *core.Result
 	var base *build
 	if baseKey != "" && baseKey != key {
@@ -285,11 +271,9 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 
 	// Capture this solve's root basis (clone taken synchronously inside
 	// the root hook, before the search mutates the solver) so the entry
-	// can warm future amends; skipped above the cell budget.
+	// can warm future amends.
 	var rootClone *lp.Solver
-	if withinBudget {
-		warm.OnRoot = func(s *lp.Solver) { rootClone = s.Clone() }
-	}
+	warm.OnRoot = func(s *lp.Solver) { rootClone = s.Clone() }
 	m.SetWarm(warm)
 	res, err := m.SolveContext(ctx)
 	if err != nil || res == nil || res.Cancelled {

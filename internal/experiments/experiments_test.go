@@ -6,6 +6,9 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/library"
+	"repro/internal/partition"
+	"repro/internal/randgraph"
 )
 
 func TestTableDefinitions(t *testing.T) {
@@ -86,5 +89,61 @@ func TestRunSmallRow(t *testing.T) {
 	}
 	if res.Stats.Vars == 0 || res.Stats.Rows == 0 {
 		t.Fatal("missing stats")
+	}
+}
+
+// TestSweepRowHonorsTimeLimit solves T4 g2 N4 L2, an open row whose
+// exact sweep leaves assignments unresolved and hands them to branch
+// and bound, under a 2 s limit. The limit is one deadline for the
+// sweep, the node probes and the search, so the solve must return
+// within 3 s, must not claim optimality, and any solution it reports
+// must verify.
+func TestSweepRowHonorsTimeLimit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	const label, limit, within = "T4 g2 N4 L2", 2 * time.Second, 3 * time.Second
+	var row Row
+	for _, r := range Table4() {
+		if r.Label == label {
+			row = r
+		}
+	}
+	if row.Label == "" {
+		t.Fatalf("Table4 has no row %q", label)
+	}
+	g, err := randgraph.Paper(row.GraphNum)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alloc, err := library.PaperAllocation(library.DefaultLibrary(), row.A, row.M, row.S)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst := core.Instance{Graph: g, Alloc: alloc, Device: Device()}
+	opt := row.Opt
+	opt.N, opt.L, opt.TimeLimit = row.N, row.L, limit
+	start := time.Now()
+	res, err := core.SolveInstance(inst, opt)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comm := -1
+	if res.Solution != nil {
+		comm = res.Solution.Comm
+	}
+	t.Logf("%s under a %v limit returned after %v: feasible=%v optimal=%v comm=%d nodes=%d",
+		label, limit, elapsed.Round(time.Millisecond), res.Feasible, res.Optimal, comm, res.Nodes)
+	if elapsed > within {
+		t.Errorf("returned after %v, want at most %v under a %v limit", elapsed, within, limit)
+	}
+	if res.Optimal {
+		t.Errorf("optimality claimed for an open row under a %v limit", limit)
+	}
+	if res.Solution != nil {
+		if err := partition.Verify(g, alloc, inst.Device, res.Solution, partition.VerifyOptions{L: row.L}); err != nil {
+			t.Errorf("reported solution fails verification: %v", err)
+		}
 	}
 }

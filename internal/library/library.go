@@ -116,30 +116,6 @@ func (l *Library) Type(name string) (FUType, bool) {
 	return FUType{}, false
 }
 
-// TypesFor returns the FU types able to execute operation kind k,
-// sorted by name.
-func (l *Library) TypesFor(k graph.OpKind) []FUType {
-	var out []FUType
-	for _, ft := range l.types {
-		if ft.CanExecute(k) {
-			out = append(out, ft)
-		}
-	}
-	return out
-}
-
-// Covers reports whether every operation kind in g can execute on at
-// least one FU type of the library, returning the first uncovered kind
-// otherwise.
-func (l *Library) Covers(g *graph.Graph) (graph.OpKind, bool) {
-	for _, k := range g.OpKinds() {
-		if len(l.TypesFor(k)) == 0 {
-			return k, false
-		}
-	}
-	return "", true
-}
-
 // Allocation is the exploration set F: a list of FU instances the
 // optimizer may use. Not all instances need to fit on the device
 // simultaneously; the per-partition resource constraint (eq. 11) is

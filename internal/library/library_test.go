@@ -30,18 +30,17 @@ func TestLibraryLatencyDefaultsToOne(t *testing.T) {
 	}
 }
 
-func TestTypesForAndCovers(t *testing.T) {
-	lib := DefaultLibrary()
-	muls := lib.TypesFor(graph.OpMul)
-	if len(muls) != 3 {
-		t.Fatalf("TypesFor(mul) = %d types, want 3", len(muls))
-	}
-	g := graph.New("g")
-	tk := g.AddTask("")
-	g.AddOp(tk, graph.OpAdd, "")
-	g.AddOp(tk, "weird", "")
-	if k, ok := lib.Covers(g); ok || k != "weird" {
-		t.Fatalf("Covers = (%v,%v), want (weird,false)", k, ok)
+func TestDefaultLibraryKinds(t *testing.T) {
+	for kind, want := range map[graph.OpKind]int{graph.OpMul: 3, "weird": 0} {
+		got := 0
+		for _, ft := range DefaultLibrary().types {
+			if ft.CanExecute(kind) {
+				got++
+			}
+		}
+		if got != want {
+			t.Errorf("%d default types execute %s, want %d", got, kind, want)
+		}
 	}
 }
 

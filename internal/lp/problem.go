@@ -110,20 +110,6 @@ func (p *Problem) Row(i int) (idx []int, val []float64) { return p.rows.row(i) }
 // Bounds returns the bounds of variable j.
 func (p *Problem) Bounds(j int) (lo, hi float64) { return p.lo[j], p.hi[j] }
 
-// SetVarBounds replaces the bounds of variable j. Solvers snapshot a
-// problem at NewSolver time, so changing bounds affects only solvers
-// created afterwards.
-func (p *Problem) SetVarBounds(j int, lo, hi float64) error {
-	if j < 0 || j >= len(p.obj) {
-		return fmt.Errorf("lp: SetVarBounds: variable %d out of range", j)
-	}
-	if lo > hi {
-		return fmt.Errorf("lp: SetVarBounds: empty range [%v,%v]", lo, hi)
-	}
-	p.lo[j], p.hi[j] = lo, hi
-	return nil
-}
-
 // Obj returns the objective coefficient of variable j.
 func (p *Problem) Obj(j int) float64 { return p.obj[j] }
 

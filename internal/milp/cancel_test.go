@@ -51,10 +51,12 @@ func TestCancelReturnsStatusCancelled(t *testing.T) {
 }
 
 func TestDeadlineIsNotCancellation(t *testing.T) {
-	// an expired TimeLimit must keep reporting the limit statuses, not
+	// an expired deadline must keep reporting the limit statuses, not
 	// StatusCancelled: only explicit caller cancellation maps there.
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, TimeLimit: 30 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	res, err := SolveContext(ctx, p, Options{IntVars: cols})
 	if err != nil {
 		t.Fatal(err)
 	}

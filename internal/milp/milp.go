@@ -117,7 +117,8 @@ func (f BrancherFunc) Select(x []float64, bound func(col int) (lo, hi float64)) 
 	return f(x, bound)
 }
 
-// Options configure a solve.
+// Options configure a solve. The time limit is not among them: it is
+// the deadline of the context SolveContext runs under.
 type Options struct {
 	// IntVars lists the columns that must be integral (0-1 variables;
 	// general integers are not supported). Must be non-empty.
@@ -135,8 +136,6 @@ type Options struct {
 	InitialUpper float64
 	// MaxNodes limits explored nodes; 0 means no limit.
 	MaxNodes int
-	// TimeLimit bounds wall-clock time; 0 means no limit.
-	TimeLimit time.Duration
 	// Complete, when set, is called after the Brancher reports no
 	// fractional variable among the columns it watches. It derives the
 	// values of auxiliary integer variables implied by the decision
@@ -377,10 +376,10 @@ func Solve(p *lp.Problem, opt Options) (*Result, error) {
 
 // SolveContext runs branch and bound on p under ctx. Cancelling ctx
 // cooperatively stops the search within a bounded number of pivots and
-// yields StatusCancelled; Options.TimeLimit is applied as a context
-// deadline internally, so an expired deadline (from either source)
-// yields the time-limit statuses. In both cases the incumbent found so
-// far is still returned (see Status).
+// yields StatusCancelled; ctx's deadline is the time limit, and its
+// expiry yields the time-limit statuses. LP solves, the node loop and
+// the caller all observe that one signal. In both cases the incumbent
+// found so far is still returned (see Status).
 func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, error) {
 	if len(opt.IntVars) == 0 {
 		return nil, fmt.Errorf("milp: no integer variables declared")
@@ -405,13 +404,6 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 		ctx = context.Background()
 	}
 	start := time.Now()
-	if opt.TimeLimit > 0 {
-		// the time limit is a context deadline internally, so LP
-		// solves, the node loop and callers all observe one signal
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadline(ctx, start.Add(opt.TimeLimit))
-		defer cancel()
-	}
 	s := &solver{lps: lps, prob: p, opt: opt, ctx: ctx, isInt: make([]bool, p.NumVars())}
 	for _, j := range opt.IntVars {
 		if j < 0 || j >= p.NumVars() {

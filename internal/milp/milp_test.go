@@ -1,6 +1,7 @@
 package milp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,7 +172,9 @@ func TestTimeLimitRespected(t *testing.T) {
 	}
 	p, cols := knapsack(values, weights, 200)
 	start := time.Now()
-	res, err := Solve(p, Options{IntVars: cols, TimeLimit: 50 * time.Millisecond})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := SolveContext(ctx, p, Options{IntVars: cols})
 	if err != nil {
 		t.Fatal(err)
 	}

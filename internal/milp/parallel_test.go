@@ -184,7 +184,9 @@ func TestParallelKeepsIncumbentOnLimit(t *testing.T) {
 
 func TestParallelTimeLimitBestBound(t *testing.T) {
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, TimeLimit: 50 * time.Millisecond, Parallelism: 4, ParallelThreshold: -1})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	res, err := SolveContext(ctx, p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

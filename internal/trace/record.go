@@ -181,16 +181,6 @@ func (r *Recorder) SetProfile(p *Profile) {
 	r.mu.Unlock()
 }
 
-// Profile returns the attached phase profile (nil on a nil recorder).
-func (r *Recorder) Profile() *Profile {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.prof
-}
-
 // Node records one explored node, stamping its TMS. Past the node
 // limit the record is counted as dropped instead — keeping the first
 // nodes preserves the lineage prefix around the root, which is what
