@@ -9,6 +9,7 @@
 package repro_test
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/graph"
-	"repro/internal/heuristic"
 	"repro/internal/library"
 	"repro/internal/lp"
 	"repro/internal/milp"
@@ -328,7 +328,7 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 		b.Fatal(err)
 	}
 	for n := 0; n < b.N; n++ {
-		if _, err := milp.Solve(p, milp.Options{IntVars: cols, ObjIntegral: true}); err != nil {
+		if _, err := milp.SolveContext(context.Background(), p, milp.Options{IntVars: cols, ObjIntegral: true}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -366,8 +366,12 @@ func BenchmarkHeuristicFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	w, err := sched.ComputeWindows(g, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	for n := 0; n < b.N; n++ {
-		if _, err := heuristic.Solve(g, alloc, library.XC4010(), 2, 1); err != nil {
+		if _, _, err := sched.Baseline(context.Background(), g, alloc, library.XC4010(), w, 2, 1, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,7 +28,7 @@ func TestCertifyLabelsGraph(t *testing.T) {
 		t.Fatalf("kind = %q", c.Kind)
 	}
 	if !c.Valid {
-		t.Fatalf("certificate failed: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("certificate failed: %s\n%+v", c.Summary(), c.Checks)
 	}
 }
 
@@ -52,7 +52,7 @@ func TestCertifyInfeasibleInstance(t *testing.T) {
 		t.Fatalf("kind = %q", c.Kind)
 	}
 	if !c.Valid {
-		t.Fatalf("certificate failed: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("certificate failed: %s\n%+v", c.Summary(), c.Checks)
 	}
 }
 

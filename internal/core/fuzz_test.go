@@ -1,24 +1,27 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/heuristic"
 	"repro/internal/library"
 	"repro/internal/oracle"
 	"repro/internal/randgraph"
+	"repro/internal/sched"
 )
 
 // FuzzDifferential is the differential harness of the MILP pipeline:
-// random tiny instances are solved three ways — the full MILP pipeline
-// (with exact certification on), the exhaustive oracle, and the
-// list-scheduling heuristic — and the verdicts are cross-checked:
+// random tiny instances are solved four ways — the full MILP pipeline
+// (with exact certification on), the same pipeline with the exact
+// sweep, the exhaustive oracle, and the list-scheduling baseline — and
+// the verdicts are cross-checked:
 //
 //   - MILP and oracle must agree exactly on feasibility and on the
-//     optimal communication cost,
-//   - the heuristic is one-sided: a constructive heuristic solution
+//     optimal communication cost, and so must the exact sweep whenever
+//     its solve is optimal,
+//   - the baseline is one-sided: a constructive baseline solution
 //     proves feasibility and upper-bounds the optimum,
 //   - every certificate the pipeline attaches must re-verify.
 //
@@ -73,48 +76,66 @@ func FuzzDifferential(f *testing.F) {
 			t.Fatalf("oracle: %v", err)
 		}
 
+		inst := Instance{Graph: g, Alloc: alloc, Device: dev}
+		// solve runs the pipeline and reports whether it proved a verdict,
+		// failing unless that verdict is the oracle's
+		solve := func(engine string, opt Options) (*Result, bool) {
+			res, err := SolveInstance(inst, opt)
+			if err != nil {
+				t.Fatalf("seed %d N=%d L=%d: %s: %v", seed, N, L, engine, err)
+			}
+			if !res.Optimal {
+				return res, false // time limit hit: no verdict to compare
+			}
+			if res.Feasible != want.Feasible {
+				t.Fatalf("seed %d N=%d L=%d: %s feasible=%v, oracle=%v",
+					seed, N, L, engine, res.Feasible, want.Feasible)
+			}
+			if res.Feasible && res.Solution.Comm != want.Comm {
+				t.Fatalf("seed %d N=%d L=%d: %s comm=%d, oracle=%d",
+					seed, N, L, engine, res.Solution.Comm, want.Comm)
+			}
+			return res, true
+		}
 		opt := Options{
 			N: N, L: L,
 			Linearization: LinGlover,
 			Tightened:     true,
-			Certify:       true,
 			TimeLimit:     30 * time.Second,
 		}
-		res, err := SolveInstance(Instance{Graph: g, Alloc: alloc, Device: dev}, opt)
-		if err != nil {
-			t.Fatalf("seed %d N=%d L=%d: %v", seed, N, L, err)
-		}
-		if !res.Optimal {
-			t.Skip() // time limit hit: no verdict to compare
-		}
-		if res.Feasible != want.Feasible {
-			t.Fatalf("seed %d N=%d L=%d: milp feasible=%v, oracle=%v",
-				seed, N, L, res.Feasible, want.Feasible)
-		}
-		if res.Feasible && res.Solution.Comm != want.Comm {
-			t.Fatalf("seed %d N=%d L=%d: milp comm=%d, oracle=%d",
-				seed, N, L, res.Solution.Comm, want.Comm)
+		sweep := opt
+		sweep.ExactSweep = true
+		solve("exact sweep", sweep)
+
+		opt.Certify = true
+		res, ok := solve("milp", opt)
+		if !ok {
+			t.Skip()
 		}
 		if c := res.Certificate; c != nil && !c.Valid {
-			t.Fatalf("seed %d N=%d L=%d: certificate failed: %v", seed, N, L, c.Err())
+			t.Fatalf("seed %d N=%d L=%d: certificate failed: %+v", seed, N, L, c.Checks)
 		}
 		if res.Feasible && res.Certificate == nil {
 			t.Fatalf("seed %d N=%d L=%d: feasible optimal solve carries no certificate", seed, N, L)
 		}
 
-		// heuristic: constructive, so one-sided — may miss solutions but
+		// baseline: constructive, so one-sided — may miss solutions but
 		// must never beat the proved optimum or invent feasibility
-		h, err := heuristic.Solve(g, alloc, dev, N, L)
+		w, err := sched.ComputeWindows(g, nil)
 		if err != nil {
-			t.Fatalf("heuristic: %v", err)
+			t.Fatal(err)
 		}
-		if h.Feasible {
+		plan, _, err := sched.Baseline(context.Background(), g, alloc, dev, w, N, L, 0)
+		if err != nil {
+			t.Fatalf("baseline: %v", err)
+		}
+		if plan != nil {
 			if !want.Feasible {
-				t.Fatalf("seed %d N=%d L=%d: heuristic found a solution on an infeasible instance", seed, N, L)
+				t.Fatalf("seed %d N=%d L=%d: baseline found a solution on an infeasible instance", seed, N, L)
 			}
-			if h.Comm < want.Comm {
-				t.Fatalf("seed %d N=%d L=%d: heuristic comm %d beats the optimum %d",
-					seed, N, L, h.Comm, want.Comm)
+			if plan.Comm < want.Comm {
+				t.Fatalf("seed %d N=%d L=%d: baseline comm %d beats the optimum %d",
+					seed, N, L, plan.Comm, want.Comm)
 			}
 		}
 	})

@@ -70,12 +70,17 @@ func buildLedgerModel(t testing.TB, r ledgerRow) *Model {
 	return m
 }
 
+// solveSweep runs the exact sweep on a fresh model as a solve runs it.
+func solveSweep(m *Model) sweepResult {
+	return m.exactSweep(nil)
+}
+
 // sweptAssignments runs the exact sweep on a fresh model, as a solve
-// runs it, and returns every assignment it handed to the scheduler,
-// sorted by their probe-cache keys.
+// runs it, and returns every assignment it handed to the exact
+// scheduler, sorted by their probe-cache keys.
 func sweptAssignments(t testing.TB, m *Model) [][]int {
 	t.Helper()
-	sw := m.exactSweep(m.heuristicIncumbent())
+	sw := solveSweep(m)
 	if sw.unresolved != 0 {
 		t.Fatalf("sweep left %d assignments unresolved", sw.unresolved)
 	}
@@ -100,36 +105,15 @@ func sweptAssignments(t testing.TB, m *Model) [][]int {
 	return parts
 }
 
-// orderValidPrefix returns the first limit assignments the sweep's
-// enumeration visits (topological task order, partitions ascending,
-// no task before a predecessor's partition), with no cost bound.
+// orderValidPrefix returns the first limit assignments the sweep's walk
+// visits (sched.WalkAssignments), with no cost bound.
 func orderValidPrefix(g *graph.Graph, n, limit int) [][]int {
-	order, _ := g.TopoTasks()
-	assign := make([]int, g.NumTasks())
 	var out [][]int
-	var rec func(idx int)
-	rec = func(idx int) {
-		if len(out) == limit {
-			return
-		}
-		if idx == len(order) {
-			out = append(out, append([]int(nil), assign...))
-			return
-		}
-		t := order[idx]
-		lo := 1
-		for _, pr := range g.TaskPred(t) {
-			if assign[pr] > lo {
-				lo = assign[pr]
-			}
-		}
-		for p := lo; p <= n; p++ {
-			assign[t] = p
-			rec(idx + 1)
-		}
-		assign[t] = 0
-	}
-	rec(0)
+	unbounded := -1
+	_ = sched.WalkAssignments(g, n, &unbounded, func(assign []int, _ int) bool {
+		out = append(out, append([]int(nil), assign...))
+		return len(out) < limit
+	})
 	return out
 }
 
@@ -245,11 +229,12 @@ var unitLedgerTypes = []string{"add16", "sub16", "addsub16", "mul16", "mul16x2",
 // unitLedgerSeeds is the number of seeded instances in each corpus.
 const unitLedgerSeeds = 40
 
-// unitLedgerInstance draws the seeded instance of the unit ledger: an
-// allocation of one or two units of a random subset of
-// unitLedgerTypes, always with a multicycle or pipelined unit, and a
-// small randgraph graph over the op kinds that allocation covers.
-func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
+// ledgerInstance draws a seeded ledger instance: an allocation of one
+// or two units of a random subset of unitLedgerTypes, always with a
+// multicycle or pipelined unit, a randgraph graph of 2 to tasks+1 tasks
+// over the op kinds that allocation covers, and a device whose
+// capacity is drawn by capacity.
+func ledgerInstance(t testing.TB, seed int64, name string, tasks int, capacity func(*rand.Rand) int) (Instance, int, int) {
 	t.Helper()
 	r := rand.New(rand.NewSource(seed))
 	counts := map[string]int{}
@@ -269,11 +254,11 @@ func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
 			kinds = append(kinds, randgraph.WeightedKind{Kind: k, Weight: 1 + r.Intn(4)})
 		}
 	}
-	tasks := 2 + r.Intn(3)
+	nt := 2 + r.Intn(tasks)
 	g, err := randgraph.Generate(randgraph.Config{
-		Name:         fmt.Sprintf("unit%d", seed),
-		Tasks:        tasks,
-		Ops:          tasks + 2 + r.Intn(6),
+		Name:         fmt.Sprintf("%s%d", name, seed),
+		Tasks:        nt,
+		Ops:          nt + 2 + r.Intn(6),
 		TaskEdgeProb: 0.4,
 		OpEdgeProb:   0.4,
 		MaxBandwidth: 5,
@@ -284,11 +269,17 @@ func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
 	}
 	dev := library.Device{
 		Name:       "ledger",
-		CapacityFG: []int{160, 280, 400}[r.Intn(3)],
+		CapacityFG: capacity(r),
 		Alpha:      1,
 		ScratchMem: []int{6, 64}[r.Intn(2)],
 	}
 	return Instance{Graph: g, Alloc: alloc, Device: dev}, 2 + r.Intn(2), r.Intn(3)
+}
+
+// unitLedgerInstance draws the seeded instance of the unit ledger: a
+// ledgerInstance of 2 to 4 tasks on a device of 160, 280 or 400 FG.
+func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
+	return ledgerInstance(t, seed, "unit", 3, func(r *rand.Rand) int { return []int{160, 280, 400}[r.Intn(3)] })
 }
 
 // unitLedgerLine builds every seeded instance with or without
@@ -341,20 +332,27 @@ func unitLedgerLine(t testing.TB, multicycle bool) string {
 // caller-owned scratch tables; a change that alters any status, step,
 // unit or cover verdict fails here.
 func TestUnitScheduleLedger(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join("testdata", "unit_ledger.txt"))
+	checkCorpusLedger(t, "unit_ledger.txt", unitLedgerLine)
+}
+
+// checkCorpusLedger compares the lines line draws without and with
+// Multicycle against the data lines of testdata/file, in that order.
+func checkCorpusLedger(t *testing.T, file string, line func(t testing.TB, multicycle bool) string) {
+	t.Helper()
+	want, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var lines []string
-	for _, line := range strings.Split(string(want), "\n") {
-		if line != "" && !strings.HasPrefix(line, "#") {
-			lines = append(lines, line)
+	for _, l := range strings.Split(string(want), "\n") {
+		if l != "" && !strings.HasPrefix(l, "#") {
+			lines = append(lines, l)
 		}
 	}
 	for i, mc := range []bool{false, true} {
-		got := unitLedgerLine(t, mc)
+		got := line(t, mc)
 		if i >= len(lines) || got != lines[i] {
-			t.Errorf("unit ledger differs:\n got %s", got)
+			t.Errorf("%s differs:\n got %s", file, got)
 			if i < len(lines) {
 				t.Errorf("want %s", lines[i])
 			}
@@ -387,4 +385,80 @@ func TestBuildSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("Build allocates %.0f times for %d rows and %d columns, want at most %.0f", a, st.Rows, st.Vars, limit)
 	}
 	t.Logf("%d rows, %d columns, %.0f allocations", st.Rows, st.Vars, a)
+}
+
+// sweepLedgerSeeds is the number of seeded instances in each corpus of
+// the sweep outcome ledger.
+const sweepLedgerSeeds = 800
+
+// sweepLedgerInstance draws the seeded instance of the sweep outcome
+// ledger: a ledgerInstance of 2 to 7 tasks on a tight device of 100 to
+// 200 FG, so that many instances must split their tasks and pay
+// communication.
+func sweepLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
+	return ledgerInstance(t, seed, "sweep", 6, func(r *rand.Rand) int { return 100 + r.Intn(101) })
+}
+
+// sweepOutcomeLine builds every seeded instance with or without
+// Multicycle, runs the exact sweep on it as a solve runs it, and
+// summarizes the outcomes: the models built, the sweeps that report a
+// solution and those whose solution costs communication, the
+// enumerated and unresolved totals, the probe-cache entries holding a
+// found schedule, and an FNV-64a digest over every sweep's counts,
+// reported solution and probe-cache entries in key order (build errors
+// included).
+func sweepOutcomeLine(t testing.TB, multicycle bool) string {
+	t.Helper()
+	label := "unit"
+	if multicycle {
+		label = "multicycle"
+	}
+	h := fnv.New64a()
+	built, solved, costly, enumerated, unresolved, found := 0, 0, 0, 0, 0, 0
+	for seed := int64(1); seed <= sweepLedgerSeeds; seed++ {
+		inst, n, l := sweepLedgerInstance(t, seed)
+		m, err := Build(inst, Options{N: n, L: l, Tightened: true, ExactSweep: true, Multicycle: multicycle})
+		if err != nil {
+			fmt.Fprintf(h, "%d build: %v\n", seed, err)
+			continue
+		}
+		built++
+		sw := solveSweep(m)
+		enumerated += sw.enumerated
+		unresolved += sw.unresolved
+		fmt.Fprintf(h, "%d %d %d", seed, sw.enumerated, sw.unresolved)
+		if sol := sw.best; sol != nil {
+			solved++
+			if sol.Comm > 0 {
+				costly++
+			}
+			fmt.Fprintf(h, " %d %v %v %v", sol.Comm, sol.TaskPartition, sol.OpStep, sol.OpUnit)
+		}
+		keys := make([]string, 0, len(m.probeCache))
+		for k := range m.probeCache {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			ent := m.probeCache[k]
+			if ent.status == schedFound {
+				found++
+			}
+			fmt.Fprintf(h, " %s:%d:%t:%v:%v", k, ent.status, ent.full, ent.step, ent.unit)
+		}
+		fmt.Fprintln(h)
+	}
+	return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%016x", label, built, solved, costly,
+		enumerated, unresolved, found, h.Sum64())
+}
+
+// TestSweepOutcomeLedger pins what the exact sweep reports on a seeded
+// corpus of tight-capacity instances, without and with Multicycle: the
+// enumerated and unresolved counts, the reported solution and every
+// probe-cache entry the sweep leaves behind. testdata/sweep_ledger.txt
+// was recorded while a separate list-scheduled baseline walk primed
+// the sweep; a change to what the sweep enumerates, caches or reports
+// fails here.
+func TestSweepOutcomeLedger(t *testing.T) {
+	checkCorpusLedger(t, "sweep_ledger.txt", sweepOutcomeLine)
 }

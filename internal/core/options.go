@@ -182,11 +182,12 @@ type Options struct {
 	// Multicycle honors FU latencies greater than one control step
 	// (the paper's Gebotys/OSCAR-style extension).
 	Multicycle bool `json:"multicycle,omitempty"`
-	// ExactSweep enumerates task assignments (cost-ordered, pruned)
-	// and certifies each with the exact scheduler before branch and
-	// bound; when every candidate resolves, optimality is proved
-	// without any LP search. Requires at most 12 tasks; implies the
-	// heuristic incumbent. Left off by the paper-faithful rows.
+	// ExactSweep walks the task assignments before branch and bound and
+	// settles each with the list scheduler or, where that fails, the
+	// exact scheduler; when every candidate resolves, optimality is
+	// proved without any LP search. The sweep primes itself. It runs on
+	// at most 12 tasks; on more, the option primes branch and bound as
+	// PrimeHeuristic does. Left off by the paper-faithful rows.
 	ExactSweep bool `json:"exact_sweep,omitempty"`
 	// Presolve runs the LP presolver (row reduction + bound
 	// tightening) on the generated model before branch and bound. Off
@@ -198,9 +199,10 @@ type Options struct {
 	// runtime comparisons; expect far larger node counts.
 	DisableProbe bool `json:"disable_probe,omitempty"`
 	// PrimeHeuristic seeds branch and bound with the communication
-	// cost of the best list-scheduled solution (internal/heuristic),
-	// pruning subtrees that cannot beat it. An extension beyond the
-	// paper; off by default so runtimes stay comparable to the
+	// cost of the best list-scheduled solution (sched.Baseline),
+	// pruning subtrees that cannot beat it; a solve that runs the exact
+	// sweep lets the sweep prime itself instead. An extension beyond
+	// the paper; off by default so runtimes stay comparable to the
 	// paper's algorithm.
 	PrimeHeuristic bool `json:"prime_heuristic,omitempty"`
 	// MaxNodes limits branch-and-bound nodes (0 = unlimited).

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/library"
 	"repro/internal/oracle"
 	"repro/internal/randgraph"
+	"repro/internal/sched"
 )
 
 // Priming with the heuristic incumbent must never change the reported
@@ -35,6 +37,40 @@ func TestPrimingPreservesOptimum(t *testing.T) {
 		}
 		if primed.Feasible && !primed.Optimal {
 			t.Fatalf("seed %d: primed solve lost optimality proof", seed)
+		}
+	}
+}
+
+// The list-scheduling baseline's cost upper-bounds the ILP optimum, and
+// a baseline-feasible instance is ILP-feasible.
+func TestBaselineUpperBoundsOptimum(t *testing.T) {
+	alloc, err := library.PaperAllocation(library.DefaultLibrary(), 1, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev := library.Device{Name: "d", CapacityFG: 130, Alpha: 1.0, ScratchMem: 64}
+	for seed := int64(1); seed <= 12; seed++ {
+		g, err := randgraph.Tiny(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := sched.ComputeWindows(g, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, _, err := sched.Baseline(context.Background(), g, alloc, dev, w, 2, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := SolveInstance(Instance{Graph: g, Alloc: alloc, Device: dev}, Options{N: 2, L: 1, Tightened: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plan != nil && !res.Feasible {
+			t.Fatalf("seed %d: baseline feasible but ILP infeasible", seed)
+		}
+		if plan != nil && res.Feasible && res.Solution.Comm > plan.Comm {
+			t.Fatalf("seed %d: optimum %d > baseline %d", seed, res.Solution.Comm, plan.Comm)
 		}
 	}
 }

@@ -59,7 +59,7 @@ func (m *Model) probe(x []float64, bound func(int) (float64, float64)) ([]float6
 		return nil, false
 	}
 	pinned := m.allYFixed(bound)
-	ent := m.scheduleFor(part, pinned, nil)
+	ent := m.scheduleFor(part, pinned, true)
 	switch ent.status {
 	case schedFound:
 		return m.vectorFrom(x, part, ent.step, ent.unit), false
@@ -123,24 +123,25 @@ func (m *Model) allYFixed(bound func(int) (float64, float64)) bool {
 }
 
 // scheduleFor memoizes exact scheduling per task assignment. deep
-// repeats an inconclusive quick search with the full budget. sc holds
-// the caller's list-scheduler tables; steal workers probe concurrently,
-// so the probe passes nil and each call lists-schedules with fresh
-// ones. A search the solve's context stops is cached as
-// budget-inconclusive.
-func (m *Model) scheduleFor(part []int, deep bool, sc *sched.ListScratch) probeEntry {
+// repeats an inconclusive quick search with the full budget. witness
+// tries the list scheduler first, whose schedule within the step budget
+// is already a valid one; the exact sweep, which list-schedules its
+// leaves itself, passes false. Steal workers probe concurrently, so
+// each witness list-schedules with fresh tables. A search the solve's
+// context stops is cached as budget-inconclusive.
+func (m *Model) scheduleFor(part []int, deep, witness bool) probeEntry {
 	key := fmt.Sprint(part)
 	if ent, ok := m.lookupProbe(key); ok {
 		if ent.status != schedBudget || ent.full || !deep {
 			return ent
 		}
 	}
-	// cheap feasibility witness first: a list schedule within the step
-	// budget is already a valid solution
-	if step, unit, ok := m.listWitness(part, sc); ok {
-		ent := probeEntry{status: schedFound, full: true, step: step, unit: unit}
-		m.cacheProbe(key, ent)
-		return ent
+	if witness {
+		if step, unit, ok := m.listWitness(part, nil); ok {
+			ent := probeEntry{status: schedFound, full: true, step: step, unit: unit}
+			m.cacheProbe(key, ent)
+			return ent
+		}
 	}
 	budget := probeBudgetQuick
 	if deep {
@@ -159,12 +160,16 @@ func (m *Model) lookupProbe(key string) (probeEntry, bool) {
 	return ent, ok
 }
 
+// maxProbeEntries bounds the probe cache; assignments past it are
+// scheduled again when they recur.
+const maxProbeEntries = 200_000
+
 func (m *Model) cacheProbe(key string, ent probeEntry) {
 	m.probeMu.Lock()
 	if m.probeCache == nil {
 		m.probeCache = map[string]probeEntry{}
 	}
-	if len(m.probeCache) < 200_000 {
+	if len(m.probeCache) < maxProbeEntries {
 		m.probeCache[key] = ent
 	}
 	m.probeMu.Unlock()
@@ -172,7 +177,8 @@ func (m *Model) cacheProbe(key string, ent probeEntry) {
 
 // listWitness list-schedules the assignment with the tables in sc (nil
 // = fresh ones); success within the step budget yields a concrete
-// schedule usable as a feasible witness, copied out of sc.
+// schedule usable as a feasible witness. The schedule lives in sc, so
+// it stays valid until sc's next use.
 func (m *Model) listWitness(part []int, sc *sched.ListScratch) (step, unit []int, ok bool) {
 	if m.Opt.Multicycle {
 		return nil, nil, false // the list scheduler assumes unit latency
@@ -182,7 +188,7 @@ func (m *Model) listWitness(part []int, sc *sched.ListScratch) (step, unit []int
 	if err != nil || asg.Span > m.Win.MaxStep(m.Opt.L) {
 		return nil, nil, false
 	}
-	return append([]int(nil), asg.Step...), append([]int(nil), asg.Unit...), true
+	return asg.Step, asg.Unit, true
 }
 
 // schedTables holds the exact scheduler's read-only inputs in dense
@@ -268,12 +274,7 @@ func (m *Model) exactSchedule(part []int, budget int) probeEntry {
 			return probeEntry{status: schedInfeasible}
 		}
 	}
-	for p := 2; p <= m.N; p++ {
-		if sched.MemoryAt(g, part, p) > dev.ScratchMem {
-			return probeEntry{status: schedInfeasible}
-		}
-	}
-	if !m.kindCoverFits(part) {
+	if !sched.MemoryFits(g, part, m.N, dev.ScratchMem) || !m.kindCoverFits(part) {
 		return probeEntry{status: schedInfeasible}
 	}
 	s := newExactSearch(m, part, budget)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/exact"
-	"repro/internal/heuristic"
 	"repro/internal/lp"
 	"repro/internal/milp"
 	"repro/internal/partition"
@@ -156,10 +155,12 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 		mopt.OnRoot = m.warm.OnRoot
 		prime = m.warm.Prime
 	}
-	if prime == nil && (m.Opt.PrimeHeuristic || m.Opt.ExactSweep) {
+	sweep := m.Opt.ExactSweep && m.Inst.Graph.NumTasks() <= maxSweepTasks
+	if prime == nil && !sweep && (m.Opt.PrimeHeuristic || m.Opt.ExactSweep) {
+		// the sweep primes itself; without it, the baseline does
 		prime = m.heuristicIncumbent()
 	}
-	if m.Opt.ExactSweep && m.Inst.Graph.NumTasks() <= maxSweepTasks {
+	if sweep {
 		cancelSweep := func() {}
 		if m.Opt.TimeLimit > 0 {
 			// the sweep gets half the budget, branch and bound the rest
@@ -182,7 +183,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 			return out, nil
 		}
 		if sw.best != nil {
-			prime = sw.best // at least as good as the heuristic
+			prime = sw.best // at least as good as the prime it started from
 		}
 	}
 	if prime != nil {
@@ -220,7 +221,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	switch res.Status {
 	case milp.StatusInfeasible:
 		if prime != nil {
-			// nothing beats the heuristic solution: it is optimal
+			// nothing beats the priming solution: it is optimal
 			out.Feasible, out.Optimal, out.Solution = true, true, prime
 			return out, nil
 		}
@@ -229,7 +230,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	case milp.StatusCancelled, milp.StatusNodeLimit, milp.StatusLimit:
 		out.Cancelled = res.Status == milp.StatusCancelled
 		// salvage the milp incumbent when one was found, otherwise
-		// fall back on the heuristic prime
+		// fall back on the prime
 		if res.X != nil {
 			if sol, xerr := m.Extract(res.X); xerr == nil {
 				out.Feasible, out.Solution = true, sol
@@ -262,23 +263,23 @@ func (m *Model) cancelled() bool {
 	return m.ctx != nil && m.ctx.Err() != nil
 }
 
-// heuristicIncumbent runs the list-scheduling baseline and converts its
-// best design into a verified Solution usable as a priming incumbent;
-// nil when the heuristic finds nothing or verification fails.
+// baselineLeaves caps the leaves the list-scheduling baseline walks
+// for heuristicIncumbent.
+const baselineLeaves = 20_000
+
+// heuristicIncumbent runs the list-scheduling baseline
+// (sched.Baseline) under the solve's context and converts its best
+// design into a verified Solution usable as a priming incumbent; nil
+// when the baseline finds nothing or verification fails.
 func (m *Model) heuristicIncumbent() *partition.Solution {
 	if m.Opt.Multicycle {
 		return nil // the list-scheduling baseline assumes unit latency
 	}
-	h, err := heuristic.SolveBudget(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.N, m.Opt.L, 20000)
-	if err != nil || !h.Feasible {
+	plan, asg, err := sched.Baseline(m.ctx, m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.Win, m.N, m.Opt.L, baselineLeaves)
+	if err != nil || plan == nil {
 		return nil
 	}
-	plan := &sched.SegmentPlan{Segment: h.Segment, N: m.N}
-	asg, err := sched.HeuristicSchedule(m.Inst.Graph, m.Inst.Alloc, m.Inst.Device, m.Win, plan, nil)
-	if err != nil {
-		return nil
-	}
-	return m.solutionFrom(h.Segment, asg.Step, asg.Unit)
+	return m.solutionFrom(plan.Segment, asg.Step, asg.Unit)
 }
 
 // Extract converts an integral model solution vector into a verified

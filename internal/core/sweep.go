@@ -8,11 +8,13 @@ import (
 // The exact sweep is an alternative optimality engine for instances
 // with few tasks (every benchmark instance qualifies): it enumerates
 // order- and memory-valid task assignments with cost-bound pruning and
-// certifies each candidate with the budgeted exact scheduler. When
-// every candidate below the incumbent resolves, the incumbent is
-// provably optimal and branch and bound reduces to a formality; when
-// some candidates blow the scheduling budget, they stay in the shared
-// probe cache and branch and bound settles only those.
+// settles each candidate with the list scheduler or, where that fails,
+// the budgeted exact scheduler. It primes itself: the list scheduler's
+// solutions lower its bound as it walks. When every candidate below
+// the final bound resolves, the best solution is provably optimal and
+// branch and bound reduces to a formality; when some candidates blow
+// the scheduling budget, they stay in the shared probe cache and branch
+// and bound settles only those.
 //
 // Enabled by Options.ExactSweep; the paper-faithful rows (Tables 1-2,
 // the branching ablation) leave it off so they measure the ILP search
@@ -32,82 +34,86 @@ type sweepResult struct {
 // maxSweepTasks bounds the assignment enumeration.
 const maxSweepTasks = 12
 
-// exactSweep enumerates assignments cheaper than the given incumbent
-// bound (math-style: comm < bound; bound < 0 means unbounded). It runs
-// under the solve's context (m.ctx): once that is done, every
-// assignment not yet settled counts as unresolved, which keeps the
-// result sound (optimality is only claimed when unresolved is zero).
+// exactSweep walks the assignments cheaper than the incumbent (comm <
+// incumbent.Comm; nil leaves the walk unbounded) once, with
+// sched.WalkAssignments, and settles each that fits the scratch memory
+// in two steps. The list scheduler runs as the walk reaches the leaf: a
+// schedule within the step budget is a solution, whose cost becomes the
+// bound, and the leaves it fails are kept with their costs. Then the
+// exact scheduler takes, in walk order and through the probe cache, the
+// kept leaves still under the bound. Costs only grow along the walk, so
+// it sees no leaf a separate list-scheduled baseline would prune.
+// Under Multicycle there is no list scheduler, so each leaf goes to the
+// exact scheduler at once. Once the walk keeps as many leaves as the
+// probe cache holds, it settles them before walking on, which bounds
+// their memory.
+//
+// The sweep runs under the solve's context (m.ctx): once that is done,
+// every assignment not yet settled counts as unresolved, which keeps
+// the result sound (optimality is only claimed when unresolved is
+// zero).
 func (m *Model) exactSweep(incumbent *partition.Solution) sweepResult {
-	g := m.Inst.Graph
+	g, nt := m.Inst.Graph, m.Inst.Graph.NumTasks()
 	res := sweepResult{best: incumbent}
 	bound := -1
 	if incumbent != nil {
 		bound = incumbent.Comm
 	}
-	order, err := g.TopoTasks()
-	if err != nil {
-		return res
+	improve := func(part, step, unit []int) {
+		if sol := m.solutionFrom(part, step, unit); sol != nil && (bound < 0 || sol.Comm < bound) {
+			res.best, bound = sol, sol.Comm
+		}
 	}
-	nt := g.NumTasks()
-	assign := make([]int, nt)
 	expired := false
-	var sc sched.ListScratch // list-scheduler tables for every witness
-
-	var rec func(idx, partial int)
-	rec = func(idx, partial int) {
-		if expired {
+	settle := func(part []int) {
+		if expired || m.cancelled() {
+			expired = true
 			return
 		}
-		if bound >= 0 && partial >= bound {
-			return
+		res.enumerated++
+		switch ent := m.scheduleFor(part, true, false); ent.status {
+		case schedFound:
+			improve(part, ent.step, ent.unit)
+		case schedBudget:
+			res.unresolved++
 		}
-		if idx == nt {
-			if m.cancelled() {
-				expired = true
-				res.unresolved++ // at least this one is unsettled
-				return
-			}
-			// memory check at every boundary
-			for p := 2; p <= m.N; p++ {
-				if sched.MemoryAt(g, assign, p) > m.Inst.Device.ScratchMem {
-					return
-				}
-			}
-			res.enumerated++
-			ent := m.scheduleFor(assign, true, &sc)
-			switch ent.status {
-			case schedFound:
-				sol := m.solutionFrom(assign, ent.step, ent.unit)
-				if sol != nil && (bound < 0 || sol.Comm < bound) {
-					res.best = sol
-					bound = sol.Comm
-				}
-			case schedBudget:
-				res.unresolved++
-			}
-			return
-		}
-		t := order[idx]
-		lo := 1
-		for _, pr := range g.TaskPred(t) {
-			if assign[pr] > lo {
-				lo = assign[pr]
-			}
-		}
-		for p := lo; p <= m.N; p++ {
-			assign[t] = p
-			delta := 0
-			for _, pr := range g.TaskPred(t) {
-				delta += g.Bandwidth(pr, t) * (p - assign[pr])
-			}
-			rec(idx+1, partial+delta)
-		}
-		assign[t] = 0
 	}
-	rec(0, 0)
+	var kept, keptComm []int // nt segments per kept leaf, and its cost
+	settleKept := func() {
+		for i, comm := range keptComm {
+			if bound < 0 || comm < bound {
+				settle(kept[i*nt : (i+1)*nt])
+			}
+		}
+		kept, keptComm = kept[:0], keptComm[:0]
+	}
+	var sc sched.ListScratch // list-scheduler tables for every leaf
+	// the instance was validated, so its task graph is acyclic
+	_ = sched.WalkAssignments(g, m.N, &bound, func(part []int, comm int) bool {
+		if m.cancelled() {
+			expired = true
+			return false
+		}
+		if !sched.MemoryFits(g, part, m.N, m.Inst.Device.ScratchMem) {
+			return true
+		}
+		switch step, unit, ok := m.listWitness(part, &sc); {
+		case ok:
+			improve(part, step, unit)
+		case m.Opt.Multicycle:
+			settle(part)
+		default:
+			kept = append(kept, part...)
+			keptComm = append(keptComm, comm)
+			if len(keptComm) == maxProbeEntries {
+				settleKept()
+			}
+		}
+		return !expired
+	})
+	settleKept()
 	if expired {
-		// signal that the enumeration was cut short
-		res.unresolved++
+		res.unresolved++ // the enumeration was cut short
 	}
 	return res
 }

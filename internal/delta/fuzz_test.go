@@ -106,7 +106,7 @@ func FuzzDifferential(f *testing.F) {
 				seed, editRaw, pickRaw, info.Path, got.Solution.Comm, want.Solution.Comm)
 		}
 		if c := got.Certificate; c != nil && !c.Valid {
-			t.Fatalf("seed %d edit %d pick %d: certificate failed: %v", seed, editRaw, pickRaw, c.Err())
+			t.Fatalf("seed %d edit %d pick %d: certificate failed: %+v", seed, editRaw, pickRaw, c.Checks)
 		}
 		if got.Feasible && got.Certificate == nil {
 			t.Fatalf("seed %d edit %d pick %d: feasible amended solve carries no certificate", seed, editRaw, pickRaw)

@@ -114,20 +114,6 @@ func (c *Certificate) add(name string, ok bool, detail string) bool {
 	return ok
 }
 
-// Err returns nil when the certificate is valid, and the first failed
-// check otherwise. Call Check first (attachment sites already have).
-func (c *Certificate) Err() error {
-	if c.Valid {
-		return nil
-	}
-	for _, ch := range c.Checks {
-		if !ch.OK {
-			return fmt.Errorf("exact: check %s failed: %s", ch.Name, ch.Detail)
-		}
-	}
-	return fmt.Errorf("exact: certificate not validated (no checks ran)")
-}
-
 // Summary is a one-line human-readable digest for logs and CLIs.
 func (c *Certificate) Summary() string {
 	state := "INVALID"

@@ -114,16 +114,13 @@ func TestCertificateOptimal(t *testing.T) {
 	c := coverCertificate()
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("certificate should validate: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("certificate should validate: %s\n%+v", c.Summary(), c.Checks)
 	}
 	if c.ExactObjective != "1" {
 		t.Errorf("ExactObjective = %q, want 1", c.ExactObjective)
 	}
 	if c.ExactBound != "1" {
 		t.Errorf("ExactBound = %q, want 1", c.ExactBound)
-	}
-	if err := c.Err(); err != nil {
-		t.Errorf("Err() on valid certificate: %v", err)
 	}
 	// idempotent: re-running must reproduce the verdict, not append
 	n := len(c.Checks)
@@ -146,9 +143,6 @@ func TestCertificateInjectedBug(t *testing.T) {
 	c.Check()
 	if c.Valid {
 		t.Fatal("certificate validated against a perturbed objective row")
-	}
-	if err := c.Err(); err == nil {
-		t.Error("Err() should surface the failed check")
 	}
 	found := false
 	for _, ch := range c.Checks {
@@ -195,7 +189,7 @@ func TestCertificateFarkas(t *testing.T) {
 	}
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("Farkas certificate should validate: %v", c.Err())
+		t.Fatalf("Farkas certificate should validate: %+v", c.Checks)
 	}
 	// a zero ray separates nothing: the replay must fail, not pass
 	c.FarkasY = []string{"0"}
@@ -218,7 +212,7 @@ func TestCertificateExhaustedInfeasible(t *testing.T) {
 	}
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("exhausted-infeasible certificate should validate: %v", c.Err())
+		t.Fatalf("exhausted-infeasible certificate should validate: %+v", c.Checks)
 	}
 	if c.ExactBound != "1" {
 		t.Errorf("ExactBound = %q, want 1", c.ExactBound)
@@ -271,7 +265,7 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	c.Label = "cover"
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("precondition: %v", c.Err())
+		t.Fatalf("precondition: %+v", c.Checks)
 	}
 	blob, err := json.Marshal(c)
 	if err != nil {
@@ -283,7 +277,7 @@ func TestCertificateJSONRoundTrip(t *testing.T) {
 	}
 	back.Check() // offline re-verification from the decoded bytes alone
 	if !back.Valid {
-		t.Fatalf("decoded certificate failed re-verification: %v", back.Err())
+		t.Fatalf("decoded certificate failed re-verification: %+v", back.Checks)
 	}
 	if back.ExactObjective != c.ExactObjective || back.ExactBound != c.ExactBound {
 		t.Errorf("round trip changed exact values: %q/%q vs %q/%q",

@@ -62,7 +62,7 @@ func TestBasisCertifiesLPOptimality(t *testing.T) {
 	}
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("basis certificate invalid: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("basis certificate invalid: %s\n%+v", c.Summary(), c.Checks)
 	}
 	if c.ExactObjective != "-5" {
 		t.Errorf("ExactObjective = %q, want -5", c.ExactObjective)
@@ -145,7 +145,7 @@ func TestFarkasCaptureCertifiesInfeasibility(t *testing.T) {
 	}
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("Farkas certificate invalid: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("Farkas certificate invalid: %s\n%+v", c.Summary(), c.Checks)
 	}
 }
 

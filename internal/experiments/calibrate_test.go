@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/heuristic"
 	"repro/internal/library"
 	"repro/internal/randgraph"
 	"repro/internal/sched"
@@ -101,14 +101,14 @@ func TestCalibrate(t *testing.T) {
 				}
 				cell := fmt.Sprintf("L%d:", L)
 				for N := 1; N <= pr.maxN; N++ {
-					h, err := heuristic.Solve(g, alloc, dev, N, L)
-					if err != nil || !h.Feasible {
+					plan, _, err := sched.Baseline(context.Background(), g, alloc, dev, w, N, L, 0)
+					if err != nil || plan == nil {
 						cell += "-"
 						continue
 					}
 					anyFeasible = true
 					switch {
-					case h.Comm == 0:
+					case plan.Comm == 0:
 						cell += "0"
 					case singlePartitionImpossible(g, alloc, dev, steps):
 						cell += "!"

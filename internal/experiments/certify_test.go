@@ -36,7 +36,7 @@ func TestBenchSuiteCertifies(t *testing.T) {
 				t.Fatal("certified solve attached no certificate")
 			}
 			if !c.Valid {
-				t.Fatalf("certificate failed: %v\n%+v", c.Err(), c.Checks)
+				t.Fatalf("certificate failed: %s\n%+v", c.Summary(), c.Checks)
 			}
 			c.Check() // idempotent: re-checking must not flip the verdict
 			if !c.Valid {

@@ -1,12 +1,12 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/heuristic"
 	"repro/internal/library"
 	"repro/internal/randgraph"
 	"repro/internal/sched"
@@ -39,12 +39,12 @@ func TestScanProfile1(t *testing.T) {
 			}
 			cell := fmt.Sprintf("L%d:", L)
 			for N := 1; N <= 3; N++ {
-				h, err := heuristic.Solve(g, alloc, dev, N, L)
-				if err != nil || !h.Feasible {
+				plan, _, err := sched.Baseline(context.Background(), g, alloc, dev, w, N, L, 0)
+				if err != nil || plan == nil {
 					cell += "-"
 					continue
 				}
-				if h.Comm == 0 {
+				if plan.Comm == 0 {
 					cell += "0"
 					singleAtSomeL = true
 				} else if singlePartitionImpossible(g, alloc, dev, steps) {

@@ -1,6 +1,9 @@
 package lp
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
 // buildReoptProblem returns a small LP whose bound flips force real
 // warm-started pivoting: minimize -x0-x1 over x0+x1 <= 10 with
@@ -45,6 +48,27 @@ func TestCountersMove(t *testing.T) {
 	sum.Add(Counters{WindowScans: 1})
 	if sum.WindowScans != c.WindowScans+1 {
 		t.Fatalf("Add: %+v", sum)
+	}
+}
+
+// TestCancelledContextStopsBeforeFirstPivot: the pivot loops poll the
+// context before every pivot, so a solver whose context is already
+// done returns StatusIterLimit without pivoting, however few pivots the
+// solve would take.
+func TestCancelledContextStopsBeforeFirstPivot(t *testing.T) {
+	s := buildReoptProblem(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	s.Ctx = ctx
+	if st := s.Solve(); st != StatusIterLimit {
+		t.Fatalf("status %v, want %v", st, StatusIterLimit)
+	}
+	if s.Iterations != 0 {
+		t.Fatalf("%d pivots after cancellation, want 0", s.Iterations)
+	}
+	s.Ctx = nil
+	if st := s.Solve(); st != StatusOptimal || s.Iterations == 0 {
+		t.Fatalf("without the context: status %v after %d pivots, want optimal after some", st, s.Iterations)
 	}
 }
 

@@ -101,7 +101,7 @@ func (e *denseEngine) restoreDuals(s *Solver) {
 func (e *denseEngine) primal(s *Solver) Status {
 	limit := s.maxIter()
 	for iter := 0; iter < limit; iter++ {
-		if s.expired(iter) {
+		if s.expired() {
 			return StatusIterLimit
 		}
 		q := e.pricePrimal(s)
@@ -278,7 +278,7 @@ func (e *denseEngine) ratioPrimal(s *Solver, q int, sigma float64) (leave int, s
 func (e *denseEngine) dual(s *Solver) Status {
 	limit := s.maxIter()
 	for iter := 0; iter < limit; iter++ {
-		if s.expired(iter) {
+		if s.expired() {
 			return StatusIterLimit
 		}
 		r, below := s.priceDual()

@@ -42,7 +42,7 @@ func TestFarkasRepairProvesInfeasibility(t *testing.T) {
 	}
 	c.Check()
 	if !c.Valid {
-		t.Fatalf("repaired ray failed exact replay: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("repaired ray failed exact replay: %s\n%+v", c.Summary(), c.Checks)
 	}
 }
 

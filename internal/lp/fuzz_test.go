@@ -256,8 +256,8 @@ func checkEnginesAgree(t *testing.T, seed int64) {
 		}
 		for name, s := range map[string]*Solver{"dense": dense, "revised": revised} {
 			if ok, c := certifyOptimal(p, s); !ok {
-				t.Fatalf("seed %d: %s basis certificate invalid: %v\n%+v",
-					seed, name, c.Err(), c.Checks)
+				t.Fatalf("seed %d: %s basis certificate invalid: %s\n%+v",
+					seed, name, c.Summary(), c.Checks)
 			}
 		}
 	case StatusInfeasible:

@@ -597,7 +597,7 @@ func (rv *revisedState) primal(s *Solver) Status {
 	prof := s.Prof
 	var tl time.Time
 	for iter := 0; iter < limit; iter++ {
-		if s.expired(iter) {
+		if s.expired() {
 			return StatusIterLimit
 		}
 		if prof != nil {
@@ -689,7 +689,7 @@ func (rv *revisedState) dual(s *Solver) Status {
 	prof := s.Prof
 	var tl time.Time
 	for iter := 0; iter < limit; iter++ {
-		if s.expired(iter) {
+		if s.expired() {
 			return StatusIterLimit
 		}
 		if prof != nil {

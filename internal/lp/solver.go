@@ -163,9 +163,9 @@ type Solver struct {
 	// MaxIter bounds pivots per Solve/ReOptimize call; 0 means the
 	// default of max(20000, 200*(m+n)).
 	MaxIter int
-	// Ctx, when non-nil, is polled in the pivot loops: a cancelled or
+	// Ctx, when non-nil, is polled before every pivot: a cancelled or
 	// expired context aborts the current Solve/ReOptimize with
-	// StatusIterLimit within a bounded number of pivots. This is the
+	// StatusIterLimit before its next pivot. This is the
 	// cooperative-cancellation and time-limit hook the MILP layer (and
 	// through it the solve service) relies on.
 	Ctx context.Context
@@ -454,10 +454,20 @@ func (s *Solver) Obj(j int) float64 {
 func (s *Solver) Dims() (vars, rows int) { return s.n, s.m }
 
 // expired reports whether the context was cancelled or its deadline
-// passed; polled cheaply every 128 pivots so cancellation latency stays
-// bounded by a short pivot run.
-func (s *Solver) expired(iter int) bool {
-	return iter%128 == 127 && s.Ctx != nil && s.Ctx.Err() != nil
+// passed. The pivot loops poll it before every pivot. A non-blocking
+// receive on Done is an atomic load once the channel exists, so the
+// parallel workers sharing one context never contend on the lock Err
+// takes.
+func (s *Solver) expired() bool {
+	if s.Ctx == nil {
+		return false
+	}
+	select {
+	case <-s.Ctx.Done():
+		return true
+	default:
+		return false
+	}
 }
 
 func (s *Solver) maxIter() int {

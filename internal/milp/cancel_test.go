@@ -67,7 +67,7 @@ func TestDeadlineIsNotCancellation(t *testing.T) {
 
 func TestNodeLimitStatus(t *testing.T) {
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 50})
+	res, err := solve(p, Options{IntVars: cols, MaxNodes: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestNodeLimitKeepsIncumbent(t *testing.T) {
 		values[i], weights[i] = 3, 3
 	}
 	p, cols := knapsack(values, weights, 25)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 100})
+	res, err := solve(p, Options{IntVars: cols, MaxNodes: 100})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ func TestCertifyOptimalKnapsack(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5}
 	weights := []float64{2, 3, 2, 5, 1}
 	p, cols := knapsack(values, weights, 7)
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, Certify: true})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestCertifyOptimalKnapsack(t *testing.T) {
 		t.Fatalf("kind = %q", c.Kind)
 	}
 	if !c.Valid {
-		t.Fatalf("certificate invalid: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("certificate invalid: %s\n%+v", c.Summary(), c.Checks)
 	}
 	if c.ExactObjective != exact.FloatString(res.Objective) {
 		t.Errorf("exact objective %q vs float %v", c.ExactObjective, res.Objective)
@@ -47,7 +47,7 @@ func TestCertifyInfeasibleFarkas(t *testing.T) {
 	x := p.AddBinary(lp.Name("x"), 1)
 	y := p.AddBinary(lp.Name("y"), 1)
 	_ = p.AddGE(lp.Name("g"), []int{x, y}, []float64{1, 1}, 3)
-	res, err := Solve(p, Options{IntVars: []int{x, y}, Certify: true})
+	res, err := solve(p, Options{IntVars: []int{x, y}, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestCertifyInfeasibleFarkas(t *testing.T) {
 		t.Fatalf("kind=%q search=%q, want infeasible/farkas", c.Kind, c.Search)
 	}
 	if !c.Valid {
-		t.Fatalf("Farkas certificate invalid: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("Farkas certificate invalid: %s\n%+v", c.Summary(), c.Checks)
 	}
 }
 
@@ -72,7 +72,7 @@ func TestCertifyOffAttachesNothing(t *testing.T) {
 	values := []float64{10, 13, 8}
 	weights := []float64{2, 3, 2}
 	p, cols := knapsack(values, weights, 4)
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestCertifyEmitsTraceEventAndRecordingLine(t *testing.T) {
 	p, cols := knapsack(values, weights, 7)
 	ring := trace.NewRing(256)
 	rec := trace.NewRecorder(0)
-	_, err := Solve(p, Options{
+	_, err := solve(p, Options{
 		IntVars: cols, ObjIntegral: true, Certify: true,
 		Trace: trace.New(ring), Record: rec,
 	})
@@ -98,7 +98,7 @@ func TestCertifyEmitsTraceEventAndRecordingLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := false
-	for _, e := range ring.Snapshot() {
+	for _, e := range ringEvents(ring) {
 		if e.Kind == trace.KindCertificate {
 			found = true
 			if e.Status != exact.KindOptimal || e.Msg == "" {
@@ -115,7 +115,7 @@ func TestCertifyEmitsTraceEventAndRecordingLine(t *testing.T) {
 	}
 	snap.Certificate.Check()
 	if !snap.Certificate.Valid {
-		t.Fatalf("recorded certificate failed re-verification: %v", snap.Certificate.Err())
+		t.Fatalf("recorded certificate failed re-verification: %+v", snap.Certificate.Checks)
 	}
 }
 
@@ -130,7 +130,7 @@ func TestCertifyExhaustedWithInitialUpper(t *testing.T) {
 	x := p.AddBinary(lp.Name("x"), 1)
 	y := p.AddBinary(lp.Name("y"), 1)
 	_ = p.AddGE(lp.Name("cover"), []int{x, y}, []float64{1, 1}, 1)
-	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true, InitialUpper: 1, Certify: true})
+	res, err := solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true, InitialUpper: 1, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestCertifyExhaustedWithInitialUpper(t *testing.T) {
 		t.Logf("root cutoff produced a Farkas proof")
 	}
 	if !c.Valid {
-		t.Fatalf("exhausted certificate invalid: %v\n%+v", c.Err(), c.Checks)
+		t.Fatalf("exhausted certificate invalid: %s\n%+v", c.Summary(), c.Checks)
 	}
 	if c.InitialUpper == "" {
 		t.Error("priming bound not recorded on the certificate")
@@ -164,12 +164,12 @@ func TestCertifyParallelMatchesSerial(t *testing.T) {
 	build := func() (*lp.Problem, []int) { return knapsack(values, weights, 9) }
 
 	ps, cs := build()
-	serial, err := Solve(ps, Options{IntVars: cs, ObjIntegral: true, Certify: true})
+	serial, err := solve(ps, Options{IntVars: cs, ObjIntegral: true, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	pp, cp := build()
-	par, err := Solve(pp, Options{IntVars: cp, ObjIntegral: true, Certify: true,
+	par, err := solve(pp, Options{IntVars: cp, ObjIntegral: true, Certify: true,
 		Parallelism: 4, ParallelThreshold: 0})
 	if err != nil {
 		t.Fatal(err)

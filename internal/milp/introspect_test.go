@@ -47,7 +47,7 @@ func TestPanicNodeFlushesBlackBox(t *testing.T) {
 			opt.ObjIntegral = true
 			opt.BlackBox = bb
 			opt.PanicNode = 3
-			res, err := Solve(p, opt)
+			res, err := solve(p, opt)
 			if err == nil {
 				t.Fatalf("panicked solve returned a result: %+v", res)
 			}
@@ -95,7 +95,7 @@ func TestSearchStatusSnapshotLive(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
+		_, err := solve(p, Options{IntVars: cols, ObjIntegral: true,
 			Parallelism: 4, ParallelThreshold: -1,
 			Status: st, NodeDelay: 2 * time.Millisecond})
 		done <- err
@@ -144,18 +144,25 @@ func TestSpanTreeFromSolve(t *testing.T) {
 	p, cols := knapsack(values, weights, capacity)
 	sc := trace.NewSpans("")
 	root := sc.Root("solve")
-	_, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
+	_, err := solve(p, Options{IntVars: cols, ObjIntegral: true,
 		Parallelism: 4, ParallelThreshold: -1, Span: root})
 	if err != nil {
 		t.Fatal(err)
 	}
 	root.End()
-	if n := sc.Open(); n != 0 {
-		t.Fatalf("%d spans left open", n)
-	}
+	recs := sc.Snapshot()
+	ended := map[string]bool{}
 	byName := map[string][]trace.SpanRec{}
-	for _, r := range sc.Snapshot() {
+	for _, r := range recs {
+		ended[r.SpanID] = true
 		byName[r.Name] = append(byName[r.Name], r)
+	}
+	// a span left open is missing from the snapshot, and so is the
+	// parent of any span that ended under it
+	for _, r := range recs {
+		if r.ParentID != "" && !ended[r.ParentID] {
+			t.Fatalf("span %q ended under a span left open", r.Name)
+		}
 	}
 	for _, want := range []string{"root-lp", "search"} {
 		if len(byName[want]) != 1 {

@@ -369,13 +369,8 @@ type nodeMeta struct {
 	ns     int64
 }
 
-// Solve runs branch and bound on p without external cancellation.
-func Solve(p *lp.Problem, opt Options) (*Result, error) {
-	return SolveContext(context.Background(), p, opt)
-}
-
 // SolveContext runs branch and bound on p under ctx. Cancelling ctx
-// cooperatively stops the search within a bounded number of pivots and
+// cooperatively stops the search before the next pivot and
 // yields StatusCancelled; ctx's deadline is the time limit, and its
 // expiry yields the time-limit statuses. LP solves, the node loop and
 // the caller all observe that one signal. In both cases the incumbent

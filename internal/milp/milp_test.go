@@ -9,7 +9,19 @@ import (
 	"time"
 
 	"repro/internal/lp"
+	"repro/internal/trace"
 )
+
+// solve runs branch and bound on p without external cancellation.
+func solve(p *lp.Problem, opt Options) (*Result, error) {
+	return SolveContext(context.Background(), p, opt)
+}
+
+// ringEvents returns every event r still holds.
+func ringEvents(r *trace.Ring) []trace.Event {
+	evs, _ := r.Since(0)
+	return evs
+}
 
 // knapsack builds max sum v_j x_j s.t. sum w_j x_j <= cap as a
 // minimization problem (costs negated).
@@ -46,7 +58,7 @@ func TestKnapsackSmall(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5}
 	weights := []float64{2, 3, 2, 5, 1}
 	p, cols := knapsack(values, weights, 7)
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,7 @@ func TestInfeasibleMILP(t *testing.T) {
 	y := p.AddBinary(lp.Name("y"), 1)
 	// x + y >= 3 is impossible for binaries
 	_ = p.AddGE(lp.Name("g"), []int{x, y}, []float64{1, 1}, 3)
-	res, err := Solve(p, Options{IntVars: []int{x, y}})
+	res, err := solve(p, Options{IntVars: []int{x, y}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +101,7 @@ func TestIntegralityGap(t *testing.T) {
 	x := p.AddBinary(lp.Name("x"), -1)
 	y := p.AddBinary(lp.Name("y"), -1)
 	_ = p.AddLE(lp.Name("c"), []int{x, y}, []float64{2, 2}, 2) // x + y <= 1 effectively
-	res, err := Solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true})
+	res, err := solve(p, Options{IntVars: []int{x, y}, ObjIntegral: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +124,7 @@ func TestAllBranchersAgree(t *testing.T) {
 		"most-frac":    MostFractional(cols),
 	}
 	for name, br := range branchers {
-		res, err := Solve(p, Options{IntVars: cols, Brancher: br, ObjIntegral: true})
+		res, err := solve(p, Options{IntVars: cols, Brancher: br, ObjIntegral: true})
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -131,7 +143,7 @@ func TestInitialUpperPrunes(t *testing.T) {
 	p, cols := knapsack(values, weights, 4)
 	// optimum is -9; an initial upper of -9 means nothing strictly
 	// better exists -> StatusInfeasible with nil X.
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -9})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +151,7 @@ func TestInitialUpperPrunes(t *testing.T) {
 		t.Fatalf("status = %v X=%v, want infeasible/nil", res.Status, res.X)
 	}
 	// a looser initial upper still lets the solver find -9.
-	res, err = Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -8})
+	res, err = solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +165,7 @@ func TestNodeLimit(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 12}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 4}
 	p, cols := knapsack(values, weights, 10)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 2})
+	res, err := solve(p, Options{IntVars: cols, MaxNodes: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,15 +199,15 @@ func TestTimeLimitRespected(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	p := &lp.Problem{}
 	x := p.AddBinary(lp.Name("x"), 1)
-	if _, err := Solve(p, Options{}); err == nil {
+	if _, err := solve(p, Options{}); err == nil {
 		t.Error("empty IntVars accepted")
 	}
-	if _, err := Solve(p, Options{IntVars: []int{5}}); err == nil {
+	if _, err := solve(p, Options{IntVars: []int{5}}); err == nil {
 		t.Error("out-of-range int var accepted")
 	}
 	p2 := &lp.Problem{}
 	y := p2.AddVar(lp.Name("y"), 1, 0, 3)
-	if _, err := Solve(p2, Options{IntVars: []int{y}}); err == nil {
+	if _, err := solve(p2, Options{IntVars: []int{y}}); err == nil {
 		t.Error("non-binary int var accepted")
 	}
 	_ = x
@@ -206,7 +218,7 @@ func TestUnboundedRejected(t *testing.T) {
 	x := p.AddBinary(lp.Name("x"), 0)
 	f := p.AddVar(lp.Name("f"), -1, 0, lp.Inf)
 	_ = p.AddGE(lp.Name("g"), []int{x, f}, []float64{1, 1}, 0)
-	if _, err := Solve(p, Options{IntVars: []int{x}}); err == nil {
+	if _, err := solve(p, Options{IntVars: []int{x}}); err == nil {
 		t.Error("unbounded relaxation accepted")
 	}
 }
@@ -235,7 +247,7 @@ func TestPropertyMatchesBruteForce(t *testing.T) {
 		if conflictA >= 0 {
 			_ = p.AddLE(lp.Name("conflict"), []int{cols[conflictA], cols[conflictB]}, []float64{1, 1}, 1)
 		}
-		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true})
+		res, err := solve(p, Options{IntVars: cols, ObjIntegral: true})
 		if err != nil || res.Status != StatusOptimal {
 			return false
 		}
@@ -285,7 +297,7 @@ func TestProbeIncumbentAndPrune(t *testing.T) {
 		// hand the solver a known optimal point
 		return []float64{1, 0}, false
 	}
-	res, err := Solve(p, Options{IntVars: []int{x0, x1}, ObjIntegral: true, Probe: probe})
+	res, err := solve(p, Options{IntVars: []int{x0, x1}, ObjIntegral: true, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +321,7 @@ func TestProbeExhaustedPrunes(t *testing.T) {
 	probe := func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {
 		return nil, true
 	}
-	res, err := Solve(p, Options{IntVars: []int{x0}, Probe: probe})
+	res, err := solve(p, Options{IntVars: []int{x0}, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +338,7 @@ func TestProbeRejectsBadCandidate(t *testing.T) {
 	probe := func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {
 		return []float64{1, 1}, false // violates the constraint
 	}
-	res, err := Solve(p, Options{IntVars: []int{x0, x1}, ObjIntegral: true, Probe: probe})
+	res, err := solve(p, Options{IntVars: []int{x0, x1}, ObjIntegral: true, Probe: probe})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +354,7 @@ func TestProbeSeesBranchingBounds(t *testing.T) {
 	y0 := p2.AddBinary(lp.Name("y0"), -1)
 	y1 := p2.AddBinary(lp.Name("y1"), -1)
 	_ = p2.AddLE(lp.Name("c"), []int{y0, y1}, []float64{2, 2}, 3) // y0+y1 <= 1.5: fractional vertex
-	res, err := Solve(p2, Options{
+	res, err := solve(p2, Options{
 		IntVars:  []int{y0, y1},
 		Brancher: FirstFractional([]int{y0, y1}),
 		Probe: func(x []float64, bound func(int) (float64, float64)) ([]float64, bool) {

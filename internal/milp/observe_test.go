@@ -111,7 +111,7 @@ func TestRootTerminalFinish(t *testing.T) {
 			ring := trace.NewRing(64)
 			opt.Trace = trace.New(ring)
 			opt.Record = trace.NewRecorder(0)
-			res, err := Solve(p, opt)
+			res, err := solve(p, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -119,7 +119,7 @@ func TestRootTerminalFinish(t *testing.T) {
 				t.Fatalf("status %v, want %v", res.Status, c.want)
 			}
 			var status []trace.Event
-			for _, e := range ring.Snapshot() {
+			for _, e := range ringEvents(ring) {
 				if e.Kind == trace.KindStatus {
 					status = append(status, e)
 				}
@@ -152,7 +152,7 @@ func TestStealIncumbentAttribution(t *testing.T) {
 		p, cols := knapsack(values, weights, capacity)
 		bb := trace.NewBlackBox(1 << 16)
 		rec := trace.NewRecorder(0)
-		if _, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
+		if _, err := solve(p, Options{IntVars: cols, ObjIntegral: true,
 			Parallelism: 4, ParallelThreshold: -1,
 			BlackBox: bb, Record: rec}); err != nil {
 			t.Fatal(err)

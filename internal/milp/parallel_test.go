@@ -35,11 +35,11 @@ func TestPropertyParallelMatchesSerial(t *testing.T) {
 		values, weights, capacity := buildRandomMILP(r)
 		p1, cols1 := knapsack(values, weights, capacity)
 		p2, cols2 := knapsack(values, weights, capacity)
-		serial, err := Solve(p1, Options{IntVars: cols1, ObjIntegral: true})
+		serial, err := solve(p1, Options{IntVars: cols1, ObjIntegral: true})
 		if err != nil {
 			return false
 		}
-		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
+		par, err := solve(p2, Options{IntVars: cols2, ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
 		if err != nil {
 			return false
 		}
@@ -72,7 +72,7 @@ func TestParallelProvesInfeasibility(t *testing.T) {
 	// parity trap: the whole tree must be searched to prove there is no
 	// solution, which exercises subproblem hand-off and completion
 	p, cols := parityTrap(13)
-	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
+	res, err := solve(p, Options{IntVars: cols, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestParallelProvesInfeasibility(t *testing.T) {
 		t.Fatalf("status = %v, want %v", res.Status, StatusInfeasible)
 	}
 	p2, cols2 := parityTrap(13)
-	ser, err := Solve(p2, Options{IntVars: cols2})
+	ser, err := solve(p2, Options{IntVars: cols2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestParallelCancelStress(t *testing.T) {
 
 func TestParallelNodeLimitShared(t *testing.T) {
 	p, cols := parityTrap(40)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 200, Parallelism: 4, ParallelThreshold: -1})
+	res, err := solve(p, Options{IntVars: cols, MaxNodes: 200, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestParallelKeepsIncumbentOnLimit(t *testing.T) {
 		values[i], weights[i] = 3, 3
 	}
 	p, cols := knapsack(values, weights, 25)
-	res, err := Solve(p, Options{IntVars: cols, MaxNodes: 120, Parallelism: 4, ParallelThreshold: -1})
+	res, err := solve(p, Options{IntVars: cols, MaxNodes: 120, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestParallelInitialUpperPrunes(t *testing.T) {
 	p, cols := knapsack(values, weights, 8)
 	// an unbeatable initial upper bound: parallel search must agree with
 	// the serial contract and report infeasible-with-nil-X
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, Parallelism: 4, ParallelThreshold: -1})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true, InitialUpper: -want - 1, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestParallelSharedBrancher(t *testing.T) {
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1, 4, 2}
 	want := bruteKnapsack(values, weights, 12)
 	p, cols := knapsack(values, weights, 12)
-	res, err := Solve(p, Options{IntVars: cols, Brancher: MostFractional(cols), ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
+	res, err := solve(p, Options{IntVars: cols, Brancher: MostFractional(cols), ObjIntegral: true, Parallelism: 4, ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ func recordedSolve(t *testing.T, opt Options) (*Result, *trace.Recording) {
 	p, ints := buildKnapsack(t)
 	opt.IntVars = ints
 	opt.Record = trace.NewRecorder(0)
-	res, err := Solve(p, opt)
+	res, err := solve(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestRecordSerialLineage(t *testing.T) {
 func TestRecordParallelLineage(t *testing.T) {
 	p, cols := parityTrap(13)
 	rec := trace.NewRecorder(0)
-	res, err := Solve(p, Options{
+	res, err := solve(p, Options{
 		IntVars: cols, Parallelism: 4, ParallelThreshold: -1, Record: rec,
 	})
 	if err != nil {
@@ -170,13 +170,13 @@ func TestRecordParallelLineage(t *testing.T) {
 // plan event saying why, and never spin up workers.
 func TestParallelGateFallsBackSerial(t *testing.T) {
 	p, ints := buildKnapsack(t)
-	ref, err := Solve(p, Options{IntVars: ints})
+	ref, err := solve(p, Options{IntVars: ints})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ring := trace.NewRing(256)
 	tr := trace.New(ring)
-	res, err := Solve(p, Options{IntVars: ints, Parallelism: 4, Trace: tr})
+	res, err := solve(p, Options{IntVars: ints, Parallelism: 4, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestParallelGateFallsBackSerial(t *testing.T) {
 		t.Fatalf("gated solve diverged from serial: %+v vs %+v", res, ref)
 	}
 	var plan *trace.Event
-	for _, e := range ring.Snapshot() {
+	for _, e := range ringEvents(ring) {
 		e := e
 		switch e.Kind {
 		case trace.KindPlan:
@@ -208,11 +208,11 @@ func TestParallelGateHonorsLargeRequest(t *testing.T) {
 	p, ints := parityTrap(13)
 	ring := trace.NewRing(1024)
 	tr := trace.New(ring)
-	if _, err := Solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr}); err != nil {
+	if _, err := solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr}); err != nil {
 		t.Fatal(err)
 	}
 	sawPlan, sawWorker := false, false
-	for _, e := range ring.Snapshot() {
+	for _, e := range ringEvents(ring) {
 		switch e.Kind {
 		case trace.KindPlan:
 			sawPlan = true

@@ -24,11 +24,11 @@ func TestPropertyStealMatchesSerialWithStrengthening(t *testing.T) {
 		values, weights, capacity := buildRandomMILP(r)
 		p1, cols1 := knapsack(values, weights, capacity)
 		p2, cols2 := knapsack(values, weights, capacity)
-		serial, err := Solve(p1, Options{IntVars: cols1, ObjIntegral: true})
+		serial, err := solve(p1, Options{IntVars: cols1, ObjIntegral: true})
 		if err != nil {
 			return false
 		}
-		par, err := Solve(p2, Options{IntVars: cols2, ObjIntegral: true,
+		par, err := solve(p2, Options{IntVars: cols2, ObjIntegral: true,
 			Parallelism: 4, ParallelThreshold: -1,
 			RootCuts: true, Dive: true})
 		if err != nil {
@@ -66,13 +66,13 @@ func TestStealDeterministicOptimum(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 4, 11, 6, 3, 14}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1, 4, 2, 1, 4}
 	p0, cols0 := knapsack(values, weights, 14)
-	serial, err := Solve(p0, Options{IntVars: cols0, ObjIntegral: true})
+	serial, err := solve(p0, Options{IntVars: cols0, ObjIntegral: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 3; run++ {
 		p, cols := knapsack(values, weights, 14)
-		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
+		res, err := solve(p, Options{IntVars: cols, ObjIntegral: true,
 			Parallelism: 4, ParallelThreshold: -1})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +95,7 @@ func TestStealDeterministicOptimum(t *testing.T) {
 // integer point exists.
 func TestStealProvesInfeasibility(t *testing.T) {
 	p, cols := parityTrap(13)
-	res, err := Solve(p, Options{IntVars: cols, Parallelism: 3,
+	res, err := solve(p, Options{IntVars: cols, Parallelism: 3,
 		ParallelThreshold: -1})
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +143,7 @@ func TestStealEmitsStealEvents(t *testing.T) {
 	}
 	p, cols := parityTrap(17)
 	ring := trace.NewRing(4096)
-	res, err := Solve(p, Options{IntVars: cols, Parallelism: 4,
+	res, err := solve(p, Options{IntVars: cols, Parallelism: 4,
 		ParallelThreshold: -1, Trace: trace.New(ring)})
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestStealEmitsStealEvents(t *testing.T) {
 		t.Fatal("work-stealing solve reported zero steals on a deep tree")
 	}
 	sawSteal := false
-	for _, e := range ring.Snapshot() {
+	for _, e := range ringEvents(ring) {
 		if e.Kind == trace.KindSteal {
 			sawSteal = true
 			if e.Worker == 0 || e.Msg == "" {
@@ -225,7 +225,7 @@ func TestCutAugmentedVerdictCertifies(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		values, weights, capacity := buildRandomMILP(r)
 		p, cols := knapsack(values, weights, capacity)
-		res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true,
+		res, err := solve(p, Options{IntVars: cols, ObjIntegral: true,
 			RootCuts: true, Dive: true, Certify: true})
 		if err != nil {
 			t.Fatal(err)
@@ -237,8 +237,8 @@ func TestCutAugmentedVerdictCertifies(t *testing.T) {
 			t.Fatalf("seed %d: no certificate", seed)
 		}
 		if !res.Certificate.Valid {
-			t.Fatalf("seed %d (cuts=%d): certificate invalid: %v",
-				seed, res.CutsApplied, res.Certificate.Err())
+			t.Fatalf("seed %d (cuts=%d): certificate invalid: %+v",
+				seed, res.CutsApplied, res.Certificate.Checks)
 		}
 	}
 }
@@ -255,7 +255,7 @@ func TestCutsRecordedAndReplayable(t *testing.T) {
 		p, cols := knapsack(values, weights, capacity)
 		rec = trace.NewRecorder(1 << 16)
 		var err error
-		res, err = Solve(p, Options{IntVars: cols, ObjIntegral: true,
+		res, err = solve(p, Options{IntVars: cols, ObjIntegral: true,
 			RootCuts: true, Dive: true, Record: rec})
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +302,7 @@ func TestDiveSeedsIncumbent(t *testing.T) {
 	values := []float64{10, 13, 8, 21, 5, 7, 9, 4}
 	weights := []float64{2, 3, 2, 5, 1, 2, 3, 1}
 	p, cols := knapsack(values, weights, 9)
-	res, err := Solve(p, Options{IntVars: cols, ObjIntegral: true, Dive: true})
+	res, err := solve(p, Options{IntVars: cols, ObjIntegral: true, Dive: true})
 	if err != nil {
 		t.Fatal(err)
 	}

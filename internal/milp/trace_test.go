@@ -26,7 +26,7 @@ func TestTraceEventsSerial(t *testing.T) {
 	p, ints := buildKnapsack(t)
 
 	// reference solve without tracing
-	ref, err := Solve(p, Options{IntVars: ints})
+	ref, err := solve(p, Options{IntVars: ints})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestTraceEventsSerial(t *testing.T) {
 	ring := trace.NewRing(256)
 	tr := trace.New(ring)
 	tr.SetSampleEvery(1) // every node, so the tiny tree still emits
-	res, err := Solve(p, Options{IntVars: ints, Trace: tr})
+	res, err := solve(p, Options{IntVars: ints, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestTraceEventsSerial(t *testing.T) {
 		t.Fatalf("traced solve diverged: %+v vs %+v", res, ref)
 	}
 
-	evs := ring.Snapshot()
+	evs := ringEvents(ring)
 	if len(evs) == 0 {
 		t.Fatal("no events emitted")
 	}
@@ -112,7 +112,7 @@ func TestTraceEventsParallelMonotoneBound(t *testing.T) {
 	ring := trace.NewRing(1024)
 	tr := trace.New(ring)
 	tr.SetSampleEvery(1)
-	res, err := Solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr})
+	res, err := solve(p, Options{IntVars: ints, Parallelism: 4, ParallelThreshold: -1, Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTraceEventsParallelMonotoneBound(t *testing.T) {
 		t.Fatalf("status %v", res.Status)
 	}
 	lastBound := math.Inf(-1)
-	for _, e := range ring.Snapshot() {
+	for _, e := range ringEvents(ring) {
 		if e.Kind != trace.KindNode && e.Kind != trace.KindBound && e.Kind != trace.KindStatus {
 			continue
 		}

@@ -17,7 +17,7 @@ func TestWarmRootMatchesCold(t *testing.T) {
 	p, cols := knapsack(vals, weights, 11)
 
 	var root *lp.Solver
-	res, err := Solve(p, Options{IntVars: cols, OnRoot: func(s *lp.Solver) { root = s.Clone() }})
+	res, err := solve(p, Options{IntVars: cols, OnRoot: func(s *lp.Solver) { root = s.Clone() }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +30,13 @@ func TestWarmRootMatchesCold(t *testing.T) {
 
 	for _, newCap := range []float64{9, 13, 11, 6, 16} {
 		p2, cols2 := knapsack(vals, weights, newCap)
-		cold, err := Solve(p2, Options{IntVars: cols2})
+		cold, err := solve(p2, Options{IntVars: cols2})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ws := root.Clone()
 		ws.SetRowBounds(0, math.Inf(-1), newCap)
-		warm, err := Solve(p2, Options{IntVars: cols2, Warm: ws})
+		warm, err := solve(p2, Options{IntVars: cols2, Warm: ws})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestWarmDimensionMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	p2, cols2 := knapsack([]float64{1, 2, 3}, []float64{1, 1, 1}, 2)
-	if _, err := Solve(p2, Options{IntVars: cols2, Warm: s}); err == nil {
+	if _, err := solve(p2, Options{IntVars: cols2, Warm: s}); err == nil {
 		t.Fatal("dimension mismatch not rejected")
 	}
 	_ = cols
@@ -70,13 +70,13 @@ func TestWarmCertified(t *testing.T) {
 	weights := []float64{4, 3, 3, 2}
 	p, cols := knapsack(vals, weights, 7)
 	var root *lp.Solver
-	if _, err := Solve(p, Options{IntVars: cols, OnRoot: func(s *lp.Solver) { root = s.Clone() }}); err != nil {
+	if _, err := solve(p, Options{IntVars: cols, OnRoot: func(s *lp.Solver) { root = s.Clone() }}); err != nil {
 		t.Fatal(err)
 	}
 	p2, cols2 := knapsack(vals, weights, 5)
 	ws := root.Clone()
 	ws.SetRowBounds(0, math.Inf(-1), 5)
-	warm, err := Solve(p2, Options{IntVars: cols2, Warm: ws, Certify: true})
+	warm, err := solve(p2, Options{IntVars: cols2, Warm: ws, Certify: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +87,6 @@ func TestWarmCertified(t *testing.T) {
 		t.Fatal("no certificate attached")
 	}
 	if !warm.Certificate.Valid {
-		t.Fatalf("certificate invalid: %v", warm.Certificate.Err())
+		t.Fatalf("certificate invalid: %+v", warm.Certificate.Checks)
 	}
 }

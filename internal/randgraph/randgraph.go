@@ -162,9 +162,6 @@ var paperProfiles = []Config{
 // parameters invalidates these seeds.
 var paperSeeds = []int64{126, 241, 374, 409, 574, 604}
 
-// NumPaperGraphs is the number of benchmark graphs (6, as in Table 4).
-const NumPaperGraphs = 6
-
 // Paper returns benchmark graph n (1-based, 1..6) with the paper's
 // task/op profile.
 func Paper(n int) (*graph.Graph, error) {

@@ -54,7 +54,7 @@ func TestGenerateValidation(t *testing.T) {
 func TestPaperGraphs(t *testing.T) {
 	wantTasks := []int{5, 10, 10, 10, 10, 10}
 	wantOps := []int{22, 37, 45, 44, 65, 72}
-	for n := 1; n <= NumPaperGraphs; n++ {
+	for n := 1; n <= len(wantTasks); n++ {
 		g, err := Paper(n)
 		if err != nil {
 			t.Fatal(err)

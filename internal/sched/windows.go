@@ -1,8 +1,10 @@
 // Package sched provides the scheduling substrate of the temporal
 // partitioning system: ASAP/ALAP mobility windows over the combined
 // operation graph (the preprocessing step of Kaul & Vemuri, Section 3),
-// and a resource-constrained list scheduler used both to estimate the
-// number of temporal segments N and as a fast heuristic baseline.
+// a resource-constrained list scheduler, the segment estimate N of the
+// paper's flow (EstimateSegments), and the walk over task-to-segment
+// assignments (WalkAssignments) that both the list-scheduling baseline
+// (Baseline) and core's exact sweep run.
 package sched
 
 import (

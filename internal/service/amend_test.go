@@ -229,7 +229,7 @@ func TestAmendCertifiedE2E(t *testing.T) {
 		t.Fatalf("certificate: %v (nil=%v)", err, cert == nil)
 	}
 	if !cert.Valid {
-		t.Fatalf("amended certificate invalid: %v", cert.Err())
+		t.Fatalf("amended certificate invalid: %+v", cert.Checks)
 	}
 }
 

@@ -47,7 +47,7 @@ func TestV1CertificateEndpoint(t *testing.T) {
 	}
 	cert.Check() // client-side re-verification from the wire bytes
 	if !cert.Valid {
-		t.Fatalf("served certificate failed re-verification: %v", cert.Err())
+		t.Fatalf("served certificate failed re-verification: %+v", cert.Checks)
 	}
 }
 

@@ -13,17 +13,17 @@ import (
 // anomaly (worker panic, deadline cancellation, certification failure,
 // watchdog stall) flushes it.
 //
-// A nil *BlackBox is the valid "off" state: Record and Flush on it are
-// no-ops behind a single pointer compare. A live BlackBox's Record is
-// zero-alloc in steady state — the ring buffer is preallocated and
+// A nil *BlackBox is the valid "off" state: Record and Anomaly on it
+// are no-ops behind a single pointer compare. A live BlackBox's Record
+// is zero-alloc in steady state — the ring buffer is preallocated and
 // BBEvent is a flat value type — which is what lets the service keep it
 // on for every node of every job (guarded by AllocsPerRun tests).
 //
-// Flush freezes a copy of the ring under the anomaly's name; the first
-// flush wins and later ones are ignored, so the dump always reflects
-// the first anomaly observed. Recording continues after a flush (the
-// frozen copy is immutable), and Dump serves the frozen copy once one
-// exists, the live tail otherwise.
+// Anomaly flushes the box: it freezes a copy of the ring under the
+// anomaly's name. The first flush wins and later ones are ignored, so
+// the dump always reflects the first anomaly observed. Recording
+// continues after a flush (the frozen copy is immutable), and Dump
+// serves the frozen copy once one exists, the live tail otherwise.
 type BlackBox struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -128,32 +128,19 @@ func (b *BlackBox) recordLocked(e BBEvent) {
 // Anomaly records e and flushes the box under reason in one critical
 // section, so a dump it freezes always ends with e: the one call every
 // anomaly site makes (worker panic, deadline or cancellation, failed
-// certification, watchdog stall). No-op on nil.
+// certification, watchdog stall). Only the first flush freezes the
+// ring; later anomalies are recorded but leave the dump as it is. The
+// OnFlush hook, when set, is invoked with the frozen dump outside the
+// lock. No-op on nil.
 func (b *BlackBox) Anomaly(e BBEvent, reason string) {
-	b.flush(&e, reason)
-}
-
-// Flush freezes the current ring contents under reason. Only the first
-// flush takes effect; the return value reports whether this call was
-// it. The OnFlush hook, when set, is invoked with the frozen dump
-// outside the lock. No-op (false) on nil.
-func (b *BlackBox) Flush(reason string) bool {
-	return b.flush(nil, reason)
-}
-
-// flush records e, when non-nil, and freezes the ring under the same
-// lock.
-func (b *BlackBox) flush(e *BBEvent, reason string) bool {
 	if b == nil {
-		return false
+		return
 	}
 	b.mu.Lock()
-	if e != nil {
-		b.recordLocked(*e)
-	}
+	b.recordLocked(e)
 	if b.flushed {
 		b.mu.Unlock()
-		return false
+		return
 	}
 	b.flushed = true
 	b.reason = reason
@@ -165,11 +152,10 @@ func (b *BlackBox) flush(e *BBEvent, reason string) bool {
 	if hook != nil {
 		hook(dump)
 	}
-	return true
 }
 
 // SetOnFlush installs a hook invoked once, with the frozen dump, when
-// the first Flush lands — the path behind tpserve's -blackbox dump
+// the first anomaly lands — the path behind tpserve's -blackbox dump
 // directory. No-op on nil.
 func (b *BlackBox) SetOnFlush(fn func(BBDump)) {
 	if b == nil {
@@ -188,16 +174,6 @@ func (b *BlackBox) Flushed() (string, bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.reason, b.flushed
-}
-
-// Total returns the number of events ever recorded (0 on nil).
-func (b *BlackBox) Total() int64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
 }
 
 // Dump returns the frozen dump when flushed, otherwise a snapshot of

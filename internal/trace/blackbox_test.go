@@ -16,7 +16,7 @@ func TestBlackBoxWrapAndDump(t *testing.T) {
 	if d.Flushed {
 		t.Fatal("unflushed box reports flushed")
 	}
-	if d.Total != 6 || b.Total() != 6 {
+	if d.Total != 6 {
 		t.Fatalf("total = %d, want 6", d.Total)
 	}
 	if len(d.Events) != 4 {
@@ -41,17 +41,15 @@ func TestBlackBoxFlushFreezesFirstWins(t *testing.T) {
 	var hooked []BBDump
 	b.SetOnFlush(func(d BBDump) { hooked = append(hooked, d) })
 	b.Record(BBEvent{Kind: BBNode, Node: 1})
-	b.Record(BBEvent{Kind: BBPanic, Node: 1, Msg: "boom"})
-	if !b.Flush("worker-panic") {
-		t.Fatal("first flush reported false")
+	b.Anomaly(BBEvent{Kind: BBPanic, Node: 1, Msg: "boom"}, "worker-panic")
+	if reason, ok := b.Flushed(); !ok || reason != "worker-panic" {
+		t.Fatalf("first anomaly did not flush: Flushed() = %q, %v", reason, ok)
 	}
-	if b.Flush("stall") {
-		t.Fatal("second flush won")
-	}
-	// recording continues, but the dump stays frozen at the anomaly
+	b.Anomaly(BBEvent{Kind: BBStall, Msg: "stall"}, "stall")
+	// recording continues, but the dump stays frozen at the first anomaly
 	b.Record(BBEvent{Kind: BBNode, Node: 2})
 	d := b.Dump()
-	if !d.Flushed || d.Reason != "worker-panic" {
+	if !d.Flushed || d.Reason != "worker-panic" || d.Total != 4 {
 		t.Fatalf("dump = %+v", d)
 	}
 	if len(d.Events) != 2 || d.Events[1].Kind != BBPanic || d.Events[1].Msg != "boom" {
@@ -87,7 +85,7 @@ func TestBlackBoxAnomalyEndsDump(t *testing.T) {
 				}
 			}(w)
 		}
-		for b.Total() < 16 {
+		for b.Dump().Total < 16 {
 			runtime.Gosched()
 		}
 		b.Anomaly(BBEvent{Kind: BBPanic, Msg: "boom"}, "worker-panic")
@@ -115,9 +113,9 @@ func TestBlackBoxOffZeroAlloc(t *testing.T) {
 	var b *BlackBox
 	if a := testing.AllocsPerRun(200, func() {
 		b.Record(BBEvent{Kind: BBNode, Node: 1})
-		_ = b.Flush("x")
+		b.Anomaly(BBEvent{Kind: BBPanic}, "x")
 		_, _ = b.Flushed()
-		_ = b.Total()
+		_ = b.Dump()
 	}); a != 0 {
 		t.Fatalf("blackbox-off path allocates %.1f per op, want 0", a)
 	}

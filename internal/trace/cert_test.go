@@ -37,7 +37,7 @@ func certFixture() *exact.Certificate {
 func TestRecordingCertificateRoundTrip(t *testing.T) {
 	cert := certFixture()
 	if !cert.Valid {
-		t.Fatalf("fixture certificate invalid: %v", cert.Err())
+		t.Fatalf("fixture certificate invalid: %+v", cert.Checks)
 	}
 	r := NewRecorder(0)
 	r.SetLabel("cover")
@@ -62,7 +62,7 @@ func TestRecordingCertificateRoundTrip(t *testing.T) {
 		}
 		dc.Check() // offline re-verification, exactly what tpreplay -certify does
 		if !dc.Valid {
-			t.Fatalf("decoded certificate failed re-verification: %v", dc.Err())
+			t.Fatalf("decoded certificate failed re-verification: %+v", dc.Checks)
 		}
 	}
 }

@@ -156,10 +156,6 @@ func NewRecorder(limit int) *Recorder {
 	return &Recorder{start: time.Now(), limit: limit}
 }
 
-// Enabled reports whether the recorder is active; nil receivers return
-// false. This is the hot-path guard.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // SetLabel names the recording (graph name, job id). No-op on nil.
 func (r *Recorder) SetLabel(s string) {
 	if r == nil {

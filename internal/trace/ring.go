@@ -118,10 +118,3 @@ func (r *Ring) Total() uint64 {
 	defer r.mu.Unlock()
 	return r.total
 }
-
-// Snapshot returns a copy of the currently buffered events.
-func (r *Ring) Snapshot() []Event {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]Event(nil), r.buf...)
-}

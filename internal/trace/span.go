@@ -31,7 +31,6 @@ type Spans struct {
 	done    []SpanRec
 	dropped int64
 	sink    func(SpanRec)
-	open    atomic.Int64
 }
 
 // maxSpansPerTrace bounds the finished-span buffer of one trace; spans
@@ -94,9 +93,7 @@ func (sc *Spans) Root(name string) *Span {
 	if sc == nil {
 		return nil
 	}
-	s := &Span{sc: sc, id: randHex(8), parent: sc.parent, name: name, start: time.Now()}
-	sc.open.Add(1)
-	return s
+	return &Span{sc: sc, id: randHex(8), parent: sc.parent, name: name, start: time.Now()}
 }
 
 // Traceparent renders the W3C header value identifying sp as the
@@ -124,17 +121,7 @@ func (sc *Spans) Snapshot() []SpanRec {
 	return out
 }
 
-// Open reports the number of started-but-unfinished spans (0 on nil) —
-// a balance check for tests and the debug surface.
-func (sc *Spans) Open() int64 {
-	if sc == nil {
-		return 0
-	}
-	return sc.open.Load()
-}
-
 func (sc *Spans) finish(rec SpanRec) {
-	sc.open.Add(-1)
 	sc.mu.Lock()
 	if len(sc.done) < maxSpansPerTrace {
 		sc.done = append(sc.done, rec)
@@ -171,9 +158,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{sc: s.sc, id: randHex(8), parent: s.id, name: name, start: time.Now()}
-	s.sc.open.Add(1)
-	return c
+	return &Span{sc: s.sc, id: randHex(8), parent: s.id, name: name, start: time.Now()}
 }
 
 // SetWorker tags the span with a 1-based parallel worker id.

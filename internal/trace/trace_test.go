@@ -32,7 +32,7 @@ func TestTracerStampsAndSanitizes(t *testing.T) {
 	tr := New(r)
 	tr.Emit(Event{Kind: KindRoot, Bound: 3})
 	tr.Emit(Event{Kind: KindIncumbent, HasIncumbent: true, Incumbent: math.Inf(1), Gap: math.NaN()})
-	evs := r.Snapshot()
+	evs, _ := r.Since(0)
 	if len(evs) != 2 {
 		t.Fatalf("got %d events, want 2", len(evs))
 	}
@@ -165,7 +165,7 @@ func TestFanoutAddDuringEmit(t *testing.T) {
 	if got := b.Total(); got != 1 {
 		t.Fatalf("late sink got %d events, want 1", got)
 	}
-	if evs := b.Snapshot(); evs[0].Kind != KindStatus {
+	if evs, _ := b.Since(0); evs[0].Kind != KindStatus {
 		t.Fatalf("late sink first event = %+v", evs[0])
 	}
 }

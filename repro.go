@@ -9,12 +9,13 @@
 //
 //	internal/graph     — task/operation graph model and text format
 //	internal/library   — FU component library and device model
-//	internal/sched     — ASAP/ALAP windows and list scheduling
+//	internal/sched     — ASAP/ALAP windows, list scheduling, the
+//	                     task-assignment walk and the list-scheduling
+//	                     baseline flow
 //	internal/lp        — bounded-variable simplex
 //	internal/milp      — branch and bound with pluggable branching
 //	internal/core      — the paper's 0-1 ILP formulation (eqs. 1-32)
 //	internal/partition — solution model and independent verifier
-//	internal/heuristic — fast non-optimal baseline flow
 //	internal/rpsim     — reconfigurable-processor execution model
 //	internal/rtl       — per-segment RTL lowering
 //	internal/randgraph — seeded benchmark graph generation
