@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -25,8 +24,9 @@ type ledgerRow struct {
 	label             string
 	graph, n, l       int
 	adders, muls, sub int
-	// open rows never close: the ledger takes a prefix of their
-	// assignments at a reduced budget instead of the sweep's set
+	// open rows did not close before the step count, and T4 g3 N3 L2
+	// still does not: the ledger takes a prefix of their assignments at
+	// a reduced budget instead of the sweep's set
 	open bool
 }
 
@@ -75,32 +75,59 @@ func solveSweep(m *Model) sweepResult {
 	return m.exactSweep(nil)
 }
 
-// sweptAssignments runs the exact sweep on a fresh model, as a solve
-// runs it, and returns every assignment it handed to the exact
-// scheduler, sorted by their probe-cache keys.
+// sweptAssignments rebuilds, on a fresh model of a closed row, the
+// assignments the exact sweep handed to the exact scheduler before its
+// walk had the step-count cut: the walk with the cost bound and no cut,
+// which list-schedules each leaf that fits the scratch memory and lowers
+// the bound on each success, keeps the leaves the list scheduler fails,
+// and hands on those still under the final bound. The closed rows' exact
+// scheduler finds no schedule, so no leaf is dropped on a bound that
+// settling lowers. Every assignment the sweep now enumerates must be
+// among them. They are returned sorted by their probe-cache keys.
 func sweptAssignments(t testing.TB, m *Model) [][]int {
 	t.Helper()
+	g := m.Inst.Graph
+	bound := -1
+	var kept [][]int
+	var costs []int
+	var sc sched.ListScratch
+	_ = sched.WalkAssignments(g, m.N, &bound, nil, func(part []int, comm int) bool {
+		if !sched.MemoryFits(g, part, m.N, m.Inst.Device.ScratchMem) {
+			return true
+		}
+		if step, unit, ok := m.listWitness(part, &sc); ok {
+			if sol := m.solutionFrom(part, step, unit); sol != nil && (bound < 0 || sol.Comm < bound) {
+				bound = sol.Comm
+			}
+			return true
+		}
+		kept = append(kept, append([]int(nil), part...))
+		costs = append(costs, comm)
+		return true
+	})
+	byKey := map[string][]int{}
+	for i, part := range kept {
+		if bound < 0 || costs[i] < bound {
+			byKey[fmt.Sprint(part)] = part
+		}
+	}
 	sw := solveSweep(m)
 	if sw.unresolved != 0 {
 		t.Fatalf("sweep left %d assignments unresolved", sw.unresolved)
 	}
-	keys := make([]string, 0, len(m.probeCache))
 	for k := range m.probeCache {
-		keys = append(keys, k)
+		if byKey[k] == nil {
+			t.Fatalf("the sweep enumerated %s, which the walk without the cut did not hand on", k)
+		}
 	}
-	if len(keys) != sw.enumerated {
-		t.Fatalf("probe cache holds %d assignments, sweep enumerated %d", len(keys), sw.enumerated)
+	keys := make([]string, 0, len(byKey))
+	for k := range byKey {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	parts := make([][]int, len(keys))
 	for i, k := range keys {
-		for _, f := range strings.Fields(strings.Trim(k, "[]")) {
-			p, err := strconv.Atoi(f)
-			if err != nil {
-				t.Fatalf("probe cache key %q: %v", k, err)
-			}
-			parts[i] = append(parts[i], p)
-		}
+		parts[i] = byKey[k]
 	}
 	return parts
 }
@@ -110,7 +137,7 @@ func sweptAssignments(t testing.TB, m *Model) [][]int {
 func orderValidPrefix(g *graph.Graph, n, limit int) [][]int {
 	var out [][]int
 	unbounded := -1
-	_ = sched.WalkAssignments(g, n, &unbounded, func(assign []int, _ int) bool {
+	_ = sched.WalkAssignments(g, n, &unbounded, nil, func(assign []int, _ int) bool {
 		out = append(out, append([]int(nil), assign...))
 		return len(out) < limit
 	})
@@ -153,9 +180,9 @@ func ledgerLine(t testing.TB, r ledgerRow) string {
 // TestExactScheduleLedger pins every decision of the exact sweep's two
 // schedulers on the paper's rows: each closed row's swept assignments
 // at the full budget, and a prefix of each open row's assignments at a
-// reduced budget. testdata/schedule_ledger.txt records the decisions
-// of the map-based schedulers these replaced; a scheduler change that
-// alters any status, step or unit fails here.
+// reduced budget. testdata/schedule_ledger.txt records, for the closed
+// rows, the decisions of the map-based schedulers these replaced; a
+// scheduler change that alters any status, step or unit fails here.
 func TestExactScheduleLedger(t *testing.T) {
 	want := map[string]string{}
 	f, err := os.Open(filepath.Join("testdata", "schedule_ledger.txt"))
@@ -183,42 +210,45 @@ func TestExactScheduleLedger(t *testing.T) {
 }
 
 // exactScheduleMaxAllocs bounds the allocations of one exactSchedule
-// call: the schedule's two slices, the search state and its two backing
-// arrays, and kindCoverFits' two count arrays. The count does not grow
-// with the number of placements tried.
+// call: the step count's state, the schedule's two slices, and the
+// search state and its two backing arrays. The count does not grow with
+// the number of placements tried.
 const exactScheduleMaxAllocs = 7
 
-// TestExactScheduleSteadyStateAllocs runs exactSchedule on every
-// assignment the exact sweep enumerates on T4 g5 N3 L0 and checks that
-// no call allocates more than exactScheduleMaxAllocs times. All of them
-// are unschedulable, and most proofs try many placements, so an
-// allocation per placement would show.
+// TestExactScheduleSteadyStateAllocs runs exactSchedule on the first
+// ledgerOpenPrefix order-valid assignments of T4 g3 N3 L2 and checks
+// that no call allocates more than exactScheduleMaxAllocs times. Some of
+// them pass the step count and backtrack through many placements until
+// the budget runs out, so an allocation per placement would show.
 func TestExactScheduleSteadyStateAllocs(t *testing.T) {
 	var row ledgerRow
 	for _, r := range ledgerRows {
-		if r.label == "T4 g5 N3 L0" {
+		if r.label == "T4 g3 N3 L2" {
 			row = r
 		}
 	}
 	m := buildLedgerModel(t, row)
-	parts := sweptAssignments(t, m)
-	if len(parts) == 0 {
-		t.Fatal("the sweep enumerated no assignments")
-	}
-	worst := 0.0
+	parts := orderValidPrefix(m.Inst.Graph, m.N, ledgerOpenPrefix)
+	searched, worst := 0, 0.0
 	for _, part := range parts {
+		if m.stepsFit(part) {
+			searched++
+		}
 		// several runs, so that an allocation elsewhere in the process
 		// (a goroutine an earlier test left winding down) averages out
 		a := testing.AllocsPerRun(5, func() {
-			_ = m.exactSchedule(part, probeBudgetFull)
+			_ = m.exactSchedule(part, ledgerOpenBudget)
 		})
 		worst = math.Max(worst, a)
+	}
+	if searched == 0 {
+		t.Fatal("the step count refutes every assignment: none backtracks")
 	}
 	if worst > exactScheduleMaxAllocs {
 		t.Fatalf("exactSchedule allocates up to %.0f times per call over %d assignments, want at most %d",
 			worst, len(parts), exactScheduleMaxAllocs)
 	}
-	t.Logf("%d assignments, at most %.0f allocations per call", len(parts), worst)
+	t.Logf("%d assignments, %d backtracked, at most %.0f allocations per call", len(parts), searched, worst)
 }
 
 // unitLedgerTypes are the unit types the unit ledger's allocations are
@@ -283,11 +313,12 @@ func unitLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
 }
 
 // unitLedgerLine builds every seeded instance with or without
-// Multicycle, runs exactSchedule, listWitness and kindCoverFits on each
-// order-valid assignment, and summarizes their decisions: the models
-// built, the assignments, the exact scheduler's found/infeasible/budget
-// counts, the witness count, the kindCoverFits count, and an FNV-64a
-// digest over every record (build errors included).
+// Multicycle, runs exactSchedule, listWitness and the step count
+// (stepsFit) on each order-valid assignment, and summarizes their
+// decisions: the models built, the assignments, the exact scheduler's
+// found/infeasible/budget counts, the witness count, the step-count
+// fits, and an FNV-64a digest over every record (build errors
+// included).
 func unitLedgerLine(t testing.TB, multicycle bool) string {
 	t.Helper()
 	label := "unit"
@@ -314,7 +345,7 @@ func unitLedgerLine(t testing.TB, multicycle bool) string {
 			if ok {
 				witnessed++
 			}
-			fit := m.kindCoverFits(part)
+			fit := m.stepsFit(part)
 			if fit {
 				fits++
 			}
@@ -326,11 +357,10 @@ func unitLedgerLine(t testing.TB, multicycle bool) string {
 }
 
 // TestUnitScheduleLedger pins the decisions of exactSchedule,
-// listWitness and kindCoverFits on multicycle and pipelined units,
-// which the paper rows of TestExactScheduleLedger never allocate.
-// testdata/unit_ledger.txt was recorded before the list scheduler took
-// caller-owned scratch tables; a change that alters any status, step,
-// unit or cover verdict fails here.
+// listWitness and the step count on multicycle and pipelined units,
+// which the paper rows of TestExactScheduleLedger never allocate. A
+// change that alters any status, step, unit or step-count verdict fails
+// here.
 func TestUnitScheduleLedger(t *testing.T) {
 	checkCorpusLedger(t, "unit_ledger.txt", unitLedgerLine)
 }
@@ -404,16 +434,16 @@ func sweepLedgerInstance(t testing.TB, seed int64) (Instance, int, int) {
 // summarizes the outcomes: the models built, the sweeps that report a
 // solution and those whose solution costs communication, the
 // enumerated and unresolved totals, the probe-cache entries holding a
-// found schedule, and an FNV-64a digest over every sweep's counts,
-// reported solution and probe-cache entries in key order (build errors
-// included).
+// found schedule, an FNV-64a digest over every sweep's counts, reported
+// solution and probe-cache entries in key order (build errors
+// included), and an FNV-64a digest over the reported solutions alone.
 func sweepOutcomeLine(t testing.TB, multicycle bool) string {
 	t.Helper()
 	label := "unit"
 	if multicycle {
 		label = "multicycle"
 	}
-	h := fnv.New64a()
+	h, hs := fnv.New64a(), fnv.New64a()
 	built, solved, costly, enumerated, unresolved, found := 0, 0, 0, 0, 0, 0
 	for seed := int64(1); seed <= sweepLedgerSeeds; seed++ {
 		inst, n, l := sweepLedgerInstance(t, seed)
@@ -433,6 +463,7 @@ func sweepOutcomeLine(t testing.TB, multicycle bool) string {
 				costly++
 			}
 			fmt.Fprintf(h, " %d %v %v %v", sol.Comm, sol.TaskPartition, sol.OpStep, sol.OpUnit)
+			fmt.Fprintf(hs, "%d %d %v %v %v\n", seed, sol.Comm, sol.TaskPartition, sol.OpStep, sol.OpUnit)
 		}
 		keys := make([]string, 0, len(m.probeCache))
 		for k := range m.probeCache {
@@ -448,17 +479,17 @@ func sweepOutcomeLine(t testing.TB, multicycle bool) string {
 		}
 		fmt.Fprintln(h)
 	}
-	return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%016x", label, built, solved, costly,
-		enumerated, unresolved, found, h.Sum64())
+	return fmt.Sprintf("%s\t%d\t%d\t%d\t%d\t%d\t%d\t%016x\t%016x", label, built, solved, costly,
+		enumerated, unresolved, found, h.Sum64(), hs.Sum64())
 }
 
 // TestSweepOutcomeLedger pins what the exact sweep reports on a seeded
 // corpus of tight-capacity instances, without and with Multicycle: the
 // enumerated and unresolved counts, the reported solution and every
-// probe-cache entry the sweep leaves behind. testdata/sweep_ledger.txt
-// was recorded while a separate list-scheduled baseline walk primed
-// the sweep; a change to what the sweep enumerates, caches or reports
-// fails here.
+// probe-cache entry the sweep leaves behind. A change to what the sweep
+// enumerates, caches or reports fails here. The digest of the reported
+// solutions alone in testdata/sweep_ledger.txt was recorded before the
+// sweep's walk had the step-count cut, which must not move it.
 func TestSweepOutcomeLedger(t *testing.T) {
 	checkCorpusLedger(t, "sweep_ledger.txt", sweepOutcomeLine)
 }

@@ -48,6 +48,10 @@ type Model struct {
 	cs [][]int
 	// sched holds the exact scheduler's read-only tables.
 	sched *schedTables
+	// steps holds the step count's read-only tables, built by
+	// stepTables on first use.
+	stepOnce sync.Once
+	steps    *stepTables
 	// oPairs[t] lists unit IDs k with an o_tk variable, ascending.
 	oPairs [][]int
 	// cSteps[t] lists steps j with a c_tj variable, ascending.

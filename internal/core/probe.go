@@ -261,22 +261,29 @@ func (m *Model) buildSchedTables() {
 	m.sched = t
 }
 
-// exactSchedule backtracks over (step, unit) placements for a fixed
-// task assignment, honoring mobility windows, step ownership, FU
-// occupancy (incl. multicycle/pipelined) and per-partition area. It
-// gives up with schedBudget when the step budget runs out or the
-// solve's context is done.
+// exactSchedule decides whether the task assignment part has a
+// schedule. It refutes by counting first: part must keep every task
+// edge forward, fit the scratch memory (eq. 3) and pass the step count
+// (stepCount). Only an assignment that passes all three goes to
+// searchSchedule's backtracking, which gives up with schedBudget when
+// the step budget runs out or the solve's context is done.
 func (m *Model) exactSchedule(part []int, budget int) probeEntry {
-	g, dev := m.Inst.Graph, m.Inst.Device
-	// y-level sanity: order and memory (normally guaranteed by the LP)
+	g := m.Inst.Graph
 	for _, e := range g.TaskEdges() {
 		if part[e.From] > part[e.To] {
 			return probeEntry{status: schedInfeasible}
 		}
 	}
-	if !sched.MemoryFits(g, part, m.N, dev.ScratchMem) || !m.kindCoverFits(part) {
+	if !sched.MemoryFits(g, part, m.N, m.Inst.Device.ScratchMem) || !m.stepsFit(part) {
 		return probeEntry{status: schedInfeasible}
 	}
+	return m.searchSchedule(part, budget)
+}
+
+// searchSchedule backtracks over (step, unit) placements for a fixed
+// task assignment, honoring mobility windows, step ownership, FU
+// occupancy (incl. multicycle/pipelined) and per-partition area.
+func (m *Model) searchSchedule(part []int, budget int) probeEntry {
 	s := newExactSearch(m, part, budget)
 	if st := s.place(0); st != schedFound {
 		return probeEntry{status: st}
@@ -508,73 +515,6 @@ func (s *exactSearch) place(n int) schedStatus {
 		}
 	}
 	return schedInfeasible
-}
-
-// kindCoverFits checks, for every partition of the assignment, that
-// some subset of units covers all operation kinds appearing there
-// within the device area — a cheap necessary condition that disposes
-// of most area-infeasible assignments without any backtracking.
-func (m *Model) kindCoverFits(part []int) bool {
-	g, dev, t := m.Inst.Graph, m.Inst.Device, m.sched
-	nu, nk := len(t.fg), len(t.minFG)
-	if nu > 16 {
-		return true // subset enumeration too large; let the search decide
-	}
-	budget := m.Win.MaxStep(m.Opt.L) // steps available to any partition
-	// count[p*nk+kind]: ops of each kind in partition p
-	count := make([]int, (m.N+1)*nk)
-	for i := 0; i < g.NumOps(); i++ {
-		count[part[g.Op(i).Task]*nk+t.kindOf[i]]++
-	}
-	// covered[p]: partition p is empty or some subset serves it
-	covered := make([]bool, m.N+1)
-	pending := 0
-	for p := 1; p <= m.N; p++ {
-		covered[p] = true
-		for _, n := range count[p*nk : (p+1)*nk] {
-			if n > 0 {
-				covered[p] = false
-				pending++
-				break
-			}
-		}
-	}
-	for mask := 1; mask < 1<<nu && pending > 0; mask++ {
-		fg := 0
-		for u := 0; u < nu; u++ {
-			if mask&(1<<u) != 0 {
-				fg += t.fg[u]
-			}
-		}
-		if !dev.Fits(fg) {
-			continue
-		}
-		for p := 1; p <= m.N; p++ {
-			if covered[p] {
-				continue
-			}
-			feasible := true
-			for c, need := range count[p*nk : (p+1)*nk] {
-				units := 0
-				for _, u := range t.kindUnits[c] {
-					if mask&(1<<u) != 0 {
-						units++
-					}
-				}
-				// the partition sees at most the whole step budget, so
-				// units*budget is an upper bound on its kind capacity
-				if units*budget < need {
-					feasible = false
-					break
-				}
-			}
-			if feasible {
-				covered[p] = true
-				pending--
-			}
-		}
-	}
-	return pending == 0
 }
 
 // vectorFrom assembles a full solution vector from an assignment and

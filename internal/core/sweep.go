@@ -8,8 +8,9 @@ import (
 // The exact sweep is an alternative optimality engine for instances
 // with few tasks (every benchmark instance qualifies): it enumerates
 // order- and memory-valid task assignments with cost-bound pruning and
-// settles each candidate with the list scheduler or, where that fails,
-// the budgeted exact scheduler. It primes itself: the list scheduler's
+// the step count's prefix cut (stepCount), and settles each candidate
+// with the list scheduler or, where that fails, the budgeted exact
+// scheduler. It primes itself: the list scheduler's
 // solutions lower its bound as it walks. When every candidate below
 // the final bound resolves, the best solution is provably optimal and
 // branch and bound reduces to a formality; when some candidates blow
@@ -36,7 +37,8 @@ const maxSweepTasks = 12
 
 // exactSweep walks the assignments cheaper than the incumbent (comm <
 // incumbent.Comm; nil leaves the walk unbounded) once, with
-// sched.WalkAssignments, and settles each that fits the scratch memory
+// sched.WalkAssignments, cutting every prefix the step count refutes
+// with its subtree, and settles each leaf that fits the scratch memory
 // in two steps. The list scheduler runs as the walk reaches the leaf: a
 // schedule within the step budget is a solution, whose cost becomes the
 // bound, and the leaves it fails are kept with their costs. Then the
@@ -88,8 +90,10 @@ func (m *Model) exactSweep(incumbent *partition.Solution) sweepResult {
 		kept, keptComm = kept[:0], keptComm[:0]
 	}
 	var sc sched.ListScratch // list-scheduler tables for every leaf
+	var cut stepCount
+	cut.init(m)
 	// the instance was validated, so its task graph is acyclic
-	_ = sched.WalkAssignments(g, m.N, &bound, func(part []int, comm int) bool {
+	_ = sched.WalkAssignments(g, m.N, &bound, &cut, func(part []int, comm int) bool {
 		if m.cancelled() {
 			expired = true
 			return false

@@ -92,7 +92,7 @@ func TestRunSmallRow(t *testing.T) {
 	}
 }
 
-// TestSweepRowHonorsTimeLimit solves T4 g2 N4 L2, an open row whose
+// TestSweepRowHonorsTimeLimit solves T4 g3 N3 L2, an open row whose
 // exact sweep leaves assignments unresolved and hands them to branch
 // and bound, under a 2 s limit. The limit is one deadline for the
 // sweep, the node probes and the search, so the solve must return
@@ -102,7 +102,7 @@ func TestSweepRowHonorsTimeLimit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	const label, limit, within = "T4 g2 N4 L2", 2 * time.Second, 3 * time.Second
+	const label, limit, within = "T4 g3 N3 L2", 2 * time.Second, 3 * time.Second
 	var row Row
 	for _, r := range Table4() {
 		if r.Label == label {

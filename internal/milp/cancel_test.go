@@ -119,3 +119,54 @@ func TestPreCancelledContext(t *testing.T) {
 		t.Fatalf("status = %v, want %v", res.Status, StatusCancelled)
 	}
 }
+
+// deadContextMaxAllocs bounds the allocations of a solve whose context
+// is done before it starts: the integrality flags, the shared search
+// state, the Status handle's live entry and worker phases, and the
+// result.
+const deadContextMaxAllocs = 5
+
+// A solve whose context is past its deadline before it starts returns
+// the limit status without building the root solver, and a Status
+// handle still attaches and finishes.
+func TestDeadContextBuildsNoSolver(t *testing.T) {
+	p := &lp.Problem{}
+	cols := make([]int, 2000)
+	for i := range cols {
+		cols[i] = p.AddBinary(lp.Name("x"), 1)
+		if i > 0 {
+			if err := p.AddLE(lp.Name("pair"), []int{cols[i-1], cols[i]}, []float64{1, 1}, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	st := NewSearchStatus()
+	opt := Options{IntVars: cols, Status: st}
+	res, err := SolveContext(ctx, p, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != StatusLimit || res.Nodes != 0 || res.LPIterations != 0 {
+		t.Fatalf("status %v after %d nodes and %d pivots, want %v before any", res.Status, res.Nodes, res.LPIterations, StatusLimit)
+	}
+	if snap, ok := st.Snapshot(); !ok || snap.Running {
+		t.Fatalf("status handle attached=%v running=%v, want attached and finished", ok, snap.Running)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := SolveContext(ctx, p, opt); err != nil {
+			t.Fatal(err)
+		}
+	})
+	build := testing.AllocsPerRun(3, func() {
+		if _, err := lp.NewSolver(p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > deadContextMaxAllocs {
+		t.Fatalf("a dead-context solve allocates %.0f times, want at most %d (building the root solver alone allocates %.0f)",
+			allocs, deadContextMaxAllocs, build)
+	}
+	t.Logf("a dead-context solve allocates %.0f times; building the root solver alone allocates %.0f", allocs, build)
+}

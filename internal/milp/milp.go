@@ -379,13 +379,58 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	if len(opt.IntVars) == 0 {
 		return nil, fmt.Errorf("milp: no integer variables declared")
 	}
-	lps := opt.Warm
-	if lps != nil {
-		if n, m := lps.Dims(); n != p.NumVars() || m != p.NumRows() {
+	if opt.Warm != nil {
+		if n, m := opt.Warm.Dims(); n != p.NumVars() || m != p.NumRows() {
 			return nil, fmt.Errorf("milp: warm solver is %dx%d, problem is %dx%d",
 				m, n, p.NumRows(), p.NumVars())
 		}
-	} else {
+	}
+	isInt := make([]bool, p.NumVars())
+	for _, j := range opt.IntVars {
+		if j < 0 || j >= p.NumVars() {
+			return nil, fmt.Errorf("milp: integer variable %d out of range", j)
+		}
+		lo, hi := p.Bounds(j)
+		if lo < -intTol || hi > 1+intTol {
+			return nil, fmt.Errorf("milp: integer variable %d (%s) must be 0-1, bounds [%v,%v]", j, p.VarName(j), lo, hi)
+		}
+		isInt[j] = true
+	}
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	start := time.Now()
+	upper := math.Inf(1)
+	if opt.InitialUpper != 0 && !math.IsInf(opt.InitialUpper, 1) {
+		upper = opt.InitialUpper
+	}
+	sh := newShared(upper, &opt, start)
+	if opt.Status != nil {
+		// Attach the live handle before any LP work so pollers see the
+		// solve from its first node; re-attached with the resolved mode
+		// once the plan is decided, marked finished on every return.
+		nw := opt.Parallelism
+		if nw < 1 {
+			nw = 1
+		}
+		sh.wphase = make([]atomic.Int32, nw+1)
+		opt.Status.attach(&liveSearch{sh: sh, workers: nw, start: start})
+		defer opt.Status.finish()
+	}
+
+	if err := ctx.Err(); err != nil {
+		// cancelled before any work: report it without building the
+		// root solver or touching the problem (a dead context must not
+		// race root-LP infeasibility)
+		res := &Result{BestBound: math.Inf(-1), Status: StatusLimit}
+		if context.Cause(ctx) == context.Canceled {
+			res.Status = StatusCancelled
+		}
+		return res, nil
+	}
+
+	lps := opt.Warm
+	if lps == nil {
 		var err error
 		if lps, err = lp.NewSolver(p); err != nil {
 			return nil, err
@@ -395,52 +440,11 @@ func SolveContext(ctx context.Context, p *lp.Problem, opt Options) (*Result, err
 	// replay; turned back off after the root solve so tree nodes pay
 	// nothing (node infeasibility is pruning, not a shipped verdict).
 	lps.CaptureFarkas = opt.Certify
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	start := time.Now()
-	s := &solver{lps: lps, prob: p, opt: opt, ctx: ctx, isInt: make([]bool, p.NumVars())}
-	for _, j := range opt.IntVars {
-		if j < 0 || j >= p.NumVars() {
-			return nil, fmt.Errorf("milp: integer variable %d out of range", j)
-		}
-		lo, hi := p.Bounds(j)
-		if lo < -intTol || hi > 1+intTol {
-			return nil, fmt.Errorf("milp: integer variable %d (%s) must be 0-1, bounds [%v,%v]", j, p.VarName(j), lo, hi)
-		}
-		s.isInt[j] = true
-	}
-	upper := math.Inf(1)
-	if opt.InitialUpper != 0 && !math.IsInf(opt.InitialUpper, 1) {
-		upper = opt.InitialUpper
-	}
-	s.sh = newShared(upper, &opt, start)
+	s := &solver{lps: lps, prob: p, opt: opt, ctx: ctx, isInt: isInt, sh: sh}
 	o := &s.sh.obs
 	s.brancher = opt.Brancher
 	lps.Ctx = ctx // bound individual LP solves too
 	lps.Prof = o.prof
-	if opt.Status != nil {
-		// Attach the live handle before any LP work so pollers see the
-		// solve from its first node; re-attached with the resolved mode
-		// once the plan is decided, marked finished on every return.
-		nw := opt.Parallelism
-		if nw < 1 {
-			nw = 1
-		}
-		s.sh.wphase = make([]atomic.Int32, nw+1)
-		opt.Status.attach(&liveSearch{sh: s.sh, workers: nw, start: start})
-		defer opt.Status.finish()
-	}
-
-	if err := ctx.Err(); err != nil {
-		// cancelled before any work: report it without touching the
-		// problem (a dead context must not race root-LP infeasibility)
-		res := &Result{BestBound: math.Inf(-1), Status: StatusLimit}
-		if context.Cause(ctx) == context.Canceled {
-			res.Status = StatusCancelled
-		}
-		return res, nil
-	}
 
 	t0 := o.clock()
 	rootSpan := opt.Span.Child("root-lp") // nil-safe: nil when spans are off

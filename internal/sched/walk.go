@@ -8,17 +8,30 @@ import (
 	"repro/internal/library"
 )
 
+// A Cut refutes prefixes of the assignment walk. Join adds task t,
+// placed in segment p, to the prefix and reports whether a feasible
+// leaf may still lie below it; Leave takes the task out again. The walk
+// calls Leave after every Join, refused or not, latest first. A cut
+// must refute monotonically: every prefix extending a refused one must
+// be refused too, which is what lets the walk skip the subtree.
+type Cut interface {
+	Join(t, p int) bool
+	Leave(t, p int)
+}
+
 // WalkAssignments walks the assignments of g's tasks to segments 1..n
 // depth first: tasks in topological order, each tried in its segments
 // ascending from the latest of its predecessors', so that no task lands
 // before a predecessor. The communication cost (CommCost) is summed as
-// each task joins, and it only grows along a path, so when *bound >= 0
-// a prefix costing *bound or more is cut with every leaf below it.
-// visit receives each leaf that survives with its cost, may lower
-// *bound, and returns false to end the walk; a bound of -1 walks every
-// leaf. The assignment belongs to the walk: a visitor that keeps it
-// copies it. The error is the task graph's cycle, if it has one.
-func WalkAssignments(g *graph.Graph, n int, bound *int, visit func(assign []int, comm int) bool) error {
+// each task joins, and it only grows along a path and with the segment,
+// so when *bound >= 0 a prefix costing *bound or more is cut with every
+// leaf below it. A non-nil cut is asked next, and a prefix it refuses
+// is cut the same way. visit receives each leaf that survives with its
+// cost, may lower *bound, and returns false to end the walk; a bound of
+// -1 walks every leaf. The assignment belongs to the walk: a visitor
+// that keeps it copies it. The error is the task graph's cycle, if it
+// has one.
+func WalkAssignments(g *graph.Graph, n int, bound *int, cut Cut, visit func(assign []int, comm int) bool) error {
 	order, err := g.TopoTasks()
 	if err != nil {
 		return err
@@ -27,9 +40,6 @@ func WalkAssignments(g *graph.Graph, n int, bound *int, visit func(assign []int,
 	more := true
 	var rec func(idx, partial int)
 	rec = func(idx, partial int) {
-		if *bound >= 0 && partial >= *bound {
-			return
-		}
 		if idx == len(order) {
 			more = visit(assign, partial)
 			return
@@ -43,15 +53,25 @@ func WalkAssignments(g *graph.Graph, n int, bound *int, visit func(assign []int,
 		}
 		for p := lo; p <= n && more; p++ {
 			assign[t] = p
-			delta := 0
+			next := partial
 			for _, pr := range g.TaskPred(t) {
-				delta += g.Bandwidth(pr, t) * (p - assign[pr])
+				next += g.Bandwidth(pr, t) * (p - assign[pr])
 			}
-			rec(idx+1, partial+delta)
+			if *bound >= 0 && next >= *bound {
+				break // the later segments cost no less
+			}
+			if cut == nil || cut.Join(t, p) {
+				rec(idx+1, next)
+			}
+			if cut != nil {
+				cut.Leave(t, p)
+			}
 		}
 		assign[t] = 0
 	}
-	rec(0, 0)
+	if *bound != 0 { // a bound of 0 leaves no cheaper leaf
+		rec(0, 0)
+	}
 	return nil
 }
 
@@ -84,7 +104,7 @@ func Baseline(ctx context.Context, g *graph.Graph, alloc *library.Allocation, de
 		sc       ListScratch // list-scheduler tables for every leaf
 	)
 	bound, leaves := -1, 0
-	err := WalkAssignments(g, n, &bound, func(assign []int, comm int) bool {
+	err := WalkAssignments(g, n, &bound, nil, func(assign []int, comm int) bool {
 		if ctx.Err() != nil {
 			return false
 		}

@@ -65,7 +65,7 @@ func TestWalkAssignmentsVisitsOrderValidLeaves(t *testing.T) {
 			seen := map[string]int{}
 			var costs []int
 			unbounded := -1
-			err := WalkAssignments(g, n, &unbounded, func(assign []int, comm int) bool {
+			err := WalkAssignments(g, n, &unbounded, nil, func(assign []int, comm int) bool {
 				if c := CommCost(g, assign); c != comm {
 					t.Fatalf("seed %d n=%d: %v costs %d, walk says %d", seed, n, assign, c, comm)
 				}
@@ -95,7 +95,7 @@ func TestWalkAssignmentsVisitsOrderValidLeaves(t *testing.T) {
 				}
 			}
 			walked := 0
-			if err := WalkAssignments(g, n, &bound, func(_ []int, comm int) bool {
+			if err := WalkAssignments(g, n, &bound, nil, func(_ []int, comm int) bool {
 				if comm >= bound {
 					t.Fatalf("seed %d n=%d: leaf costing %d walked under bound %d", seed, n, comm, bound)
 				}
@@ -108,7 +108,7 @@ func TestWalkAssignmentsVisitsOrderValidLeaves(t *testing.T) {
 				t.Fatalf("seed %d n=%d: %d leaves under bound %d, want %d", seed, n, walked, bound, under)
 			}
 			walked = 0
-			if err := WalkAssignments(g, n, &unbounded, func([]int, int) bool {
+			if err := WalkAssignments(g, n, &unbounded, nil, func([]int, int) bool {
 				walked++
 				return walked < 2
 			}); err != nil {
@@ -181,5 +181,111 @@ func TestBaselineDoneContext(t *testing.T) {
 	cancel()
 	if plan, asg, err := Baseline(ctx, g, alloc, library.XC4025(), w, 2, 2, 0); err != nil || plan != nil || asg != nil {
 		t.Fatalf("a done context gave plan %v, schedule %v, err %v", plan, asg, err)
+	}
+}
+
+// hashCut refuses a prefix when the (task, segment, depth) of its last
+// task hashes to zero, and checks the walk's side of the Cut contract:
+// no Join below a refused prefix, and each Leave undoes the latest Join.
+type hashCut struct {
+	t       *testing.T
+	joined  [][3]int // task, segment, refused (0 or 1)
+	refused int
+}
+
+func (c *hashCut) refuses(t, p, depth int) bool { return (7*t+3*p+11*depth)%5 == 0 }
+
+func (c *hashCut) Join(t, p int) bool {
+	if c.refused > 0 {
+		c.t.Fatalf("Join(%d, %d) below a refused prefix", t, p)
+	}
+	r := c.refuses(t, p, len(c.joined))
+	e := [3]int{t, p, 0}
+	if r {
+		e[2] = 1
+		c.refused++
+	}
+	c.joined = append(c.joined, e)
+	return !r
+}
+
+func (c *hashCut) Leave(t, p int) {
+	top := c.joined[len(c.joined)-1]
+	if top[0] != t || top[1] != p {
+		c.t.Fatalf("Leave(%d, %d) after Join(%d, %d)", t, p, top[0], top[1])
+	}
+	c.refused -= top[2]
+	c.joined = c.joined[:len(c.joined)-1]
+}
+
+// A cut drops exactly the subtrees of the prefixes it refuses: the walk
+// visits the order-valid leaves none of whose prefixes, in topological
+// task order, the cut refuses, each once, and it never asks the cut
+// below a refused prefix. With a bound as well, the walk visits the
+// leaves that both keep.
+func TestWalkAssignmentsCutDropsRefusedSubtrees(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		g, err := randgraph.Tiny(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order, err := g.TopoTasks()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cut := &hashCut{t: t}
+		for n := 1; n <= 3; n++ {
+			var kept, cheap []string
+			costs := map[string]int{}
+			for _, a := range orderValid(g, n) {
+				ok := true
+				for d, task := range order {
+					if cut.refuses(task, a[task], d) {
+						ok = false
+						break
+					}
+				}
+				if ok {
+					kept = append(kept, fmt.Sprint(a))
+					costs[fmt.Sprint(a)] = CommCost(g, a)
+				}
+			}
+			var walked []string
+			unbounded := -1
+			if err := WalkAssignments(g, n, &unbounded, cut, func(assign []int, comm int) bool {
+				walked = append(walked, fmt.Sprint(assign))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(kept)
+			slices.Sort(walked)
+			if !slices.Equal(walked, kept) {
+				t.Fatalf("seed %d n=%d: walked %v, want %v", seed, n, walked, kept)
+			}
+			if len(cut.joined) != 0 {
+				t.Fatalf("seed %d n=%d: %d joins left after the walk", seed, n, len(cut.joined))
+			}
+			if len(kept) == 0 {
+				continue
+			}
+			bound := costs[kept[len(kept)/2]]
+			for _, a := range kept {
+				if costs[a] < bound {
+					cheap = append(cheap, a)
+				}
+			}
+			walked = walked[:0]
+			if err := WalkAssignments(g, n, &bound, cut, func(assign []int, comm int) bool {
+				walked = append(walked, fmt.Sprint(assign))
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			slices.Sort(walked)
+			if !slices.Equal(walked, cheap) {
+				t.Fatalf("seed %d n=%d bound %d: walked %v, want %v", seed, n, bound, walked, cheap)
+			}
+		}
 	}
 }
