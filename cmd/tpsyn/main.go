@@ -127,14 +127,14 @@ func main() {
 	if *mps != "" {
 		f, err := os.Create(*mps)
 		fail(err)
-		fail(m.P.WriteMPS(f, g.Name))
+		fail(m.LP().WriteMPS(f, g.Name))
 		fail(f.Close())
 		fmt.Printf("mps: model written to %s\n", *mps)
 	}
 	if *lpOut != "" {
 		f, err := os.Create(*lpOut)
 		fail(err)
-		fail(m.P.WriteLP(f, g.Name))
+		fail(m.LP().WriteLP(f, g.Name))
 		fail(f.Close())
 		fmt.Printf("lp: model written to %s\n", *lpOut)
 	}

@@ -42,7 +42,7 @@ var (
 )
 
 // rowBuf collects one row's columns and coefficients. The emitters of
-// a build share one, so emitting a row allocates nothing once the
+// a pass share one, so emitting a row allocates nothing once the
 // buffer has grown.
 type rowBuf struct {
 	idx []int
@@ -67,14 +67,51 @@ func (b *rowBuf) addAll(cols []int, v float64) {
 	}
 }
 
+// rowSink takes the rows the emitters produce. Build runs the emitters
+// against a count, which checks and normalizes each row as the LP
+// would store it; the first read of the LP runs them again against the
+// problem (Model.LP). The embedded buffer is the emitters' scratch row.
+// The sink holds both targets as concrete pointers, not behind an
+// interface, so that a row's slices do not escape and the emitters'
+// row literals stay off the heap.
+type rowSink struct {
+	rowBuf
+	count *lp.RowCount // counting, at Build
+	p     *lp.Problem  // storing, on the first read of the LP
+}
+
+// le takes sum coef_j x_idx_j <= rhs.
+func (s *rowSink) le(k lp.Key, idx []int, coef []float64, rhs float64) error {
+	if s.count != nil {
+		return s.count.AddRow(k, idx, coef, -lp.Inf, rhs)
+	}
+	return s.p.AddLE(k, idx, coef, rhs)
+}
+
+// ge takes sum coef_j x_idx_j >= rhs.
+func (s *rowSink) ge(k lp.Key, idx []int, coef []float64, rhs float64) error {
+	if s.count != nil {
+		return s.count.AddRow(k, idx, coef, rhs, lp.Inf)
+	}
+	return s.p.AddGE(k, idx, coef, rhs)
+}
+
+// eq takes sum coef_j x_idx_j == rhs.
+func (s *rowSink) eq(k lp.Key, idx []int, coef []float64, rhs float64) error {
+	if s.count != nil {
+		return s.count.AddRow(k, idx, coef, rhs, rhs)
+	}
+	return s.p.AddEQ(k, idx, coef, rhs)
+}
+
 // emitConstraints adds every constraint family of the final model
 // (Section 6 of the paper): (1), (2), (3), (6), (7), (8), (11), (12),
 // (13), the product linearizations (19)-(23) or their Fortet
 // equivalents, (26), (27), the w linearization (31) or the exact
 // per-product (4)-(5), and — when Tightened — the cuts (28), (29),
-// (30), (32).
-func (m *Model) emitConstraints() error {
-	emit := []func(*rowBuf) error{
+// (30), (32) — to s.
+func (m *Model) emitConstraints(s *rowSink) error {
+	emit := []func(*rowSink) error{
 		m.addUniqueness,     // (1)
 		m.addTemporalOrder,  // (2)
 		m.addMemoryCapacity, // (3) — uses w columns
@@ -91,9 +128,8 @@ func (m *Model) emitConstraints() error {
 	if m.Opt.Tightened {
 		emit = append(emit, m.addTightening) // (28)-(30) + (32)
 	}
-	b := &rowBuf{}
 	for _, f := range emit {
-		if err := f(b); err != nil {
+		if err := f(s); err != nil {
 			return err
 		}
 	}
@@ -102,13 +138,13 @@ func (m *Model) emitConstraints() error {
 
 // addUniqueness emits eq. (1): every task lands in exactly one
 // partition.
-func (m *Model) addUniqueness(b *rowBuf) error {
+func (m *Model) addUniqueness(s *rowSink) error {
 	for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
-		b.reset()
+		s.reset()
 		for p := 1; p <= m.N; p++ {
-			b.add(m.Y[[2]int{t, p}], 1)
+			s.add(m.y(t, p), 1)
 		}
-		if err := m.P.AddEQ(rowUniq.Key(t), b.idx, b.val, 1); err != nil {
+		if err := s.eq(rowUniq.Key(t), s.idx, s.val, 1); err != nil {
 			return err
 		}
 	}
@@ -117,15 +153,15 @@ func (m *Model) addUniqueness(b *rowBuf) error {
 
 // addTemporalOrder emits eq. (2): a producer task may not be placed in
 // a later partition than a consumer.
-func (m *Model) addTemporalOrder(b *rowBuf) error {
+func (m *Model) addTemporalOrder(s *rowSink) error {
 	for _, e := range m.Inst.Graph.TaskEdges() {
 		for p2 := 1; p2 <= m.N-1; p2++ {
-			b.reset()
-			b.add(m.Y[[2]int{e.To, p2}], 1)
+			s.reset()
+			s.add(m.y(e.To, p2), 1)
 			for p1 := p2 + 1; p1 <= m.N; p1++ {
-				b.add(m.Y[[2]int{e.From, p1}], 1)
+				s.add(m.y(e.From, p1), 1)
 			}
-			if err := m.P.AddLE(rowOrder.Key(e.From, e.To, p2), b.idx, b.val, 1); err != nil {
+			if err := s.le(rowOrder.Key(e.From, e.To, p2), s.idx, s.val, 1); err != nil {
 				return err
 			}
 		}
@@ -135,16 +171,16 @@ func (m *Model) addTemporalOrder(b *rowBuf) error {
 
 // addMemoryCapacity emits eq. (3): data stored across each boundary
 // must fit the scratch memory.
-func (m *Model) addMemoryCapacity(b *rowBuf) error {
+func (m *Model) addMemoryCapacity(s *rowSink) error {
 	for p := 2; p <= m.N; p++ {
-		b.reset()
-		for _, e := range m.Inst.Graph.TaskEdges() {
-			b.add(m.W[[3]int{p, e.From, e.To}], float64(e.Bandwidth))
+		s.reset()
+		for e, te := range m.Inst.Graph.TaskEdges() {
+			s.add(m.w(p, e), float64(te.Bandwidth))
 		}
-		if len(b.idx) == 0 {
+		if len(s.idx) == 0 {
 			continue
 		}
-		if err := m.P.AddLE(rowMem.Key(p), b.idx, b.val, float64(m.Inst.Device.ScratchMem)); err != nil {
+		if err := s.le(rowMem.Key(p), s.idx, s.val, float64(m.Inst.Device.ScratchMem)); err != nil {
 			return err
 		}
 	}
@@ -152,20 +188,20 @@ func (m *Model) addMemoryCapacity(b *rowBuf) error {
 }
 
 // addOpAssignment emits eq. (6): each op gets exactly one (step, FU).
-func (m *Model) addOpAssignment(b *rowBuf) error {
+func (m *Model) addOpAssignment(s *rowSink) error {
 	for i := 0; i < m.Inst.Graph.NumOps(); i++ {
-		b.reset()
+		s.reset()
 		for _, j := range m.cs[i] {
 			for _, k := range m.fu[i] {
-				if col, ok := m.X[[3]int{i, j, k}]; ok {
-					b.add(col, 1)
+				if col := m.x(i, j, k); col >= 0 {
+					s.add(col, 1)
 				}
 			}
 		}
-		if len(b.idx) == 0 {
+		if len(s.idx) == 0 {
 			return fmt.Errorf("core: op %d has no feasible (step, FU) pair; increase L", i)
 		}
-		if err := m.P.AddEQ(rowAssign.Key(i), b.idx, b.val, 1); err != nil {
+		if err := s.eq(rowAssign.Key(i), s.idx, s.val, 1); err != nil {
 			return err
 		}
 	}
@@ -176,36 +212,28 @@ func (m *Model) addOpAssignment(b *rowBuf) error {
 // one op occupies a unit at any control step. Non-pipelined multicycle
 // units occupy every step of their latency; pipelined units only the
 // issue slot.
-func (m *Model) addFUConflicts(b *rowBuf) error {
+func (m *Model) addFUConflicts(s *rowSink) error {
 	alloc := m.Inst.Alloc
-	var occ []stepCol
 	for k := 0; k < alloc.NumUnits(); k++ {
 		// a pipelined unit is busy in its issue slot only
 		span := m.latOf(k)
 		if alloc.Unit(k).Type.Pipelined {
 			span = 1
 		}
-		occ = occ[:0]
-		for key, col := range m.X {
-			if key[2] != k {
+		for jj := 0; jj < m.cols.steps; jj++ {
+			// the placements that keep k busy at jj, by column
+			s.reset()
+			for i := range m.cs {
+				for j := jj - span + 1; j <= jj; j++ {
+					if col := m.x(i, j, k); col >= 0 {
+						s.add(col, 1)
+					}
+				}
+			}
+			if len(s.idx) < 2 {
 				continue
 			}
-			for jj := key[1]; jj < key[1]+span; jj++ {
-				occ = append(occ, stepCol{jj, col})
-			}
-		}
-		slices.SortFunc(occ, byStepCol)
-		for a, z := 0, 0; a < len(occ); a = z {
-			for z = a; z < len(occ) && occ[z].step == occ[a].step; z++ {
-			}
-			if z-a < 2 {
-				continue
-			}
-			b.reset()
-			for _, o := range occ[a:z] {
-				b.add(o.col, 1)
-			}
-			if err := m.P.AddLE(rowFU.Key(k, occ[a].step), b.idx, b.val, 1); err != nil {
+			if err := s.le(rowFU.Key(k, jj), s.idx, s.val, 1); err != nil {
 				return err
 			}
 		}
@@ -228,7 +256,7 @@ func byStepCol(a, b stepCol) int {
 // i1 -> i2, forbid schedules where i2 starts before i1 finishes.
 // Producer columns are grouped by FU latency so the multicycle
 // extension reuses the same emission.
-func (m *Model) addDependencies(b *rowBuf) error {
+func (m *Model) addDependencies(s *rowSink) error {
 	var prodCols, lats, units []int
 	for _, e := range m.Inst.Graph.OpEdges() {
 		// the producer units' distinct latencies, ascending
@@ -249,7 +277,7 @@ func (m *Model) addDependencies(b *rowBuf) error {
 			for _, j1 := range m.cs[e.From] {
 				prodCols = prodCols[:0]
 				for _, k1 := range units {
-					if col, ok := m.X[[3]int{e.From, j1, k1}]; ok {
+					if col := m.x(e.From, j1, k1); col >= 0 {
 						prodCols = append(prodCols, col)
 					}
 				}
@@ -260,17 +288,17 @@ func (m *Model) addDependencies(b *rowBuf) error {
 					if j2 >= j1+lam {
 						continue // legal placement
 					}
-					b.reset()
-					b.addAll(prodCols, 1)
+					s.reset()
+					s.addAll(prodCols, 1)
 					for _, k2 := range m.fu[e.To] {
-						if col, ok := m.X[[3]int{e.To, j2, k2}]; ok {
-							b.add(col, 1)
+						if col := m.x(e.To, j2, k2); col >= 0 {
+							s.add(col, 1)
 						}
 					}
-					if len(b.idx) == len(prodCols) {
+					if len(s.idx) == len(prodCols) {
 						continue // no consumer placement at j2
 					}
-					if err := m.P.AddLE(rowDep.Key(e.From, j1, e.To, j2, lam), b.idx, b.val, 1); err != nil {
+					if err := s.le(rowDep.Key(e.From, j1, e.To, j2, lam), s.idx, s.val, 1); err != nil {
 						return err
 					}
 				}
@@ -287,14 +315,14 @@ func (m *Model) addDependencies(b *rowBuf) error {
 // matrix: an alpha or capacity edit then changes only the row's range,
 // which the delta re-solve layer can apply to a live solver without a
 // refactorization.
-func (m *Model) addResourceCap(b *rowBuf) error {
+func (m *Model) addResourceCap(s *rowSink) error {
 	alloc, dev := m.Inst.Alloc, m.Inst.Device
 	for p := 1; p <= m.N; p++ {
-		b.reset()
+		s.reset()
 		for k := 0; k < alloc.NumUnits(); k++ {
-			b.add(m.U[[2]int{p, k}], float64(alloc.Unit(k).Type.FG))
+			s.add(m.u(p, k), float64(alloc.Unit(k).Type.FG))
 		}
-		if err := m.P.AddLE(rowCap.Key(p), b.idx, b.val, float64(dev.CapacityFG)/dev.Alpha); err != nil {
+		if err := s.le(rowCap.Key(p), s.idx, s.val, float64(dev.CapacityFG)/dev.Alpha); err != nil {
 			return err
 		}
 	}
@@ -304,7 +332,7 @@ func (m *Model) addResourceCap(b *rowBuf) error {
 // addStepOwnership emits eq. (12) — c_tj is forced to 1 when any op of
 // task t occupies step j — and eq. (13): tasks sharing a control step
 // must share a partition.
-func (m *Model) addStepOwnership(b *rowBuf) error {
+func (m *Model) addStepOwnership(s *rowSink) error {
 	g := m.Inst.Graph
 	nt := g.NumTasks()
 	// (12), grouped per (op, occupied step): c_tj >= sum_k x (the sum
@@ -315,8 +343,8 @@ func (m *Model) addStepOwnership(b *rowBuf) error {
 			occ = occ[:0]
 			for _, j := range m.cs[i] {
 				for _, k := range m.fu[i] {
-					col, ok := m.X[[3]int{i, j, k}]
-					if !ok {
+					col := m.x(i, j, k)
+					if col < 0 {
 						continue
 					}
 					for jj := j; jj < j+m.latOf(k); jj++ {
@@ -327,12 +355,12 @@ func (m *Model) addStepOwnership(b *rowBuf) error {
 			slices.SortFunc(occ, byStepCol)
 			for a, z := 0, 0; a < len(occ); a = z {
 				jj := occ[a].step
-				b.reset()
-				b.add(m.C[[2]int{t, jj}], 1)
+				s.reset()
+				s.add(m.c(t, jj), 1)
 				for z = a; z < len(occ) && occ[z].step == jj; z++ {
-					b.add(occ[z].col, -1)
+					s.add(occ[z].col, -1)
 				}
-				if err := m.P.AddGE(rowCdef.Key(t, i, jj), b.idx, b.val, 0); err != nil {
+				if err := s.ge(rowCdef.Key(t, i, jj), s.idx, s.val, 0); err != nil {
 					return err
 				}
 			}
@@ -345,15 +373,15 @@ func (m *Model) addStepOwnership(b *rowBuf) error {
 		for t2 := t1 + 1; t2 < nt; t2++ {
 			shared = intersectSorted(shared[:0], m.cSteps[t1], m.cSteps[t2])
 			for _, j := range shared {
-				c1 := m.C[[2]int{t1, j}]
-				c2 := m.C[[2]int{t2, j}]
+				c1 := m.c(t1, j)
+				c2 := m.c(t2, j)
 				for p1 := 1; p1 <= m.N; p1++ {
 					for p2 := 1; p2 <= m.N; p2++ {
 						if p1 == p2 {
 							continue
 						}
-						cols := []int{c1, m.Y[[2]int{t1, p1}], c2, m.Y[[2]int{t2, p2}]}
-						if err := m.P.AddLE(rowOwn.Key(t1, t2, j, p1, p2), cols, []float64{1, 1, 1, 1}, 3); err != nil {
+						cols := []int{c1, m.y(t1, p1), c2, m.y(t2, p2)}
+						if err := s.le(rowOwn.Key(t1, t2, j, p1, p2), cols, []float64{1, 1, 1, 1}, 3); err != nil {
 							return err
 						}
 					}
@@ -385,28 +413,28 @@ func intersectSorted(out, a, b []int) []int {
 
 // addZLinearization emits the product linearization z_ptk = y_tp*o_tk:
 // Glover (19)-(21) or Fortet (15)-(16).
-func (m *Model) addZLinearization(*rowBuf) error {
+func (m *Model) addZLinearization(s *rowSink) error {
 	for p := 1; p <= m.N; p++ {
 		for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
 			for _, k := range m.oPairs[t] {
-				y := m.Y[[2]int{t, p}]
-				o := m.O[[2]int{t, k}]
-				z := m.Z[[3]int{p, t, k}]
+				y := m.y(t, p)
+				o := m.o(t, k)
+				z := m.z(p, t, k)
 				// (19)/(15): y + o - z <= 1
-				if err := m.P.AddLE(rowZlo.Key(p, t, k), []int{y, o, z}, []float64{1, 1, -1}, 1); err != nil {
+				if err := s.le(rowZlo.Key(p, t, k), []int{y, o, z}, []float64{1, 1, -1}, 1); err != nil {
 					return err
 				}
 				if m.Opt.Linearization == LinGlover {
 					// (20): z <= o, (21): z <= y
-					if err := m.P.AddLE(rowZo.Key(p, t, k), []int{z, o}, []float64{1, -1}, 0); err != nil {
+					if err := s.le(rowZo.Key(p, t, k), []int{z, o}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
-					if err := m.P.AddLE(rowZy.Key(p, t, k), []int{z, y}, []float64{1, -1}, 0); err != nil {
+					if err := s.le(rowZy.Key(p, t, k), []int{z, y}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				} else {
 					// (16): 2z - y - o <= 0
-					if err := m.P.AddLE(rowZhi.Key(p, t, k), []int{z, y, o}, []float64{2, -1, -1}, 0); err != nil {
+					if err := s.le(rowZhi.Key(p, t, k), []int{z, y, o}, []float64{2, -1, -1}, 0); err != nil {
 						return err
 					}
 				}
@@ -420,24 +448,24 @@ func (m *Model) addZLinearization(*rowBuf) error {
 // corrected so that partitions may share units: u_pk <= sum_t z_ptk
 // (the role eq. (10) plays in the nonlinear model — u must be
 // witnessed by at least one task).
-func (m *Model) addULinks(b *rowBuf) error {
+func (m *Model) addULinks(s *rowSink) error {
 	nt := m.Inst.Graph.NumTasks()
 	for p := 1; p <= m.N; p++ {
 		for k := 0; k < m.Inst.Alloc.NumUnits(); k++ {
-			u := m.U[[2]int{p, k}]
-			b.reset()
-			b.add(u, 1)
+			u := m.u(p, k)
+			s.reset()
+			s.add(u, 1)
 			for t := 0; t < nt; t++ {
-				if z, ok := m.Z[[3]int{p, t, k}]; ok {
-					b.add(z, -1)
+				if z := m.z(p, t, k); z >= 0 {
+					s.add(z, -1)
 					// (22): z - u <= 0
-					if err := m.P.AddLE(rowUz.Key(p, t, k), []int{z, u}, []float64{1, -1}, 0); err != nil {
+					if err := s.le(rowUz.Key(p, t, k), []int{z, u}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				}
 			}
 			// (23): u - sum_t z <= 0
-			if err := m.P.AddLE(rowUwit.Key(p, k), b.idx, b.val, 0); err != nil {
+			if err := s.le(rowUwit.Key(p, k), s.idx, s.val, 0); err != nil {
 				return err
 			}
 		}
@@ -448,33 +476,33 @@ func (m *Model) addULinks(b *rowBuf) error {
 // addFUUsage emits the o_tk derivation: eq. (26) strengthened to one
 // row per (op, unit) — o_tk >= sum_j x_ijk, valid because eq. (6)
 // bounds the sum by 1 — and eq. (27): o_tk <= total x of the task on k.
-func (m *Model) addFUUsage(b *rowBuf) error {
+func (m *Model) addFUUsage(s *rowSink) error {
 	g := m.Inst.Graph
 	var all rowBuf // the (27) row, built alongside the (26) rows
 	for t := 0; t < g.NumTasks(); t++ {
 		for _, k := range m.oPairs[t] {
-			o := m.O[[2]int{t, k}]
+			o := m.o(t, k)
 			all.reset()
 			all.add(o, -1)
 			for _, i := range g.Task(t).Ops {
-				b.reset()
-				b.add(o, 1)
+				s.reset()
+				s.add(o, 1)
 				for _, j := range m.cs[i] {
-					if col, ok := m.X[[3]int{i, j, k}]; ok {
-						b.add(col, -1)
+					if col := m.x(i, j, k); col >= 0 {
+						s.add(col, -1)
 						all.add(col, 1)
 					}
 				}
-				if len(b.idx) == 1 {
+				if len(s.idx) == 1 {
 					continue
 				}
 				// (26, grouped): o - sum_j x_ijk >= 0
-				if err := m.P.AddGE(rowOusage.Key(t, i, k), b.idx, b.val, 0); err != nil {
+				if err := s.ge(rowOusage.Key(t, i, k), s.idx, s.val, 0); err != nil {
 					return err
 				}
 			}
 			// (27): sum_{i,j} x - o >= 0
-			if err := m.P.AddGE(rowOwit.Key(t, k), all.idx, all.val, 0); err != nil {
+			if err := s.ge(rowOwit.Key(t, k), all.idx, all.val, 0); err != nil {
 				return err
 			}
 		}
@@ -485,20 +513,20 @@ func (m *Model) addFUUsage(b *rowBuf) error {
 // addWConstraints emits the w linearization: the compact eq. (31) —
 // w_p >= sum_{p1<p} y_t1p1 + sum_{p2>=p} y_t2p2 - 1 — or, with
 // WPerProduct, the exact per-product eqs. (4)-(5).
-func (m *Model) addWConstraints(b *rowBuf) error {
+func (m *Model) addWConstraints(s *rowSink) error {
 	g := m.Inst.Graph
 	if !m.Opt.WPerProduct {
 		for p := 2; p <= m.N; p++ {
-			for _, e := range g.TaskEdges() {
-				b.reset()
-				b.add(m.W[[3]int{p, e.From, e.To}], -1)
+			for ei, e := range g.TaskEdges() {
+				s.reset()
+				s.add(m.w(p, ei), -1)
 				for p1 := 1; p1 < p; p1++ {
-					b.add(m.Y[[2]int{e.From, p1}], 1)
+					s.add(m.y(e.From, p1), 1)
 				}
 				for p2 := p; p2 <= m.N; p2++ { // paper prints p2 < N; Figure 4 shows p2 <= N
-					b.add(m.Y[[2]int{e.To, p2}], 1)
+					s.add(m.y(e.To, p2), 1)
 				}
-				if err := m.P.AddLE(rowWlin.Key(p, e.From, e.To), b.idx, b.val, 1); err != nil {
+				if err := s.le(rowWlin.Key(p, e.From, e.To), s.idx, s.val, 1); err != nil {
 					return err
 				}
 			}
@@ -507,24 +535,24 @@ func (m *Model) addWConstraints(b *rowBuf) error {
 	}
 	// per-product: v = y_t1p1 * y_t2p2 linearized, then (5):
 	// sum_{p1<p<=p2} v = w_p
-	for _, e := range g.TaskEdges() {
+	for ei, e := range g.TaskEdges() {
 		for p1 := 1; p1 < m.N; p1++ {
-			y1 := m.Y[[2]int{e.From, p1}]
+			y1 := m.y(e.From, p1)
 			for p2 := p1 + 1; p2 <= m.N; p2++ {
-				y2 := m.Y[[2]int{e.To, p2}]
-				v := m.Prod[[4]int{e.From, e.To, p1, p2}]
-				if err := m.P.AddLE(rowVlo.Key(e.From, p1, e.To, p2), []int{y1, y2, v}, []float64{1, 1, -1}, 1); err != nil {
+				y2 := m.y(e.To, p2)
+				v := m.v(ei, p1, p2)
+				if err := s.le(rowVlo.Key(e.From, p1, e.To, p2), []int{y1, y2, v}, []float64{1, 1, -1}, 1); err != nil {
 					return err
 				}
 				if m.Opt.Linearization == LinGlover {
-					if err := m.P.AddLE(rowV1.Key(e.From, p1, e.To, p2), []int{v, y1}, []float64{1, -1}, 0); err != nil {
+					if err := s.le(rowV1.Key(e.From, p1, e.To, p2), []int{v, y1}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
-					if err := m.P.AddLE(rowV2.Key(e.From, p1, e.To, p2), []int{v, y2}, []float64{1, -1}, 0); err != nil {
+					if err := s.le(rowV2.Key(e.From, p1, e.To, p2), []int{v, y2}, []float64{1, -1}, 0); err != nil {
 						return err
 					}
 				} else {
-					if err := m.P.AddLE(rowVhi.Key(e.From, p1, e.To, p2), []int{v, y1, y2}, []float64{2, -1, -1}, 0); err != nil {
+					if err := s.le(rowVhi.Key(e.From, p1, e.To, p2), []int{v, y1, y2}, []float64{2, -1, -1}, 0); err != nil {
 						return err
 					}
 				}
@@ -532,15 +560,15 @@ func (m *Model) addWConstraints(b *rowBuf) error {
 		}
 	}
 	for p := 2; p <= m.N; p++ {
-		for _, e := range g.TaskEdges() {
-			b.reset()
-			b.add(m.W[[3]int{p, e.From, e.To}], -1)
+		for ei, e := range g.TaskEdges() {
+			s.reset()
+			s.add(m.w(p, ei), -1)
 			for p1 := 1; p1 < p; p1++ {
 				for p2 := p; p2 <= m.N; p2++ {
-					b.add(m.Prod[[4]int{e.From, e.To, p1, p2}], 1)
+					s.add(m.v(ei, p1, p2), 1)
 				}
 			}
-			if err := m.P.AddEQ(rowWsum.Key(p, e.From, e.To), b.idx, b.val, 0); err != nil {
+			if err := s.eq(rowWsum.Key(p, e.From, e.To), s.idx, s.val, 0); err != nil {
 				return err
 			}
 		}
@@ -550,31 +578,31 @@ func (m *Model) addWConstraints(b *rowBuf) error {
 
 // addTightening emits the cuts of Section 6: (28), (29) with the
 // off-by-one corrected to p < p1, (30), and (32).
-func (m *Model) addTightening(b *rowBuf) error {
+func (m *Model) addTightening(s *rowSink) error {
 	g := m.Inst.Graph
 	cuts := m.Opt.Cuts
-	for _, e := range g.TaskEdges() {
+	for ei, e := range g.TaskEdges() {
 		for p1 := 2; p1 <= m.N; p1++ {
-			w := m.W[[3]int{p1, e.From, e.To}]
+			w := m.w(p1, ei)
 			if cuts.Has(Cut28) {
 				// (28): w_p1 + sum_{p1<=p<=N} y_t1p <= 1
-				b.reset()
-				b.add(w, 1)
+				s.reset()
+				s.add(w, 1)
 				for p := p1; p <= m.N; p++ {
-					b.add(m.Y[[2]int{e.From, p}], 1)
+					s.add(m.y(e.From, p), 1)
 				}
-				if err := m.P.AddLE(rowT28.Key(p1, e.From, e.To), b.idx, b.val, 1); err != nil {
+				if err := s.le(rowT28.Key(p1, e.From, e.To), s.idx, s.val, 1); err != nil {
 					return err
 				}
 			}
 			if cuts.Has(Cut29) {
 				// (29): w_p1 + sum_{1<=p<p1} y_t2p <= 1
-				b.reset()
-				b.add(w, 1)
+				s.reset()
+				s.add(w, 1)
 				for p := 1; p < p1; p++ {
-					b.add(m.Y[[2]int{e.To, p}], 1)
+					s.add(m.y(e.To, p), 1)
 				}
-				if err := m.P.AddLE(rowT29.Key(p1, e.From, e.To), b.idx, b.val, 1); err != nil {
+				if err := s.le(rowT29.Key(p1, e.From, e.To), s.idx, s.val, 1); err != nil {
 					return err
 				}
 			}
@@ -586,8 +614,8 @@ func (m *Model) addTightening(b *rowBuf) error {
 					if p1 == p {
 						continue
 					}
-					cols := []int{m.Y[[2]int{e.From, p}], m.Y[[2]int{e.To, p}], m.W[[3]int{p1, e.From, e.To}]}
-					if err := m.P.AddLE(rowT30.Key(p, p1, e.From, e.To), cols, []float64{1, 1, 1}, 2); err != nil {
+					cols := []int{m.y(e.From, p), m.y(e.To, p), m.w(p1, ei)}
+					if err := s.le(rowT30.Key(p, p1, e.From, e.To), cols, []float64{1, 1, 1}, 2); err != nil {
 						return err
 					}
 				}
@@ -599,8 +627,8 @@ func (m *Model) addTightening(b *rowBuf) error {
 		for t := 0; t < g.NumTasks(); t++ {
 			for _, k := range m.oPairs[t] {
 				for p := 1; p <= m.N; p++ {
-					cols := []int{m.O[[2]int{t, k}], m.Y[[2]int{t, p}], m.U[[2]int{p, k}]}
-					if err := m.P.AddLE(rowT32.Key(t, k, p), cols, []float64{1, 1, -1}, 1); err != nil {
+					cols := []int{m.o(t, k), m.y(t, p), m.u(p, k)}
+					if err := s.le(rowT32.Key(t, k, p), cols, []float64{1, 1, -1}, 1); err != nil {
 						return err
 					}
 				}

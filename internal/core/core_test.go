@@ -146,7 +146,7 @@ func TestFigure3Semantics(t *testing.T) {
 	}
 	// pin the Figure 3 mapping y[t0]=1, y[t1]=2, y[t2]=3
 	for tk, p := range map[int]int{0: 1, 1: 2, 2: 3} {
-		if err := m.P.AddEQ(lp.Name(fmt.Sprintf("pin%d", tk)), []int{m.Y[[2]int{tk, p}]}, []float64{1}, 1); err != nil {
+		if err := m.LP().AddEQ(lp.Name(fmt.Sprintf("pin%d", tk)), []int{m.y(tk, p)}, []float64{1}, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,17 +190,18 @@ func pinAndProbe(t *testing.T, tightened bool, p1, p2 int) lp.Status {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.P.AddEQ(lp.Name("pin1"), []int{m.Y[[2]int{0, p1}]}, []float64{1}, 1); err != nil {
+	if err := m.LP().AddEQ(lp.Name("pin1"), []int{m.y(0, p1)}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.P.AddEQ(lp.Name("pin2"), []int{m.Y[[2]int{1, p2}]}, []float64{1}, 1); err != nil {
+	if err := m.LP().AddEQ(lp.Name("pin2"), []int{m.y(1, p2)}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	// probe: force w[3,0->1] = 1 and ask the LP if that is possible
-	if err := m.P.AddEQ(lp.Name("probe"), []int{m.W[[3]int{3, 0, 1}]}, []float64{1}, 1); err != nil {
+	// probe: force w[3,0->1] = 1 (edge 0 is 0->1) and ask the LP if
+	// that is possible
+	if err := m.LP().AddEQ(lp.Name("probe"), []int{m.w(3, 0)}, []float64{1}, 1); err != nil {
 		t.Fatal(err)
 	}
-	s, err := lp.NewSolver(m.P)
+	s, err := lp.NewSolver(m.LP())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,14 +285,15 @@ func TestModelDeterminism(t *testing.T) {
 	if m1.Stats() != m2.Stats() {
 		t.Fatalf("stats differ: %+v vs %+v", m1.Stats(), m2.Stats())
 	}
-	for i := 0; i < m1.P.NumVars(); i++ {
-		if m1.P.VarName(i) != m2.P.VarName(i) {
-			t.Fatalf("var %d name %q vs %q", i, m1.P.VarName(i), m2.P.VarName(i))
+	p1, p2 := m1.LP(), m2.LP()
+	for i := 0; i < p1.NumVars(); i++ {
+		if p1.VarName(i) != p2.VarName(i) {
+			t.Fatalf("var %d name %q vs %q", i, p1.VarName(i), p2.VarName(i))
 		}
 	}
-	for i := 0; i < m1.P.NumRows(); i++ {
-		if m1.P.RowName(i) != m2.P.RowName(i) {
-			t.Fatalf("row %d name %q vs %q", i, m1.P.RowName(i), m2.P.RowName(i))
+	for i := 0; i < p1.NumRows(); i++ {
+		if p1.RowName(i) != p2.RowName(i) {
+			t.Fatalf("row %d name %q vs %q", i, p1.RowName(i), p2.RowName(i))
 		}
 	}
 }

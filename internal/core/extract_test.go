@@ -14,17 +14,13 @@ func extractFixture(t *testing.T) (*Model, []float64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := make([]float64, m.P.NumVars())
+	x := make([]float64, m.Stats().Vars)
 	setY := func(task, p int) {
-		col, ok := m.Y[[2]int{task, p}]
-		if !ok {
-			t.Fatalf("no y column for task %d partition %d", task, p)
-		}
-		x[col] = 1
+		x[m.y(task, p)] = 1
 	}
 	setX := func(op, step, unit int) {
-		col, ok := m.X[[3]int{op, step, unit}]
-		if !ok {
+		col := m.x(op, step, unit)
+		if col < 0 {
 			t.Fatalf("no x column for op %d step %d unit %d", op, step, unit)
 		}
 		x[col] = 1
@@ -62,28 +58,28 @@ func TestExtractRejectsCorruptVectors(t *testing.T) {
 		want   string
 	}{
 		{"task assigned twice", func(t *testing.T, m *Model, x []float64) {
-			x[m.Y[[2]int{0, 2}]] = 1
+			x[m.y(0, 2)] = 1
 		}, "task 0 assigned twice"},
 		{"task unassigned", func(t *testing.T, m *Model, x []float64) {
-			x[m.Y[[2]int{1, 1}]] = 0
+			x[m.y(1, 1)] = 0
 		}, "task 1 unassigned"},
 		{"op assigned twice", func(t *testing.T, m *Model, x []float64) {
-			col, ok := m.X[[3]int{0, 2, 0}]
-			if !ok {
+			col := m.x(0, 2, 0)
+			if col < 0 {
 				t.Fatal("no second placement column for op 0")
 			}
 			x[col] = 1
 		}, "op 0 assigned twice"},
 		{"op unassigned", func(t *testing.T, m *Model, x []float64) {
-			x[m.X[[3]int{2, 3, 0}]] = 0
+			x[m.x(2, 3, 0)] = 0
 		}, "op 2 unassigned"},
 		{"schedule fails verification", func(t *testing.T, m *Model, x []float64) {
 			// move a to step 2: inside its widened window, but then a@2
 			// cannot precede b@2 — Verify must catch it and Extract must
 			// wrap, not swallow, the classification
-			x[m.X[[3]int{0, 1, 0}]] = 0
-			col, ok := m.X[[3]int{0, 2, 0}]
-			if !ok {
+			x[m.x(0, 1, 0)] = 0
+			col := m.x(0, 2, 0)
+			if col < 0 {
 				t.Fatal("no step-2 column for op 0")
 			}
 			x[col] = 1

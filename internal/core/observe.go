@@ -2,38 +2,14 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/trace"
 )
 
-// familyStats aggregates the generated rows by constraint family — the
-// row-name prefix before '[' (uniq, assign, zlo, t28, ...), read from
-// each row's key without formatting its name — so a model event
-// reports how large each family of the formulation came out, including
-// the tightening-cut rows t28/t29/t30/t32 per CutSet member.
-func (m *Model) familyStats() []trace.Family {
-	byName := map[string]*trace.Family{}
-	for i := 0; i < m.P.NumRows(); i++ {
-		name := m.P.RowKey(i).Family()
-		f := byName[name]
-		if f == nil {
-			f = &trace.Family{Name: name}
-			byName[name] = f
-		}
-		f.Rows++
-		f.NNZ += m.P.RowNNZ(i)
-	}
-	out := make([]trace.Family, 0, len(byName))
-	for _, f := range byName {
-		out = append(out, *f)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // emitModelEvent reports the generated model's shape on the configured
-// tracer at the end of Build. No-op when tracing is off.
+// tracer at the end of Build, from its count of the rows, per
+// constraint family (uniq, assign, zlo, t28, ...) too. No-op when
+// tracing is off.
 func (m *Model) emitModelEvent() {
 	tr := m.Opt.Trace
 	if !tr.Enabled() {
@@ -49,7 +25,7 @@ func (m *Model) emitModelEvent() {
 		Rows:     m.stats.Rows,
 		NNZ:      m.stats.NNZ,
 		Density:  density,
-		Families: m.familyStats(),
+		Families: m.rows.Families(),
 		Msg: fmt.Sprintf("N=%d L=%d lin=%s tightened=%t",
 			m.N, m.Opt.L, m.Opt.Linearization, m.Opt.Tightened),
 	})

@@ -238,9 +238,9 @@ type Options struct {
 	// serialized; never part of the cache key.
 	Profile *trace.Profile `json:"-"`
 	// Span, when set, is the parent span of the solve: Build opens a
-	// "build" child and the search opens its stage spans under it
-	// (milp.Options.Span). Never serialized; never part of the cache
-	// key.
+	// "build" child, the first read of the LP (Model.LP) another, and
+	// the search opens its stage spans under it (milp.Options.Span).
+	// Never serialized; never part of the cache key.
 	Span *trace.Span `json:"-"`
 	// BlackBox, when set, is the per-job keep-last anomaly recorder
 	// passed to the search (milp.Options.BlackBox). Never serialized;

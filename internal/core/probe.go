@@ -76,7 +76,7 @@ func (m *Model) integralAssignment(x []float64) ([]int, bool) {
 	part := make([]int, nt)
 	for t := 0; t < nt; t++ {
 		for p := 1; p <= m.N; p++ {
-			v := x[m.Y[[2]int{t, p}]]
+			v := x[m.y(t, p)]
 			if v > intFracTol && v < 1-intFracTol {
 				return nil, false
 			}
@@ -106,7 +106,7 @@ func (m *Model) allYFixed(bound func(int) (float64, float64)) bool {
 		pinned := false
 		free := 0
 		for p := 1; p <= m.N; p++ {
-			lo, hi := bound(m.Y[[2]int{t, p}])
+			lo, hi := bound(m.y(t, p))
 			if lo >= 1-intFracTol {
 				pinned = true
 				break
@@ -524,9 +524,9 @@ func (m *Model) vectorFrom(x []float64, part []int, step, unit []int) []float64 
 	for t := 0; t < m.Inst.Graph.NumTasks(); t++ {
 		for p := 1; p <= m.N; p++ {
 			if part[t] == p {
-				xc[m.Y[[2]int{t, p}]] = 1
+				xc[m.y(t, p)] = 1
 			} else {
-				xc[m.Y[[2]int{t, p}]] = 0
+				xc[m.y(t, p)] = 0
 			}
 		}
 	}
@@ -534,8 +534,8 @@ func (m *Model) vectorFrom(x []float64, part []int, step, unit []int) []float64 
 		xc[col] = 0
 	}
 	for i := 0; i < m.Inst.Graph.NumOps(); i++ {
-		col, ok := m.X[[3]int{i, step[i], unit[i]}]
-		if !ok {
+		col := m.x(i, step[i], unit[i])
+		if col < 0 {
 			return nil // schedule outside the model's windows: decline
 		}
 		xc[col] = 1

@@ -113,6 +113,9 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 	default:
 		brancher = milp.BrancherFunc(m.paperBranch)
 	}
+	if m.Opt.Presolve {
+		m.LP() // the presolve reads the LP: emit it under its own span first
+	}
 	presolveSpan := m.Opt.Span.Child("presolve") // nil-safe when spans are off
 	if m.ApplyPresolve() {
 		presolveSpan.SetStr("outcome", "solved")
@@ -198,7 +201,7 @@ func (m *Model) solveContext(ctx context.Context) (*Result, error) {
 			return nil, err
 		}
 	}
-	res, err := milp.SolveContext(ctx, m.P, mopt)
+	res, err := milp.SolveContext(ctx, m.LP(), mopt)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +300,7 @@ func (m *Model) Extract(x []float64) (*partition.Solution, error) {
 	}
 	for t := 0; t < g.NumTasks(); t++ {
 		for p := 1; p <= m.N; p++ {
-			if x[m.Y[[2]int{t, p}]] > 0.5 {
+			if x[m.y(t, p)] > 0.5 {
 				if sol.TaskPartition[t] != 0 {
 					return nil, fmt.Errorf("core: task %d assigned twice", t)
 				}
@@ -308,14 +311,17 @@ func (m *Model) Extract(x []float64) (*partition.Solution, error) {
 			return nil, fmt.Errorf("core: task %d unassigned", t)
 		}
 	}
-	for key, col := range m.X {
-		if x[col] > 0.5 {
-			i := key[0]
-			if sol.OpUnit[i] != -1 {
-				return nil, fmt.Errorf("core: op %d assigned twice", i)
+	for i := range m.cs {
+		for _, j := range m.cs[i] {
+			for _, k := range m.fu[i] {
+				if col := m.x(i, j, k); col < 0 || x[col] <= 0.5 {
+					continue
+				}
+				if sol.OpUnit[i] != -1 {
+					return nil, fmt.Errorf("core: op %d assigned twice", i)
+				}
+				sol.OpStep[i], sol.OpUnit[i] = j, k
 			}
-			sol.OpStep[i] = key[1]
-			sol.OpUnit[i] = key[2]
 		}
 	}
 	for i, u := range sol.OpUnit {
@@ -360,7 +366,7 @@ func (m *Model) complete(x []float64) []float64 {
 	part := make([]int, g.NumTasks())
 	for t := 0; t < g.NumTasks(); t++ {
 		for p := 1; p <= m.N; p++ {
-			if xc[m.Y[[2]int{t, p}]] > 0.5 {
+			if xc[m.y(t, p)] > 0.5 {
 				part[t] = p
 				break
 			}
@@ -370,70 +376,80 @@ func (m *Model) complete(x []float64) []float64 {
 		}
 	}
 	// o from x
-	for key, col := range m.O {
-		t, k := key[0], key[1]
-		used := 0.0
-		for _, i := range g.Task(t).Ops {
-			for _, j := range m.cs[i] {
-				if xcol, ok := m.X[[3]int{i, j, k}]; ok && xc[xcol] > 0.5 {
-					used = 1
+	for t := 0; t < g.NumTasks(); t++ {
+		for _, k := range m.oPairs[t] {
+			used := 0.0
+			for _, i := range g.Task(t).Ops {
+				for _, j := range m.cs[i] {
+					if xcol := m.x(i, j, k); xcol >= 0 && xc[xcol] > 0.5 {
+						used = 1
+					}
 				}
 			}
+			xc[m.o(t, k)] = used
 		}
-		xc[col] = used
 	}
 	// c from occupied steps
-	for key, col := range m.C {
-		t, j := key[0], key[1]
-		occ := 0.0
-		for _, i := range g.Task(t).Ops {
-			for _, js := range m.cs[i] {
-				for _, k := range m.fu[i] {
-					xcol, ok := m.X[[3]int{i, js, k}]
-					if !ok || xc[xcol] < 0.5 {
-						continue
-					}
-					if js <= j && j < js+m.latOf(k) {
-						occ = 1
+	for t := 0; t < g.NumTasks(); t++ {
+		for _, j := range m.cSteps[t] {
+			occ := 0.0
+			for _, i := range g.Task(t).Ops {
+				for _, js := range m.cs[i] {
+					for _, k := range m.fu[i] {
+						xcol := m.x(i, js, k)
+						if xcol < 0 || xc[xcol] < 0.5 {
+							continue
+						}
+						if js <= j && j < js+m.latOf(k) {
+							occ = 1
+						}
 					}
 				}
 			}
+			xc[m.c(t, j)] = occ
 		}
-		xc[col] = occ
 	}
 	// z = y*o, u = OR_t z
-	for key, col := range m.Z {
-		p, t, k := key[0], key[1], key[2]
-		xc[col] = xc[m.Y[[2]int{t, p}]] * xc[m.O[[2]int{t, k}]]
-	}
-	for key, col := range m.U {
-		p, k := key[0], key[1]
-		v := 0.0
+	for p := 1; p <= m.N; p++ {
 		for t := 0; t < g.NumTasks(); t++ {
-			if z, ok := m.Z[[3]int{p, t, k}]; ok && xc[z] > 0.5 {
-				v = 1
+			for _, k := range m.oPairs[t] {
+				xc[m.z(p, t, k)] = xc[m.y(t, p)] * xc[m.o(t, k)]
 			}
 		}
-		xc[col] = v
-	}
-	// w from the partition assignment
-	for key, col := range m.W {
-		p, t1, t2 := key[0], key[1], key[2]
-		if part[t1] < p && part[t2] >= p {
-			xc[col] = 1
-		} else {
-			xc[col] = 0
+		for k := 0; k < m.Inst.Alloc.NumUnits(); k++ {
+			v := 0.0
+			for t := 0; t < g.NumTasks(); t++ {
+				if z := m.z(p, t, k); z >= 0 && xc[z] > 0.5 {
+					v = 1
+				}
+			}
+			xc[m.u(p, k)] = v
 		}
 	}
-	for key, col := range m.Prod {
-		t1, t2, p1, p2 := key[0], key[1], key[2], key[3]
-		if part[t1] == p1 && part[t2] == p2 {
-			xc[col] = 1
-		} else {
-			xc[col] = 0
+	// w (and the per-product terms) from the partition assignment
+	for e, te := range g.TaskEdges() {
+		t1, t2 := te.From, te.To
+		for p := 2; p <= m.N; p++ {
+			xc[m.w(p, e)] = b2f(part[t1] < p && part[t2] >= p)
+		}
+		if !m.Opt.WPerProduct {
+			continue
+		}
+		for p1 := 1; p1 < m.N; p1++ {
+			for p2 := p1 + 1; p2 <= m.N; p2++ {
+				xc[m.v(e, p1, p2)] = b2f(part[t1] == p1 && part[t2] == p2)
+			}
 		}
 	}
 	return xc
+}
+
+// b2f returns 1 for true and 0 for false.
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SolveInstance builds the model and solves it in one call.

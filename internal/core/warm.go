@@ -43,9 +43,10 @@ func (m *Model) ApplyPresolve() bool {
 	}
 	m.presolved = true
 	if m.Opt.Presolve {
-		if res := m.P.Presolve(); res.Infeasible {
+		p := m.LP()
+		if res := p.Presolve(); res.Infeasible {
 			m.presolveInfeasible = true
-		} else if err := m.P.TightenBinary(m.intVars); err != nil {
+		} else if err := p.TightenBinary(m.intVars); err != nil {
 			// a binary domain emptied: no integer solution exists
 			m.presolveInfeasible = true
 		}

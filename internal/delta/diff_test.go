@@ -135,7 +135,7 @@ func TestDiffProblemsZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m.P
+		return m.LP()
 	}
 	base, next := build(0), build(0)
 	var d Diff

@@ -48,10 +48,20 @@ const maxBuilds = 8
 // build is the re-solve state of a cached solve: the post-presolve
 // model and a solver template anchored at a solved root basis of its
 // problem. Immutable after insertion — every use clones the template
-// first — so concurrent amends against one base are safe.
+// first, and the model emits its LP once for all readers when a solve
+// the exact sweep closed never did (core.Model.LP) — so concurrent
+// amends against one base are safe.
 type build struct {
 	model *core.Model
 	root  *lp.Solver
+}
+
+// newBuild returns the build of a finished solve of m. It detaches m
+// from the solve's span: an amend that emits m's LP later must add no
+// span to a job that is over.
+func newBuild(m *core.Model, root *lp.Solver) *build {
+	m.Opt.Span = nil
+	return &build{model: m, root: root}
 }
 
 // entry is one cached solve under its canonical key: the completed
@@ -224,7 +234,7 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 	warm := &core.Warm{}
 	var template *lp.Solver // un-reoptimized root template for the reuse path
 	if base != nil {
-		d := DiffProblems(base.model.P, m.P)
+		d := DiffProblems(base.model.LP(), m.LP())
 		info.Class = d.Class.String()
 		if d.Class == ClassStructural {
 			e.mu.Lock()
@@ -258,7 +268,7 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 			// the new problem.
 			if d.Tightens && baseRes.Optimal && !opt.Certify && (!baseRes.Feasible || warm.Prime != nil) {
 				res := e.reuseResult(m, warm.Prime, start, opt)
-				e.store(key, res, &build{model: m, root: template})
+				e.store(key, res, newBuild(m, template))
 				info.Path = PathReuse
 				return res, info, nil
 			}
@@ -284,7 +294,7 @@ func (e *Engine) Solve(ctx context.Context, key, baseKey string, inst core.Insta
 		e.warm++
 		e.mu.Unlock()
 	}
-	e.store(key, res, &build{model: m, root: rootClone})
+	e.store(key, res, newBuild(m, rootClone))
 	return res, info, err
 }
 

@@ -14,6 +14,9 @@
 // Family and up to five integers, formatted only when a name is read,
 // or a literal Name. Its rows live in one flat, pointer-free row store
 // (rowstore.go) that solvers, clones and the exact layer read in place.
+// A RowCount (rowcount.go) takes rows as AddRow does but stores none,
+// so a caller can learn a problem's size first and reserve its arrays
+// exactly.
 // The constraint matrix is kept in sparse column form and the basis as
 // a sparse LU factorization updated by an eta file (revised.go, lu.go).
 // A dense-tableau engine (dense_test.go) survives only as the reference
@@ -97,9 +100,6 @@ func (p *Problem) load(k key) Key {
 	return Key{name: p.names[k.a[0]-1]}
 }
 
-// RowNNZ returns the number of nonzero coefficients in row i.
-func (p *Problem) RowNNZ(i int) int { return p.rows.nnz(i) }
-
 // Row exposes the sparse coefficients of row i: column indices and
 // values, in ascending index order. The slices are the problem's own
 // storage — callers must treat them as read-only. Together with
@@ -121,6 +121,17 @@ func (p *Problem) Obj(j int) float64 { return p.obj[j] }
 // its indices are strictly ascending; other rows are insertion-sorted
 // first, which suits rows of a handful of entries.
 func (p *Problem) AddRow(k Key, idx []int, coef []float64, lo, hi float64) error {
+	if err := checkRow(k, idx, coef, lo, hi, len(p.obj)); err != nil {
+		return err
+	}
+	p.rows.add(idx, coef, lo, hi)
+	p.rowKeys = append(grow(p.rowKeys, 1), p.store(k))
+	return nil
+}
+
+// checkRow rejects a row that AddRow cannot store in a problem of vars
+// columns.
+func checkRow(k Key, idx []int, coef []float64, lo, hi float64, vars int) error {
 	if len(idx) != len(coef) {
 		return fmt.Errorf("lp: AddRow %q: %d indices vs %d coefficients", k, len(idx), len(coef))
 	}
@@ -128,13 +139,27 @@ func (p *Problem) AddRow(k Key, idx []int, coef []float64, lo, hi float64) error
 		return fmt.Errorf("lp: AddRow %q: empty range [%v,%v]", k, lo, hi)
 	}
 	for _, j := range idx {
-		if j < 0 || j >= len(p.obj) {
+		if j < 0 || j >= vars {
 			return fmt.Errorf("lp: AddRow %q: variable %d out of range", k, j)
 		}
 	}
-	p.rows.add(idx, coef, lo, hi)
-	p.rowKeys = append(grow(p.rowKeys, 1), p.store(k))
 	return nil
+}
+
+// ReserveVars makes room for n more columns, so that adding them moves
+// no array.
+func (p *Problem) ReserveVars(n int) {
+	p.colKeys = reserve(p.colKeys, n)
+	p.obj = reserve(p.obj, n)
+	p.lo = reserve(p.lo, n)
+	p.hi = reserve(p.hi, n)
+}
+
+// ReserveRows makes room for the rows c counted, so that adding them
+// moves no array. Rows added after those grow the arrays by doubling.
+func (p *Problem) ReserveRows(c *RowCount) {
+	p.rows.reserve(c.rows, c.room)
+	p.rowKeys = reserve(p.rowKeys, c.rows)
 }
 
 // AddLE appends sum coef_j x_j <= rhs.

@@ -4,7 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // refAddRow is the map-and-scan AddRow that the sort-and-merge one
@@ -175,3 +179,94 @@ func TestAddRowSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestPropertyRowCountMatchesAddRow drives a RowCount and a Problem
+// with the same random rows, invalid ones included: the count fails
+// with AddRow's error on the same rows, and counts the rows, nonzeros
+// and family tallies the problem stores. A problem that reserves the
+// counted rows then stores them without moving an array.
+func TestPropertyRowCountMatchesAddRow(t *testing.T) {
+	r := rand.New(rand.NewSource(2))
+	fams := []Family{testFamA, testFamB}
+	for trial := 0; trial < 500; trial++ {
+		nvars := 1 + r.Intn(20)
+		p, q := &Problem{}, &Problem{}
+		for j := 0; j < nvars; j++ {
+			p.AddBinary(Name("x"), 0)
+			q.AddBinary(Name("x"), 0)
+		}
+		c := CountRows(nvars)
+		type row struct {
+			k      Key
+			idx    []int
+			coef   []float64
+			lo, hi float64
+		}
+		var rows []row
+		for k := 0; k < 8; k++ {
+			idx, coef := randomRow(r, nvars)
+			lo, hi := -Inf, 1.0
+			switch r.Intn(12) {
+			case 0:
+				coef = append(coef, 1)
+			case 1:
+				lo, hi = 2, 1
+			case 2:
+				if len(idx) > 0 {
+					idx[r.Intn(len(idx))] = nvars
+				}
+			}
+			key := Name(fmt.Sprintf("lit%d[%d]", r.Intn(2), k))
+			if r.Intn(2) == 0 {
+				key = fams[r.Intn(2)].Key(k)
+			}
+			perr, cerr := p.AddRow(key, idx, coef, lo, hi), c.AddRow(key, idx, coef, lo, hi)
+			if (perr == nil) != (cerr == nil) || perr != nil && perr.Error() != cerr.Error() {
+				t.Fatalf("trial %d: AddRow error %v, RowCount error %v", trial, perr, cerr)
+			}
+			if perr == nil {
+				rows = append(rows, row{key, idx, coef, lo, hi})
+			}
+		}
+		if c.Stats() != p.Stats() {
+			t.Fatalf("trial %d: counted %+v, stored %+v", trial, c.Stats(), p.Stats())
+		}
+		var want []trace.Family
+		for i := 0; i < p.NumRows(); i++ {
+			name := p.RowKey(i).Family()
+			k := slices.IndexFunc(want, func(f trace.Family) bool { return f.Name == name })
+			if k < 0 {
+				want = append(want, trace.Family{Name: name})
+				k = len(want) - 1
+			}
+			want[k].Rows++
+			want[k].NNZ += p.rows.nnz(i)
+		}
+		slices.SortFunc(want, func(a, b trace.Family) int { return strings.Compare(a.Name, b.Name) })
+		if got := c.Families(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: counted families %v, stored %v", trial, got, want)
+		}
+		// a moved array would have grown its capacity
+		q.ReserveRows(c)
+		caps := func() [6]int {
+			rs := &q.rows
+			return [6]int{cap(rs.start), cap(rs.idx), cap(rs.val), cap(rs.lo), cap(rs.hi), cap(q.rowKeys)}
+		}
+		reserved := caps()
+		for _, rw := range rows {
+			if err := q.AddRow(rw.k, rw.idx, rw.coef, rw.lo, rw.hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := caps(); got != reserved || cap(q.rows.lo) != len(rows) {
+			t.Fatalf("trial %d: %d rows reserved capacities %v, stored with %v", trial, len(rows), reserved, got)
+		}
+	}
+}
+
+// The families of TestPropertyRowCountMatchesAddRow; their layouts
+// share the prefix "fam", so the count reports them as one family.
+var (
+	testFamA = NewFamily("fam[a%d]")
+	testFamB = NewFamily("fam[b%d]")
+)

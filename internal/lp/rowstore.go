@@ -48,6 +48,21 @@ func (rs *rowStore) add(idx []int, coef []float64, lo, hi float64) {
 	rs.hi = append(grow(rs.hi, 1), hi)
 }
 
+// reserve makes room for rows more rows holding nnz entries in all,
+// counted as add needs them: a row takes its length as given until it
+// is merged.
+func (rs *rowStore) reserve(rows, nnz int) {
+	starts := rows
+	if len(rs.start) == 0 {
+		starts++ // the leading zero
+	}
+	rs.start = reserve(rs.start, starts)
+	rs.idx = reserve(rs.idx, nnz)
+	rs.val = reserve(rs.val, nnz)
+	rs.lo = reserve(rs.lo, rows)
+	rs.hi = reserve(rs.hi, rows)
+}
+
 // mergeRow sorts a row by column in place, sums each column's entries
 // from zero in input order, drops zero sums, and returns the merged
 // length.
@@ -126,6 +141,15 @@ func (rs *rowStore) subset(keep []int) rowStore {
 // append to it copies instead of writing where another holder of the
 // array may read.
 func full[T any](s []T) []T { return s[:len(s):len(s)] }
+
+// reserve returns s with room for exactly n more elements, moving it
+// only when it has less.
+func reserve[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)+n), s...)
+}
 
 // grow returns s with room for n more elements. When it must move s it
 // doubles the capacity: append grows large slices by a quarter at a

@@ -440,15 +440,6 @@ func (s *Solver) SetObj(j int, c float64) {
 	s.status = StatusUnknown
 }
 
-// Obj returns the current objective coefficient of structural variable
-// j as owned by the solver (NewSolver copies, SetObj edits).
-func (s *Solver) Obj(j int) float64 {
-	if j < 0 || j >= s.n {
-		panic(fmt.Sprintf("lp: Obj: bad variable %d", j))
-	}
-	return s.c[j]
-}
-
 // Dims returns the solver's structural-variable and row counts, fixed
 // at NewSolver time.
 func (s *Solver) Dims() (vars, rows int) { return s.n, s.m }

@@ -175,8 +175,8 @@ func TestSetRowBoundsAccessors(t *testing.T) {
 		t.Fatalf("Dims = %d,%d", n, m)
 	}
 	s.SetObj(x, -2)
-	if c := s.Obj(x); c != -2 {
-		t.Fatalf("Obj after SetObj = %v", c)
+	if c := s.c[x]; c != -2 {
+		t.Fatalf("objective coefficient after SetObj = %v", c)
 	}
 	if st := s.Solve(); st != StatusOptimal {
 		t.Fatalf("status %v", st)
